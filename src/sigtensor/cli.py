@@ -138,16 +138,7 @@ def cmd_exp(args) -> int:
     if level < 0:
         raise ValueError("precondition 'level >= 0' violated")
     _check_size(l.dim, level, args.allow_large)
-    if level != l.max_level:
-        # exp level k only involves log levels <= k, so truncating or
-        # zero-padding the log levels is exact
-        from .lie import LogSignature
-        from .tensors import Tensor
-
-        levels = list(l.levels[:level])
-        levels += [Tensor.zeros(k, l.dim) for k in range(len(levels) + 1, level + 1)]
-        l = LogSignature(l.dim, level, tuple(levels))
-    sig = exp_log_signature(l)
+    sig = exp_log_signature(l.truncate(level))
     report = {
         "command": "exp",
         "inputs": {"logsig": args.logsig, "level": level},

@@ -1,0 +1,151 @@
+"""Scaled-integer kernel for the truncated tensor algebra.
+
+A level is a pair (nums, den): a flat list of Python ints in Tensor storage
+order (first index slowest) and one positive int denominator, so entry i is
+nums[i] / den. Exact rationals become Fractions only at the API boundary
+(from_fractions / to_tensor), so every product, bracket and term below is
+integer arithmetic on lists.
+
+Signatures of piecewise linear paths use a fixed scheme: with D the lcm of
+the increment denominators, level k is stored over k! * D^k, and a segment v
+enters through w = D * v, an integer vector (see mul_exp).
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import chain, repeat
+from math import comb, factorial, gcd, lcm
+from operator import add, mul, sub
+from typing import Iterable, Sequence
+
+from .tensors import Tensor
+
+Level = tuple[list[int], int]
+
+
+def from_fractions(entries: Sequence[Fraction]) -> Level:
+    den = lcm(*(x.denominator for x in entries))
+    if den == 1:
+        return [x.numerator for x in entries], 1
+    return [x.numerator * (den // x.denominator) for x in entries], den
+
+
+def to_tensor(level: Level, order: int, dim: int) -> Tensor:
+    nums, den = level
+    if den == 1:
+        return Tensor(order, dim, tuple(map(Fraction, nums)))
+    return Tensor(order, dim, tuple(Fraction(n, den) for n in nums))
+
+
+def reduced(nums: list[int], den: int) -> Level:
+    """Divide numerators and denominator by their gcd."""
+    g = gcd(den, *nums)
+    if g == 1:
+        return nums, den
+    return [n // g for n in nums], den // g
+
+
+def outer(a: list[int], b: list[int]) -> list[int]:
+    return [x * y for x in a for y in b]
+
+
+def mul_exp(nums: list[list[int]], w: list[int]) -> None:
+    """In place S <- S (x) exp(v) for a signature in the k! * D^k scheme.
+
+    nums[k] holds k! D^k S_k and w = D v. Level k of the product is
+    sum_i S_i (x) v^(x)(k-i) / (k-i)!, whose numerator over k! D^k is
+    sum_i C(k, i) N_i (x) w^(x)(k-i); Horner's rule evaluates it as
+    T = N_0, then T = T (x) w + C(k, i) N_i for i = 1..k. Levels are
+    updated from the top down, so each still reads the old lower levels.
+    """
+    for k in range(len(nums) - 1, 0, -1):
+        t = nums[0]
+        for i in range(1, k + 1):
+            c = comb(k, i)
+            n = nums[i] if c == 1 else map(mul, nums[i], repeat(c))
+            t = list(map(add, outer(t, w), n))
+        nums[k] = t
+
+
+def signature(increments: Sequence[Sequence[Fraction]], dim: int, max_level: int) -> list[Level]:
+    """Levels 0..K of the signature of the piecewise linear path with these
+    increments: Chen's identity with each segment folded in by mul_exp."""
+    D = lcm(*(x.denominator for u in increments for x in u))
+    nums = [[1]] + [[0] * dim**k for k in range(1, max_level + 1)]
+    for u in increments:
+        mul_exp(nums, [x.numerator * (D // x.denominator) for x in u])
+    return [(n, factorial(k) * D**k) for k, n in enumerate(nums)]
+
+
+def product(a: Sequence[Level], b: Sequence[Level], dim: int) -> list[Level]:
+    """Truncated product: level k is sum_i a_i (x) b_(k-i), for k up to the
+    truncation len(a) - 1 shared by both factors."""
+    live_a = [any(n) for n, _ in a]
+    live_b = [any(n) for n, _ in b]
+    out = []
+    for k in range(len(a)):
+        pairs = [(a[i], b[k - i]) for i in range(k + 1) if live_a[i] and live_b[k - i]]
+        den = lcm(*(da * db for (_, da), (_, db) in pairs))
+        acc = [0] * dim**k
+        for (na, da), (nb, db) in pairs:
+            s = den // (da * db)
+            if s != 1:
+                na = [s * x for x in na]
+            acc = list(map(add, acc, outer(na, nb)))
+        out.append(reduced(acc, den))
+    return out
+
+
+def axpy(acc: Level, c: Fraction, x: Level) -> Level:
+    """acc + c * x, reduced."""
+    (na, da), (nx, dx) = acc, x
+    q = c.denominator * dx
+    den = lcm(da, q)
+    sa, sx = den // da, c.numerator * (den // q)
+    return reduced(list(map(add, map(mul, na, repeat(sa)), map(mul, nx, repeat(sx)))), den)
+
+
+def dynkin(nums: list[int], dim: int, order: int) -> list[int]:
+    """Left-to-right bracketing on the coefficients of an order-k tensor.
+
+    D_k = (1 - c_k)(D_(k-1) (x) id) with c_r moving letter r of a word to
+    the front, so D_k = (1 - c_k) ... (1 - c_2). On coefficients, 1 - c_r
+    subtracts the array with its first r letters rotated: blocks of size
+    d^(k-r) indexed by (u_1, m) are read from (m, u_1), a d x d^(r-1)
+    block transpose. Each pass is O(d^k), k - 1 passes in all.
+    """
+    a = nums
+    for r in range(2, order + 1):
+        size = dim ** (order - r)
+        blocks = a if size == 1 else list(zip(*[iter(a)] * size))
+        moved = [blk for u1 in range(dim) for blk in blocks[u1::dim]]
+        if size > 1:
+            moved = list(chain.from_iterable(moved))
+        a = list(map(sub, a, moved))
+    return a
+
+
+def accumulate(terms: Iterable[tuple[Fraction, Sequence[Sequence[Fraction]]]], dim: int, order: int) -> Level:
+    """sum of c * v_1 (x) ... (x) v_k over (c, (v_1, ..., v_k)) terms.
+
+    Each term becomes an integer scalar times an outer product of integer
+    vectors over the lcm of all term denominators.
+    """
+    scaled = []
+    for coeff, factors in terms:
+        ints, scale = [], 1
+        for v in factors:
+            nums, den = from_fractions(v)
+            ints.append(nums)
+            scale *= den
+        scaled.append((Fraction(coeff, scale), ints))
+    den = lcm(*(q.denominator for q, _ in scaled))
+    acc = [0] * dim**order
+    for q, ints in scaled:
+        t = [q.numerator * (den // q.denominator)]
+        for w in ints:
+            t = outer(t, w)
+        acc = list(map(add, acc, t))
+    return reduced(acc, den)
+

@@ -53,12 +53,29 @@ def random_log_signature(rng: random.Random, d: int, max_level: int, bound: int 
     return LogSignature.from_levels(levels, d)
 
 
+def _parallel(u: list[int], v: list[int]) -> bool:
+    return all(u[i] * v[j] == u[j] * v[i] for i in range(len(u)) for j in range(i + 1, len(u)))
+
+
+def _reduced_increments(incs: list[list[int]]) -> list[list[int]]:
+    """Merge consecutive parallel increments and drop zero ones until none
+    are left. The signature sees only this reduced path: b followed by -b
+    backtracks and contributes nothing."""
+    out: list[list[int]] = []
+    for u in incs:
+        while out and _parallel(out[-1], u):
+            u = [a + b for a, b in zip(out.pop(), u)]
+        if any(u):
+            out.append(u)
+    return out
+
+
 def random_hyperplane_path(rng: random.Random, d: int = 4, segments: int = 4, bound: int = 3) -> Path:
-    """A path confined to {x_1 = 0} whose increments span the hyperplane."""
+    """A path confined to {x_1 = 0} whose reduced increments span the
+    hyperplane, so its signature determines the hyperplane."""
     while True:
         incs = [[0] + [rng.randint(-bound, bound) for _ in range(d - 1)] for _ in range(segments)]
-        span = Subspace.span(incs, d)
-        if span.dim == d - 1:
+        if Subspace.span(_reduced_increments(incs), d).dim == d - 1:
             return Path.from_increments(incs, dim=d)
 
 

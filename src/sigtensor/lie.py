@@ -7,6 +7,10 @@ Lie^k up to the factor k. The exponential of a log-signature is a truncated
 signature; its level-k component splits over partitions of k into the
 f_lambda summands, and the span of each summand is the Thrall module
 W_lambda.
+
+The Dynkin check, log and exp run in the scaled-integer kernel of `graded`:
+each level is a list of integer numerators over one integer denominator,
+and only the Tensors handed back hold Fractions.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterable, Sequence
 
+from . import graded
 from .signatures import TruncatedSignature
 from .tensors import Tensor, tensor_product
 
@@ -33,33 +38,23 @@ def dynkin_map(t: Tensor) -> Tensor:
     """Left-to-right bracketing: e_{i1} (x) ... (x) e_{ik} goes to
     [...[[e_{i1}, e_{i2}], e_{i3}], ..., e_{ik}], extended linearly.
 
-    Computed by the recursion D_k = [D_{k-1} on the first k-1 modes, last
-    mode], which runs in O(k d^k) instead of expanding 2^(k-1) terms.
+    Computed on integer numerators by the kernel's k - 1 block-transpose
+    passes, O(k d^k) instead of expanding 2^(k-1) terms.
     """
     if t.order == 0:
         raise ValueError("the bracketing operator needs order >= 1")
-    if t.order == 1:
-        return t
-    d = t.dim
-    # slice_j = t[..., j]: apply D on each slice, then bracket with e_j
-    size = d ** (t.order - 1)
-    out = Tensor.zeros(t.order, d)
-    for j in range(1, d + 1):
-        slice_entries = t.entries[j - 1 :: d]
-        assert len(slice_entries) == size
-        inner = dynkin_map(Tensor(t.order - 1, d, tuple(slice_entries)))
-        if inner.is_zero:
-            continue
-        e_j = Tensor.basis_vector(d, j)
-        out = out + lie_bracket(inner, e_j)
-    return out
+    nums, den = graded.from_fractions(t.entries)
+    return graded.to_tensor((graded.dynkin(nums, t.dim, t.order), den), t.order, t.dim)
 
 
 def is_lie_element(t: Tensor) -> bool:
-    """Dynkin-Specht-Wever: t is in Lie^k(V) iff D(t) == k * t."""
+    """Dynkin-Specht-Wever: t is in Lie^k(V) iff D(t) == k * t, compared on
+    the integer numerators over the common denominator of t."""
     if t.order == 0:
         raise ValueError("order-0 tensors are not graded Lie elements")
-    return dynkin_map(t) == t.scale(t.order)
+    nums, _ = graded.from_fractions(t.entries)
+    k = t.order
+    return graded.dynkin(nums, t.dim, k) == [k * x for x in nums]
 
 
 @dataclass(frozen=True)
@@ -102,27 +97,24 @@ class LogSignature:
     def is_zero(self) -> bool:
         return all(t.is_zero for t in self.levels)
 
+    def truncate(self, level: int) -> "LogSignature":
+        """Levels 1..level: higher levels dropped, missing ones zero. Level k
+        of exp only involves log levels <= k, so exp(l.truncate(K)) is exp(l)
+        truncated (or zero-padded) at K exactly."""
+        if level == self.max_level:
+            return self
+        levels = self.levels[:level] + tuple(Tensor.zeros(k, self.dim) for k in range(self.max_level + 1, level + 1))
+        return LogSignature(self.dim, level, levels)
 
-def _truncated_product(a: list[Tensor], b: list[Tensor], dim: int, max_level: int) -> list[Tensor]:
-    """Product of two constant-term-0 elements given as levels 1..K."""
-    out = [[Fraction(0)] * dim**k for k in range(1, max_level + 1)]
-    for i, left in enumerate(a, start=1):
-        if left.is_zero:
-            continue
-        for j, right in enumerate(b, start=1):
-            if i + j > max_level:
-                break
-            acc = out[i + j - 1]
-            entries = right.entries
-            width = len(entries)
-            pos = 0
-            for x in left.entries:
-                if x:
-                    for col, y in enumerate(entries):
-                        if y:
-                            acc[pos + col] += x * y
-                pos += width
-    return [Tensor(k, dim, tuple(acc)) for k, acc in enumerate(out, start=1)]
+
+def _truncated_product(a: list[graded.Level], b: list[graded.Level], dim: int) -> list[graded.Level]:
+    """Product of two constant-term-0 elements given as kernel levels 1..K."""
+    zero = ([0], 1)
+    return graded.product([zero] + a, [zero] + b, dim)[1:]
+
+
+def _lie_levels(levels: Sequence[graded.Level], dim: int) -> tuple[Tensor, ...]:
+    return tuple(graded.to_tensor(l, k, dim) for k, l in enumerate(levels, start=1))
 
 
 def exp_log_signature(l: LogSignature) -> TruncatedSignature:
@@ -132,16 +124,12 @@ def exp_log_signature(l: LogSignature) -> TruncatedSignature:
     (a_1, ..., a_t) of k of T_(a_1) (x) ... (x) T_(a_t) / t!.
     """
     d, K = l.dim, l.max_level
-    acc = [Tensor.zeros(k, d) for k in range(1, K + 1)]
-    power = list(l.levels)
-    n = 1
-    while n <= K and any(not t.is_zero for t in power):
-        for k in range(1, K + 1):
-            acc[k - 1] = acc[k - 1] + power[k - 1].scale(Fraction(1, factorial(n)))
-        power = _truncated_product(power, list(l.levels), d, K)
-        n += 1
-    levels = [Tensor.scalar(1, d)] + acc
-    return TruncatedSignature(d, K, tuple(levels))
+    x = [graded.from_fractions(t.entries) for t in l.levels]
+    acc = power = x
+    for n in range(2, K + 1):
+        power = _truncated_product(power, x, d)
+        acc = [graded.axpy(s, Fraction(1, factorial(n)), p) for s, p in zip(acc, power)]
+    return TruncatedSignature(d, K, (Tensor.scalar(1, d),) + _lie_levels(acc, d))
 
 
 def log_signature(s: TruncatedSignature) -> LogSignature:
@@ -154,16 +142,12 @@ def log_signature(s: TruncatedSignature) -> LogSignature:
     if s.constant_term != 1:
         raise ValueError("log needs constant term 1")
     d, K = s.dim, s.max_level
-    nilpotent = [s.level(k) for k in range(1, K + 1)]
-    acc = [Tensor.zeros(k, d) for k in range(1, K + 1)]
-    power = list(nilpotent)
-    for t in range(1, K + 1):
-        sign = Fraction((-1) ** (t + 1), t)
-        for k in range(1, K + 1):
-            acc[k - 1] = acc[k - 1] + power[k - 1].scale(sign)
-        if t < K:
-            power = _truncated_product(power, nilpotent, d, K)
-    return LogSignature(d, K, tuple(acc))
+    x = [graded.from_fractions(s.level(k).entries) for k in range(1, K + 1)]
+    acc = power = x
+    for t in range(2, K + 1):
+        power = _truncated_product(power, x, d)
+        acc = [graded.axpy(a, Fraction((-1) ** (t + 1), t), p) for a, p in zip(acc, power)]
+    return LogSignature(d, K, _lie_levels(acc, d))
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import ceil, comb, factorial
 from typing import Iterable, Sequence
 
+from . import graded
 from .linalg import Vector, as_fraction, as_vector, matrix_rank
-from .tensors import Tensor, flatten, koszul_flatten, tensor_product
+from .tensors import Tensor, flatten, koszul_flatten
 
 TermList = list[tuple[Fraction, list[Vector]]]
 
@@ -61,10 +63,7 @@ class Decomposition:
         return sum(1 for c, _ in self.terms if c != 0)
 
     def realize(self) -> Tensor:
-        total = Tensor.zeros(self.order, self.dim)
-        for coeff, factors in self.terms:
-            total = total + Tensor.elementary(factors, self.dim).scale(coeff)
-        return total
+        return graded.to_tensor(graded.accumulate(self.terms, self.dim, self.order), self.order, self.dim)
 
 
 @dataclass(frozen=True)
@@ -99,40 +98,29 @@ def _vec_add(*vectors: Vector) -> Vector:
     return tuple(sum(col) for col in zip(*vectors))
 
 
+def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
+    """All (a_1, ..., a_parts) of nonnegative ints summing to total."""
+    for bars in combinations(range(total + parts - 1), parts - 1):
+        cuts = (-1,) + bars + (total + parts - 1,)
+        yield tuple(cuts[i + 1] - cuts[i] - 1 for i in range(parts))
+
+
 def s_k_alpha(vs: Sequence[Sequence], k: int, alpha: int) -> Tensor:
-    """The defining sum, evaluated densely by depth-first accumulation over
-    compositions of k (shared prefixes keep the cost polynomial)."""
+    """The defining sum, evaluated densely: one weighted elementary term per
+    composition of k, accumulated in the scaled-integer kernel."""
     if k < 2:
         raise ValueError("k must be >= 2")
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     vecs = _vectors(vs)
-    m = len(vecs)
     d = len(vecs[0])
-    powers = []
-    for v in vecs:
-        pv = [Tensor.scalar(1, d)]
-        for _ in range(k):
-            pv.append(tensor_product(pv[-1], Tensor.from_vector(v)))
-        powers.append(pv)
-    total = Tensor.zeros(k, d)
-
-    def weight(i: int, a: int) -> Fraction:
-        return Fraction(1, factorial(a + alpha) if i == 0 else factorial(a))
-
-    def rec(i: int, partial: Tensor, coeff: Fraction):
-        nonlocal total
-        used = partial.order
-        if i == m - 1:
-            a = k - used
-            term = tensor_product(partial, powers[i][a])
-            total = total + term.scale(coeff * weight(i, a))
-            return
-        for a in range(0, k - used + 1):
-            rec(i + 1, tensor_product(partial, powers[i][a]), coeff * weight(i, a))
-
-    rec(0, Tensor.scalar(1, d), Fraction(1))
-    return total
+    terms = []
+    for parts in _compositions(k, len(vecs)):
+        weight = factorial(parts[0] + alpha)
+        for a in parts[1:]:
+            weight *= factorial(a)
+        terms.append((Fraction(1, weight), [v for v, a in zip(vecs, parts) for _ in range(a)]))
+    return graded.to_tensor(graded.accumulate(terms, d, k), k, d)
 
 
 def decompose_two_segments(u: Sequence, v: Sequence, k: int, alpha: int = 0) -> Decomposition:

@@ -34,8 +34,13 @@ def format_rational(x: Fraction) -> str:
     return str(x)
 
 
+def _is_int(x: Any) -> bool:
+    """A JSON integer; bool is a subclass of int but true/false are not numbers."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_rational(text: Any, where: str = "") -> Fraction:
-    if isinstance(text, int):
+    if _is_int(text):
         return Fraction(text)
     if not isinstance(text, str):
         raise ParseError(f"expected a rational string, got {type(text).__name__}", where)
@@ -77,7 +82,7 @@ def tensor_from_json(obj: Any, where: str = "tensor") -> Tensor:
     order = _require(obj, "order", where)
     dim = _require(obj, "dim", where)
     entries = _require(obj, "entries", where)
-    if not isinstance(order, int) or not isinstance(dim, int):
+    if not _is_int(order) or not _is_int(dim):
         raise ParseError("order and dim must be integers", where)
     if not isinstance(entries, list):
         raise ParseError("entries must be a list", where)
@@ -108,7 +113,7 @@ def path_from_json(obj: Any, where: str = "path") -> Path:
         raise ParseError("expected an object", where)
     dim = _require(obj, "dim", where)
     incs = _require(obj, "increments", where)
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise ParseError("dim must be a positive integer", where)
     if not isinstance(incs, list) or not incs:
         raise ParseError("increments must be a nonempty list", where)
@@ -134,6 +139,8 @@ def signature_from_json(obj: Any, where: str = "signature") -> TruncatedSignatur
     dim = _require(obj, "dim", where)
     max_level = _require(obj, "max_level", where)
     levels = _require(obj, "levels", where)
+    if not _is_int(dim) or not _is_int(max_level):
+        raise ParseError("dim and max_level must be integers", where)
     if not isinstance(levels, list) or len(levels) != max_level + 1:
         raise ParseError("levels must list tensors for 0..max_level", where)
     tensors = [tensor_from_json(t, f"{where}.levels[{k}]") for k, t in enumerate(levels)]
@@ -157,6 +164,8 @@ def log_signature_from_json(obj: Any, where: str = "log-signature") -> LogSignat
     dim = _require(obj, "dim", where)
     max_level = _require(obj, "max_level", where)
     levels = _require(obj, "levels", where)
+    if not _is_int(dim) or not _is_int(max_level):
+        raise ParseError("dim and max_level must be integers", where)
     if not isinstance(levels, list) or len(levels) != max_level:
         raise ParseError("levels must list tensors for 1..max_level", where)
     tensors = [tensor_from_json(t, f"{where}.levels[{k+1}]") for k, t in enumerate(levels)]

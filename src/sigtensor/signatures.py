@@ -3,20 +3,22 @@
 A path is stored as its list of segment increments; only increments matter
 because the signature is invariant under translation and reparametrization.
 Signatures are computed through Chen's identity (concatenation multiplies
-signatures in the truncated tensor algebra), and an independent oracle
-integrates each entry directly as an iterated integral with per-piece
-polynomial arithmetic over Q.
+signatures in the truncated tensor algebra) in the scaled-integer kernel of
+`graded`: level k of a path whose increments have common denominator D is
+held as integer numerators over k! * D^k and becomes Fractions only in the
+returned Tensors. An independent oracle integrates each entry directly as an
+iterated integral with per-piece polynomial arithmetic over Q, in Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 from typing import Sequence
 
+from . import graded
 from .linalg import Vector, as_vector
-from .tensors import Tensor, tensor_product
+from .tensors import Tensor
 from .words import Word
 
 
@@ -90,14 +92,7 @@ class TruncatedSignature:
 def segment_signature(v: Sequence, max_level: int) -> TruncatedSignature:
     """Signature of a single segment: level k is v^(x)k / k!."""
     vec = as_vector(v)
-    d = len(vec)
-    levels = [Tensor.scalar(1, d)]
-    power = Tensor.scalar(1, d)
-    v_tensor = Tensor.from_vector(vec)
-    for k in range(1, max_level + 1):
-        power = tensor_product(power, v_tensor)
-        levels.append(power.scale(Fraction(1, factorial(k))))
-    return TruncatedSignature(d, max_level, tuple(levels))
+    return pwl_signature(Path(len(vec), (vec,)), max_level)
 
 
 def chen_concat(a: TruncatedSignature, b: TruncatedSignature) -> TruncatedSignature:
@@ -105,31 +100,19 @@ def chen_concat(a: TruncatedSignature, b: TruncatedSignature) -> TruncatedSignat
     tensor-algebra product of the signatures."""
     if a.dim != b.dim or a.max_level != b.max_level:
         raise ValueError("signatures must share dimension and truncation level")
-    d, K = a.dim, a.max_level
-    levels = []
-    for k in range(K + 1):
-        acc = [Fraction(0)] * d**k
-        for i in range(k + 1):
-            left = a.level(i).entries
-            right = b.level(k - i).entries
-            width = len(right)
-            pos = 0
-            for x in left:
-                if x:
-                    for j, y in enumerate(right):
-                        if y:
-                            acc[pos + j] += x * y
-                pos += width
-        levels.append(Tensor(k, d, tuple(acc)))
-    return TruncatedSignature(d, K, tuple(levels))
+    left = [graded.from_fractions(t.entries) for t in a.levels]
+    right = [graded.from_fractions(t.entries) for t in b.levels]
+    levels = (graded.to_tensor(l, k, a.dim) for k, l in enumerate(graded.product(left, right, a.dim)))
+    return TruncatedSignature(a.dim, a.max_level, tuple(levels))
 
 
 def pwl_signature(path: Path, max_level: int) -> TruncatedSignature:
-    """Signature of a piecewise linear path via a left fold of Chen products."""
-    sig = TruncatedSignature.trivial(path.dim, max_level)
-    for u in path.increments:
-        sig = chen_concat(sig, segment_signature(u, max_level))
-    return sig
+    """Signature of a piecewise linear path: Chen's identity, with each
+    segment's exponential multiplied in by the kernel's fused
+    multiply-exponentiate, without being built first."""
+    d = path.dim
+    levels = graded.signature(path.increments, d, max_level)
+    return TruncatedSignature(d, max_level, tuple(graded.to_tensor(l, k, d) for k, l in enumerate(levels)))
 
 
 def iterated_integral_entry(path: Path, word: Word) -> Fraction:

@@ -248,3 +248,24 @@ def test_exp_level_truncates_and_pads(capsys, tmp_path):
     blob = json.loads(out)["result"]["signature"]
     assert blob["max_level"] == 5
     assert blob["levels"][5]["entries"][0] == "1/120"  # x^5/5! with x = 1
+
+
+@pytest.mark.parametrize("seed", [171562805, 583769447, 1914063694, 903958662])
+def test_verify_passes_on_seed_with_backtracking_hyperplane_path(capsys, seed):
+    # these seeds draw hyperplane paths with b followed by -b, whose signature
+    # only sees a smaller subspace; the sampler must reject and redraw them
+    code, out, err = run(capsys, "verify", "--seed", str(seed), "--size", "4")
+    assert code == 0, err
+    assert json.loads(out)["result"]["passed"] is True
+
+
+def test_log_with_string_max_level_exits_3(capsys, tmp_path):
+    from sigtensor import segment_signature
+
+    blob = signature_to_json(segment_signature([1, 2], 2))
+    blob["max_level"] = "2"
+    sig_file = tmp_path / "sig.json"
+    sig_file.write_text(json.dumps(blob))
+    code, _, err = run(capsys, "log", "--sig", str(sig_file))
+    assert code == 3
+    assert "Traceback" not in err and "max_level must be integers" in err

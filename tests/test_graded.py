@@ -1,0 +1,156 @@
+"""Cross-checks of the scaled-integer kernel behind signatures, log/exp, the
+Dynkin check and realize. Every expected value comes from a plain Fraction
+reference kept in this file (or from the iterated-integral oracle), never
+from the kernel itself."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from sigtensor import (
+    Decomposition,
+    Path,
+    Tensor,
+    TruncatedSignature,
+    chen_concat,
+    dynkin_map,
+    exp_log_signature,
+    is_lie_element,
+    iterated_integral_entry,
+    lie_basis,
+    lie_bracket,
+    log_signature,
+    pwl_signature,
+    tensor_product,
+    words_of_length,
+)
+
+SETTINGS = settings(max_examples=40, deadline=None)
+
+# small rationals with denominators up to 4, so paths exercise the D^k scaling
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def vectors(d):
+    return st.lists(rationals, min_size=d, max_size=d)
+
+
+@st.composite
+def paths(draw, max_dim=3, max_segments=4):
+    d = draw(st.integers(1, max_dim))
+    m = draw(st.integers(1, max_segments))
+    incs = [[draw(rationals) for _ in range(d)] for _ in range(m)]
+    return Path.from_increments(incs, dim=d)
+
+
+def ref_product(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Truncated tensor-algebra product on flat Fraction levels 0..K."""
+    out = []
+    for k in range(len(a)):
+        acc = [Fraction(0)] * (len(a[k]))
+        for i in range(k + 1):
+            left, right = a[i], b[k - i]
+            for p, x in enumerate(left):
+                for q, y in enumerate(right):
+                    acc[p * len(right) + q] += x * y
+        out.append(acc)
+    return out
+
+
+def ref_dynkin(t: Tensor) -> Tensor:
+    """The bracket recursion D_k(t) = sum_j [D_(k-1)(t[..., j]), e_j]."""
+    if t.order == 1:
+        return t
+    d = t.dim
+    out = Tensor.zeros(t.order, d)
+    for j in range(1, d + 1):
+        inner = ref_dynkin(Tensor(t.order - 1, d, t.entries[j - 1 :: d]))
+        out = out + lie_bracket(inner, Tensor.basis_vector(d, j))
+    return out
+
+
+@SETTINGS
+@given(paths(), st.integers(1, 4))
+def test_pwl_signature_matches_iterated_integrals_on_rational_paths(path, K):
+    sig = pwl_signature(path, K)
+    assert sig.level(0).entries == (Fraction(1),)
+    for k in range(1, K + 1):
+        for word in words_of_length(path.dim, k):
+            assert sig.level(k)[word.letters] == iterated_integral_entry(path, word)
+
+
+@SETTINGS
+@given(paths(), st.integers(1, 4))
+def test_exp_of_log_is_identity(path, K):
+    sig = pwl_signature(path, K)
+    assert exp_log_signature(log_signature(sig)) == sig
+
+
+@st.composite
+def signature_pairs(draw):
+    """Two arbitrary tensor-algebra elements; constant terms need not be 1."""
+    d = draw(st.integers(1, 3))
+    K = draw(st.integers(0, 3))
+
+    def element():
+        return [[draw(rationals) for _ in range(d**k)] for k in range(K + 1)]
+
+    return d, element(), element()
+
+
+@SETTINGS
+@given(signature_pairs())
+def test_chen_concat_matches_fraction_product(case):
+    d, a, b = case
+    sa = TruncatedSignature.from_levels([Tensor(k, d, tuple(x)) for k, x in enumerate(a)], d)
+    sb = TruncatedSignature.from_levels([Tensor(k, d, tuple(x)) for k, x in enumerate(b)], d)
+    got = chen_concat(sa, sb)
+    assert [list(t.entries) for t in got.levels] == ref_product(a, b)
+
+
+@SETTINGS
+@given(
+    st.integers(1, 3).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            st.integers(0, 4).flatmap(
+                lambda k: st.lists(
+                    st.tuples(rationals, st.lists(vectors(d), min_size=k, max_size=k)),
+                    max_size=6,
+                ).map(lambda terms: (k, terms))
+            ),
+        )
+    )
+)
+def test_realize_matches_sum_of_elementary_tensors(case):
+    d, (k, terms) = case
+    dec = Decomposition(d, k, tuple((c, tuple(tuple(v) for v in factors)) for c, factors in terms))
+    want = Tensor.zeros(k, d)
+    for c, factors in terms:
+        want = want + Tensor.elementary(factors, d).scale(c)
+    assert dec.realize() == want
+
+
+def test_dynkin_map_matches_bracket_recursion_on_lie_basis():
+    for d in (1, 2, 3):
+        for k in range(1, 5):
+            for b in lie_basis(d, k):
+                assert dynkin_map(b) == ref_dynkin(b) == b.scale(k)
+                assert is_lie_element(b)
+
+
+@SETTINGS
+@given(st.integers(1, 3).flatmap(lambda d: st.lists(vectors(d), min_size=2, max_size=4)))
+def test_dynkin_map_and_lie_check_on_products(vectors):
+    t = Tensor.elementary(vectors) + lie_bracket(Tensor.from_vector(vectors[0]), Tensor.elementary(vectors[1:]))
+    want = ref_dynkin(t)
+    assert dynkin_map(t) == want
+    assert is_lie_element(t) == (want == t.scale(t.order))
+
+
+def test_is_lie_element_rejects_non_lie_products():
+    e = [Tensor.basis_vector(3, j) for j in (1, 2, 3)]
+    for t in (tensor_product(e[0], e[1]), tensor_product(lie_bracket(e[0], e[1]), e[2])):
+        assert ref_dynkin(t) != t.scale(t.order)
+        assert not is_lie_element(t)
+

@@ -85,6 +85,18 @@ def test_log_signature_constructor_validates():
         LogSignature.from_levels([Tensor.from_vector([1, 0]), e11], 2)
 
 
+def test_truncate_drops_and_pads_levels():
+    l = log_signature(segment_signature([1, -2, 3], 3))
+    assert l.truncate(3) is l
+    short = l.truncate(2)
+    assert short.max_level == 2 and short.levels == l.levels[:2]
+    long = l.truncate(5)
+    assert long.max_level == 5 and long.levels[:3] == l.levels
+    assert long.level(4).is_zero and long.level(5).is_zero
+    assert exp_log_signature(short) == segment_signature([1, -2, 3], 2)
+    assert exp_log_signature(long) == segment_signature([1, -2, 3], 5)
+
+
 def test_exp_of_pure_level_one_is_segment():
     l = LogSignature.from_levels(
         [Tensor.from_vector([2, 1, -1])] + [Tensor.zeros(k, 3) for k in (2, 3, 4)], 3

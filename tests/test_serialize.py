@@ -38,6 +38,34 @@ def test_rational_strings():
         parse_rational("abc")
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_parse_rational_rejects_json_bool(value):
+    with pytest.raises(ParseError):
+        parse_rational(value)
+
+
+@pytest.mark.parametrize("key", ["order", "dim"])
+def test_tensor_from_json_rejects_bool_order_and_dim(key):
+    blob = {"order": 1, "dim": 1, "entries": ["1"]}
+    blob[key] = True
+    with pytest.raises(ParseError, match="must be integers"):
+        tensor_from_json(blob)
+
+
+def test_path_from_json_rejects_bool_dim():
+    with pytest.raises(ParseError):
+        path_from_json({"dim": True, "increments": [["1"]]})
+
+
+@pytest.mark.parametrize("parse, first", [(signature_from_json, 0), (log_signature_from_json, 1)])
+@pytest.mark.parametrize("key, value", [("max_level", "2"), ("max_level", True), ("dim", "2"), ("dim", False)])
+def test_signature_parsers_reject_non_int_dim_and_max_level(parse, first, key, value):
+    blob = {"dim": 1, "max_level": 2, "levels": [{"order": k, "dim": 1, "entries": ["0"]} for k in range(first, 3)]}
+    blob[key] = value
+    with pytest.raises(ParseError, match="must be integers"):
+        parse(blob)
+
+
 def test_tensor_round_trip():
     t = Tensor.from_entries(3, 2, [Fraction(i, 7) for i in range(8)])
     assert tensor_from_json(json.loads(dump_json(tensor_to_json(t)))) == t
