@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Any
 
 from . import serialize
-from .conciseness import hyperplane_recovery, mode_subspaces, symmetric_conciseness
+from .conciseness import mode_subspaces, subspace_sum
 from .harness import run_harness
 from .lie import exp_log_signature, log_signature, pure_volume_check
 from .ranks import (
@@ -25,9 +25,10 @@ from .ranks import (
     decompose_s_k_alpha,
     hyperdet_222,
     rank_bound_formula,
+    s_k_alpha,
 )
 from .serialize import ParseError, dump_json
-from .signatures import Path, TruncatedSignature, pwl_signature, time_series_to_path
+from .signatures import Path, pwl_signature, time_series_to_path
 from .symmetry import Sig222Params, partial_symmetry_constraint, sig222_from_params, symmetry_report
 from .words import Word, shuffle
 
@@ -167,7 +168,11 @@ def cmd_decompose(args) -> int:
     if args.level < 2:
         raise ValueError("precondition 'level >= 2' violated")
     dec = decompose_s_k_alpha(path.increments, args.level, args.alpha)
-    target = dec.realize()
+    # the witness is certified against a tensor computed without it
+    if args.alpha == 0:
+        target = pwl_signature(path, args.level).level(args.level)
+    else:
+        target = s_k_alpha(path.increments, args.level, args.alpha)
     cert = certify_rank(target, dec)
     report = {
         "command": "decompose",
@@ -259,23 +264,25 @@ def cmd_concise(args) -> int:
     level = args.level if args.level is not None else sig.max_level
     if not 2 <= level <= sig.max_level:
         raise ValueError(f"precondition '2 <= level <= {sig.max_level}' violated (level={level})")
-    truncated = sig if level == sig.max_level else TruncatedSignature(sig.dim, level, sig.levels[: level + 1])
-    per_level = []
+    # each level's mode subspaces are computed once; its symmetric-conciseness
+    # span is their sum, and the recovered subspace is the sum of those spans
+    per_level, spans = [], []
     for k in range(1, level + 1):
-        t = sig.level(k)
+        spaces = mode_subspaces(sig.level(k))
+        spans.append(subspace_sum(spaces, sig.dim))
         per_level.append({
             "level": k,
-            "mode_dims": [w.dim for w in mode_subspaces(t)],
-            "symmetric_conciseness": serialize.subspace_to_json(symmetric_conciseness(t)),
+            "mode_dims": [w.dim for w in spaces],
+            "symmetric_conciseness": serialize.subspace_to_json(spans[-1]),
         })
-    w = hyperplane_recovery(truncated)
+    w = subspace_sum(spans, sig.dim)
     report = {
         "command": "concise",
         "inputs": {"sig": args.sig, "level": level},
         "result": {
             "levels": per_level,
-            "recovered_subspace": serialize.subspace_to_json(w) if w is not None else None,
-            "symmetrically_concise": w is None,
+            "recovered_subspace": None if w.is_full else serialize.subspace_to_json(w),
+            "symmetrically_concise": w.is_full,
             "certified_up_to_level": level,
         },
     }
@@ -304,6 +311,13 @@ def cmd_verify(args) -> int:
     }
     _emit(report, args)
     return 0 if result["passed"] else 1
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -394,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="seeded randomized property harness")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--size", type=int, default=10)
+    p.add_argument("--size", type=_positive_int, default=10)
     common(p)
     p.set_defaults(func=cmd_verify)
 

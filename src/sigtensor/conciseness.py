@@ -9,6 +9,8 @@ up to the truncation level only.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .linalg import Subspace
 from .signatures import TruncatedSignature
 from .tensors import Tensor
@@ -38,14 +40,15 @@ def is_concise(t: Tensor) -> bool:
     return all(w.is_full for w in mode_subspaces(t))
 
 
+def subspace_sum(spaces: Iterable[Subspace], ambient_dim: int) -> Subspace:
+    """The span of the union of the given subspaces of Q^ambient_dim."""
+    return Subspace.span((v for w in spaces for v in w.basis), ambient_dim)
+
+
 def symmetric_conciseness(t: Tensor) -> Subspace:
     """The minimal W with t in W^(x)k: the span of the union of the mode
     subspaces. t is symmetrically concise iff this is all of Q^d."""
-    spaces = mode_subspaces(t)
-    total = Subspace.zero(t.dim)
-    for w in spaces:
-        total = total + w
-    return total
+    return subspace_sum(mode_subspaces(t), t.dim)
 
 
 def tensor_in_power(t: Tensor, w: Subspace) -> bool:
@@ -67,9 +70,7 @@ def hyperplane_recovery(s: TruncatedSignature) -> Subspace | None:
     """
     if s.max_level < 2:
         raise ValueError("recovery needs truncation level >= 2")
-    total = Subspace.zero(s.dim)
-    for k in range(1, s.max_level + 1):
-        total = total + symmetric_conciseness(s.level(k))
+    total = subspace_sum((symmetric_conciseness(s.level(k)) for k in range(1, s.max_level + 1)), s.dim)
     return None if total.is_full else total
 
 

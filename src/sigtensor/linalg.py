@@ -1,9 +1,11 @@
 """Exact rational linear algebra: matrix rank, reduced row echelon form, subspaces.
 
 Everything works over Q with `fractions.Fraction` entries and never rounds.
-Rank uses fraction-free (Bareiss) elimination on integer-scaled rows so
-intermediate values stay integral and small; RREF stays in Fraction because
-subspace bases are tiny.
+Every rank goes through one kernel, integer_rank: fraction-free (Bareiss)
+elimination on integer rows, so intermediate values stay integral and
+small. matrix_rank scales Fraction rows to integers before calling it, and
+the flattening bounds in `ranks` call it on integer numerators directly.
+RREF and subspaces stay in Fraction because subspace bases are tiny.
 """
 
 from __future__ import annotations
@@ -32,45 +34,48 @@ def as_vector(entries: Iterable) -> Vector:
     return tuple(as_fraction(x) for x in entries)
 
 
-def _integer_rows(rows: MatrixRows) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators; preserves row space."""
-    out = []
-    for row in rows:
-        fracs = [as_fraction(x) for x in row]
-        scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
-        out.append([int(f * scale) for f in fracs])
-    return out
+def integer_rank(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+
+    The rows must share one length; the list and its rows are not modified.
+    Each step takes a row with a nonzero leading entry as pivot p and
+    replaces every other row r by the tail of (p * r - r[0] * pivot) divided
+    by the previous pivot, which Sylvester's identity keeps exact. Rows that
+    become zero are dropped: a zero row stays zero, and no other row's
+    update reads it. A leading column with no nonzero entry is cut off.
+    """
+    rank, prev = 0, 1
+    rows = [r for r in rows if any(r)]
+    while rows:
+        lead = next((i for i, r in enumerate(rows) if r[0]), None)
+        if lead is None:
+            rows = [r[1:] for r in rows]
+            continue
+        pivot = rows.pop(lead)
+        p, tail = pivot[0], pivot[1:]
+        kept = []
+        for r in rows:
+            f = r[0]
+            row = [(a * p - f * b) // prev for a, b in zip(r[1:], tail)]
+            if any(row):
+                kept.append(row)
+        rows, prev = kept, p
+        rank += 1
+    return rank
 
 
 def matrix_rank(rows: MatrixRows) -> int:
-    """Exact rank over Q (hence over R and C) by Bareiss elimination."""
-    m = _integer_rows(rows)
-    if not m or not m[0]:
-        return 0
-    n_rows, n_cols = len(m), len(m[0])
-    if any(len(r) != n_cols for r in m):
+    """Exact rank over Q (hence over R and C). Each row is scaled to integers
+    by the lcm of its denominators, which keeps the row space, and the
+    result goes to integer_rank."""
+    m = []
+    for row in rows:
+        fracs = [as_fraction(x) for x in row]
+        scale = lcm(*(f.denominator for f in fracs))
+        m.append([f.numerator * (scale // f.denominator) for f in fracs])
+    if any(len(r) != len(m[0]) for r in m):
         raise ValueError("ragged matrix")
-    rank = 0
-    prev = 1
-    for col in range(n_cols):
-        pivot = next((i for i in range(rank, n_rows) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        p = m[rank][col]
-        # Sylvester's identity keeps every division below exact, provided all
-        # rows are updated each step (including rows with a zero in this column).
-        for i in range(rank + 1, n_rows):
-            f = m[i][col]
-            row_i, row_r = m[i], m[rank]
-            for j in range(col + 1, n_cols):
-                row_i[j] = (row_i[j] * p - f * row_r[j]) // prev
-            row_i[col] = 0
-        prev = p
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+    return integer_rank(m)
 
 
 def rref(rows: MatrixRows) -> list[list[Fraction]]:

@@ -13,6 +13,12 @@ weight a on the first factor is what makes the constructions compose under
 the recursion
 
     S_{k,a} = v_1 (x) S_{k-1,a+1}(v_1..v_m) + S_{k,0}(v_2..v_m) / a!.
+
+The flattening bound builds no Fraction matrix: the tensor becomes integer
+numerators over one common denominator once, each flattening is read from
+them through precomputed offsets, and its rank comes from the one Bareiss
+kernel, linalg.integer_rank. The Koszul bound reaches the same kernel
+through matrix_rank.
 """
 
 from __future__ import annotations
@@ -24,8 +30,8 @@ from math import ceil, comb, factorial
 from typing import Iterable, Sequence
 
 from . import graded
-from .linalg import Vector, as_fraction, as_vector, matrix_rank
-from .tensors import Tensor, flatten, koszul_flatten
+from .linalg import Vector, as_fraction, as_vector, integer_rank, matrix_rank
+from .tensors import Tensor, flatten, koszul_flatten, mode_offsets
 
 TermList = list[tuple[Fraction, list[Vector]]]
 
@@ -326,32 +332,46 @@ def rank_bound_formula(k: int, m: int) -> int:
     return total
 
 
+def _flattening_bound(t: Tensor, stop: int) -> int:
+    """Max flattening rank over index bipartitions (S, S^c) up to complement:
+    all of them through order 7; beyond that the odd/even split and the
+    contiguous prefixes, which keeps the scan linear in the order.
+
+    Each flattening is built from the tensor's integer numerators over one
+    common denominator (rank does not change under scaling), with the shorter
+    side as rows. Bipartitions are scanned by decreasing shape cap
+    min(d^|S|, d^|S^c|); one whose cap is at most the best rank so far is
+    skipped, and the scan ends once the best rank reaches `stop`.
+    """
+    k, d = t.order, t.dim
+    if k <= 7:
+        tail = range(2, k + 1)
+        parts = [(1,) + tuple(p for i, p in enumerate(tail) if mask >> i & 1) for mask in range(2 ** (k - 1) - 1)]
+    else:
+        parts = list({tuple(range(1, k + 1, 2)), *(tuple(range(1, j + 1)) for j in range(1, k))})
+    parts.sort(key=lambda s: (-min(len(s), k - len(s)), s))
+    nums, _ = graded.from_fractions(t.entries)
+    best = 0
+    for part in parts:
+        rest = [p for p in range(1, k + 1) if p not in part]
+        small, large = (part, rest) if len(part) <= len(rest) else (rest, part)
+        if d ** len(small) <= best:
+            continue
+        cols = mode_offsets(large, k, d)
+        best = max(best, integer_rank([[nums[r + c] for c in cols] for r in mode_offsets(small, k, d)]))
+        if best >= stop:
+            break
+    return best
+
+
 def flattening_lower_bound(t: Tensor) -> int:
     """Max matrix rank over index bipartitions; a lower bound for the rank.
-
-    All bipartitions (up to complement) are scanned through order 7. Beyond
-    that only the odd/even split and the contiguous prefixes are used, which
-    keeps the scan linear in the order.
-    """
+    The ranks come from linalg.integer_rank (see _flattening_bound)."""
     if t.order < 2:
         raise ValueError("flattening needs order >= 2")
-    k = t.order
-    if k <= 7:
-        subsets = []
-        rest = list(range(2, k + 1))
-        for mask in range(2 ** len(rest)):
-            chosen = [1] + [rest[i] for i in range(len(rest)) if mask >> i & 1]
-            if len(chosen) < k:
-                subsets.append(tuple(chosen))
-        subsets.sort()
-    else:
-        subsets = [tuple(range(1, k + 1, 2))]
-        subsets += [tuple(range(1, j + 1)) for j in range(1, k)]
-        subsets = sorted(set(subsets))
-    best = 0
-    for rows in subsets:
-        best = max(best, flatten(t, rows).rank)
-    return best
+    # no flattening rank exceeds the entry count, so stopping there never
+    # changes the maximum
+    return _flattening_bound(t, len(t.entries))
 
 
 def koszul_lower_bound(t: Tensor) -> int:
@@ -371,16 +391,21 @@ def koszul_lower_bound(t: Tensor) -> int:
 
 def certify_rank(t: Tensor, upper_witness: Decomposition) -> RankCertificate:
     """Combine the flattening (and, at order 3, Koszul) lower bound with the
-    witness length. Status "exact" means the two meet."""
-    if upper_witness.realize() != t:
+    witness length. Status "exact" means the two meet.
+
+    Every bound is at most the rank, hence at most the witness length, so the
+    scan stops once the lower bound reaches that length: the result is the
+    same as the full scan's."""
+    # the shape test first: realizing a witness of a huge order would not finish
+    if (upper_witness.dim, upper_witness.order) != (t.dim, t.order) or upper_witness.realize() != t:
         raise ValueError("invalid witness: decomposition does not realize the tensor")
+    upper = upper_witness.length
     if t.order >= 2:
-        lower = flattening_lower_bound(t)
-        if t.order == 3:
+        lower = _flattening_bound(t, upper)
+        if t.order == 3 and lower < upper:
             lower = max(lower, koszul_lower_bound(t))
     else:
         lower = 0 if t.is_zero else 1
-    upper = upper_witness.length
     status = "exact" if lower == upper else "bounded"
     return RankCertificate(lower, upper, upper_witness, status)
 

@@ -86,7 +86,9 @@ def tensor_from_json(obj: Any, where: str = "tensor") -> Tensor:
         raise ParseError("order and dim must be integers", where)
     if not isinstance(entries, list):
         raise ParseError("entries must be a list", where)
-    if dim < 1 or order < 0 or len(entries) != dim**order:
+    # for dim >= 2, dim**order == len(entries) forces order <= len(entries).bit_length();
+    # checking that first keeps a huge order from building a huge integer
+    if dim < 1 or order < 0 or (dim >= 2 and order > len(entries).bit_length()) or len(entries) != dim**order:
         raise ParseError(f"expected {dim}^{order} entries, got {len(entries)}", where)
     values = [parse_rational(e, f"{where}.entries[{i}]") for i, e in enumerate(entries)]
     return Tensor(order, dim, tuple(values))

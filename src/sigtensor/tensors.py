@@ -141,6 +141,18 @@ class Flattening:
         return matrix_rank(self.matrix)
 
 
+def mode_offsets(positions: Sequence[int], order: int, dim: int) -> list[int]:
+    """Storage offsets of the multi-indices that vary only at `positions`
+    (1-based) and hold letter 1 elsewhere, in lexicographic order of the
+    letters at `positions`. The entry at row r, column c of a flattening
+    sits at offset mode_offsets(rows)[r] + mode_offsets(cols)[c]."""
+    offs = [0]
+    for p in positions:
+        stride = dim ** (order - p)
+        offs = [o + i * stride for o in offs for i in range(dim)]
+    return offs
+
+
 def flatten(t: Tensor, rows: Iterable[int]) -> Flattening:
     """Flatten along the bipartition (rows, complement); both parts nonempty."""
     row_idx = tuple(sorted(set(rows)))
@@ -150,42 +162,19 @@ def flatten(t: Tensor, rows: Iterable[int]) -> Flattening:
     col_idx = tuple(sorted(all_idx - set(row_idx)))
     if not col_idx:
         raise ValueError("row indices must be a proper subset of 1..order")
-    d = t.dim
-    n_rows = d ** len(row_idx)
-    n_cols = d ** len(col_idx)
-    grid = [[Fraction(0)] * n_cols for _ in range(n_rows)]
-    for index, value in zip(t.indices(), t.entries):
-        r = 0
-        for p in row_idx:
-            r = r * d + (index[p - 1] - 1)
-        c = 0
-        for p in col_idx:
-            c = c * d + (index[p - 1] - 1)
-        grid[r][c] = value
-    return Flattening(t.order, row_idx, col_idx, tuple(tuple(r) for r in grid))
+    cols = mode_offsets(col_idx, t.order, t.dim)
+    matrix = tuple(tuple(t.entries[r + c] for c in cols) for r in mode_offsets(row_idx, t.order, t.dim))
+    return Flattening(t.order, row_idx, col_idx, matrix)
 
 
 def unflatten(f: Flattening, dim: int) -> Tensor:
     """Read a Flattening back into the tensor it came from."""
-    order = f.source_order
-    t_entries = [Fraction(0)] * dim**order
-    d = dim
-    for r, row in enumerate(f.matrix):
-        for c, value in enumerate(row):
-            index = [0] * order
-            rr = r
-            for p in reversed(f.row_indices):
-                index[p - 1] = rr % d + 1
-                rr //= d
-            cc = c
-            for p in reversed(f.col_indices):
-                index[p - 1] = cc % d + 1
-                cc //= d
-            off = 0
-            for i in index:
-                off = off * d + (i - 1)
-            t_entries[off] = value
-    return Tensor(order, dim, tuple(t_entries))
+    entries = [Fraction(0)] * dim**f.source_order
+    cols = mode_offsets(f.col_indices, f.source_order, dim)
+    for r, row in zip(mode_offsets(f.row_indices, f.source_order, dim), f.matrix):
+        for c, value in zip(cols, row):
+            entries[r + c] = value
+    return Tensor(f.source_order, dim, tuple(entries))
 
 
 def permute_modes(t: Tensor, perm: Sequence[int]) -> Tensor:

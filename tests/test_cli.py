@@ -269,3 +269,52 @@ def test_log_with_string_max_level_exits_3(capsys, tmp_path):
     code, _, err = run(capsys, "log", "--sig", str(sig_file))
     assert code == 3
     assert "Traceback" not in err and "max_level must be integers" in err
+
+
+@pytest.mark.parametrize("alpha", [0, 1])
+def test_decompose_exits_4_on_doctored_witness(capsys, axis3, monkeypatch, alpha):
+    # the certificate is checked against the signature (or S_{k,alpha}) of the
+    # path, so a decomposition that does not realize it is caught
+    from sigtensor import Decomposition, cli, decompose_s_k_alpha
+
+    def doctored(vs, k, a):
+        dec = decompose_s_k_alpha(vs, k, a)
+        (coeff, factors), *rest = dec.terms
+        return Decomposition(dec.dim, dec.order, ((2 * coeff, factors), *rest))
+
+    monkeypatch.setattr(cli, "decompose_s_k_alpha", doctored)
+    code, _, err = run(capsys, "decompose", "--path", axis3, "--level", "3", "--alpha", str(alpha))
+    assert code == 4
+    assert "invalid witness" in err
+
+
+@pytest.mark.parametrize("size", ["-5", "0"])
+def test_verify_rejects_non_positive_size(capsys, size):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--size", size])
+    assert exc.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["symmetry", "certify"])
+def test_tensor_of_huge_order_exits_3(capsys, tmp_path, command):
+    tensor_file = tmp_path / "t.json"
+    tensor_file.write_text(json.dumps({"order": 100_000_000_000, "dim": 2, "entries": []}))
+    witness_file = tmp_path / "w.json"
+    witness_file.write_text(json.dumps({"dim": 2, "order": 100_000_000_000, "terms": []}))
+    argv = [command, "--tensor", str(tensor_file)]
+    if command == "certify":
+        argv += ["--witness", str(witness_file)]
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert "Traceback" not in err
+
+
+def test_certify_witness_of_huge_order_exits_4(capsys, tmp_path):
+    tensor_file = tmp_path / "t.json"
+    tensor_file.write_text(json.dumps({"order": 2, "dim": 2, "entries": ["1", "0", "0", "1"]}))
+    witness_file = tmp_path / "w.json"
+    witness_file.write_text(json.dumps({"dim": 2, "order": 100_000_000_000, "terms": []}))
+    code, _, err = run(capsys, "certify", "--tensor", str(tensor_file), "--witness", str(witness_file))
+    assert code == 4
+    assert "invalid witness" in err

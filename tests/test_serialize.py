@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
 
@@ -74,6 +75,21 @@ def test_tensor_round_trip():
 def test_tensor_entry_count_checked():
     with pytest.raises(ParseError, match="entries"):
         tensor_from_json({"order": 2, "dim": 2, "entries": ["1", "2", "3"]})
+
+
+def test_tensor_from_json_rejects_huge_order_before_exponentiating():
+    # 2**order would not finish; no entry list can match such an order
+    start = perf_counter()
+    with pytest.raises(ParseError, match="entries"):
+        tensor_from_json({"order": 100_000_000_000, "dim": 2, "entries": []})
+    with pytest.raises(ParseError, match="entries"):
+        tensor_from_json({"order": 10**30, "dim": 3, "entries": ["0"] * 9})
+    assert perf_counter() - start < 0.5
+
+
+def test_tensor_from_json_order_guard_keeps_valid_and_dim_one_tensors():
+    assert tensor_from_json({"order": 4, "dim": 2, "entries": ["1"] * 16}).order == 4
+    assert tensor_from_json({"order": 10**12, "dim": 1, "entries": ["3"]}).entries == (3,)
 
 
 def test_tensor_bad_entry_positions():
