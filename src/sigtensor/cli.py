@@ -3,13 +3,14 @@
 Every command reads exact rational inputs, runs one library operation, and
 writes a JSON report to stdout (or --out). Exit codes: 0 success (and every
 requested check passed), 1 a requested check failed, 2 unknown command or
-bad arguments, 3 malformed input file, 4 violated mathematical
-precondition.
+bad arguments, 3 malformed input file or a file that cannot be read or
+written, 4 violated mathematical precondition.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -121,8 +122,7 @@ def cmd_signature(args) -> int:
 
 
 def cmd_shuffle(args) -> int:
-    v = Word.parse(args.w1)
-    w = Word.parse(args.w2)
+    v, w = args.w1, args.w2
     result = shuffle(v, w)
     report = {
         "command": "shuffle",
@@ -320,6 +320,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _word(text: str) -> Word:
+    try:
+        return Word.parse(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a word of positive integer letters: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sigtensor", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -340,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_signature)
 
     p = sub.add_parser("shuffle", help="shuffle product of two words")
-    p.add_argument("--w1", required=True)
-    p.add_argument("--w2", required=True)
+    p.add_argument("--w1", required=True, type=_word)
+    p.add_argument("--w2", required=True, type=_word)
     common(p)
     p.set_defaults(func=cmd_shuffle)
 
@@ -415,13 +422,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args keeps no state between calls, so one parser serves every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)

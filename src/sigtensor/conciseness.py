@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from . import graded
 from .linalg import Subspace
 from .signatures import TruncatedSignature
 from .tensors import Tensor
@@ -18,21 +19,20 @@ from .tensors import Tensor
 
 def mode_subspaces(t: Tensor) -> list[Subspace]:
     """For each mode, the span of the mode fibers in Q^d (the row space of
-    the fibers-as-rows unfolding). The tensor is concise iff all are full."""
+    the fibers-as-rows unfolding). The tensor is concise iff all are full.
+
+    The entries become integer numerators over one denominator once, which
+    scales every fiber alike; a fiber is then a strided slice of them."""
     if t.order < 1:
         raise ValueError("mode subspaces need order >= 1")
     d = t.dim
+    nums, _ = graded.from_fractions(t.entries)
     out = []
     for mode in range(1, t.order + 1):
         stride = d ** (t.order - mode)
         block = stride * d
-        fibers = []
-        for base in range(0, len(t.entries), block):
-            for off in range(stride):
-                fiber = [t.entries[base + i * stride + off] for i in range(d)]
-                if any(fiber):
-                    fibers.append(fiber)
-        out.append(Subspace.span(fibers, d))
+        fibers = (nums[base + off : base + block : stride] for base in range(0, len(nums), block) for off in range(stride))
+        out.append(Subspace._of_integers(fibers, d))
     return out
 
 

@@ -1,18 +1,23 @@
 """Exact rational linear algebra: matrix rank, reduced row echelon form, subspaces.
 
-Everything works over Q with `fractions.Fraction` entries and never rounds.
-Every rank goes through one kernel, integer_rank: fraction-free (Bareiss)
-elimination on integer rows, so intermediate values stay integral and
-small. matrix_rank scales Fraction rows to integers before calling it, and
-the flattening bounds in `ranks` call it on integer numerators directly.
-RREF and subspaces stay in Fraction because subspace bases are tiny.
+Everything works over Q and never rounds; inputs and outputs are
+`fractions.Fraction`, while elimination runs on integers. Each row or vector
+is scaled to integers by the lcm of its denominators, which keeps its span.
+Ranks come from integer_rank, fraction-free (Bareiss) elimination, so
+intermediate values stay integral and small; the flattening bounds in
+`ranks` call it on integer numerators directly. Subspaces and rref come from
+_echelon, an incremental integer echelon form that reads vectors one at a
+time and stops once the span is full (mode_subspaces feeds it the integer
+fibers of a tensor). Fractions appear only when its at most d rows become
+the canonical RREF basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -64,49 +69,72 @@ def integer_rank(rows: list[list[int]]) -> int:
     return rank
 
 
+def _scaled(row: Sequence) -> list[int]:
+    """The row times the lcm of its denominators: integers with the same span."""
+    fracs = [as_fraction(x) for x in row]
+    scale = lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (scale // f.denominator) for f in fracs]
+
+
 def matrix_rank(rows: MatrixRows) -> int:
     """Exact rank over Q (hence over R and C). Each row is scaled to integers
     by the lcm of its denominators, which keeps the row space, and the
     result goes to integer_rank."""
-    m = []
-    for row in rows:
-        fracs = [as_fraction(x) for x in row]
-        scale = lcm(*(f.denominator for f in fracs))
-        m.append([f.numerator * (scale // f.denominator) for f in fracs])
+    m = [_scaled(row) for row in rows]
     if any(len(r) != len(m[0]) for r in m):
         raise ValueError("ragged matrix")
     return integer_rank(m)
 
 
-def rref(rows: MatrixRows) -> list[list[Fraction]]:
-    """Reduced row echelon form over Fraction; zero rows are dropped."""
-    m = [[as_fraction(x) for x in row] for row in rows]
-    if not m:
-        return []
-    n_cols = len(m[0])
-    if any(len(r) != n_cols for r in m):
-        raise ValueError("ragged matrix")
-    out: list[list[Fraction]] = []
-    n_rows = len(m)
-    r = 0
-    for col in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if m[i][col] != 0), None)
+def _echelon(vectors: Iterable[Sequence[int]], n: int) -> list[tuple[int, list[int]]]:
+    """Integer row echelon form of the span of integer vectors of length n.
+
+    Returns (pivot column, row) pairs sorted by pivot column; each row is
+    zero left of its pivot and its entries have gcd 1. Each vector v is
+    reduced against the rows in pivot order as v <- p * v - v[pc] * row (p
+    the row's pivot entry), which clears v[pc] without fractions; if
+    anything is left, v divided by its gcd becomes a new row. Vectors are
+    read one at a time and the scan stops once there are n rows.
+    """
+    rows: list[tuple[int, list[int]]] = []
+    for v in vectors:
+        for pc, row in rows:
+            f = v[pc]
+            if f:
+                p = row[pc]
+                v = [p * a - f * b for a, b in zip(v, row)]
+        pivot = next((j for j, x in enumerate(v) if x), None)
         if pivot is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        p = m[r][col]
-        m[r] = [x / p for x in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == n_rows:
+        g = gcd(*v)
+        rows.append((pivot, [x // g for x in v] if g != 1 else v))
+        rows.sort(key=itemgetter(0))
+        if len(rows) == n:
             break
-    for row in m:
-        if any(x != 0 for x in row):
-            out.append(row)
-    return out
+    return rows
+
+
+def _unit_rows(rows: list[tuple[int, list[int]]]) -> list[list[Fraction]]:
+    """The reduced row echelon form of echelon rows from _echelon: each pivot
+    column is cleared above its pivot, from the last pivot up, in integers;
+    then every row is divided by its pivot entry."""
+    rows = list(rows)
+    for i in reversed(range(len(rows))):
+        pc, row = rows[i]
+        p = row[pc]
+        for j in range(i):
+            f = rows[j][1][pc]
+            if f:
+                rows[j] = (rows[j][0], [p * a - f * b for a, b in zip(rows[j][1], row)])
+    return [[Fraction(x, row[pc]) for x in row] for pc, row in rows]
+
+
+def rref(rows: MatrixRows) -> list[list[Fraction]]:
+    """Reduced row echelon form over Fraction; zero rows are dropped."""
+    m = [_scaled(row) for row in rows]
+    if any(len(r) != len(m[0]) for r in m):
+        raise ValueError("ragged matrix")
+    return _unit_rows(_echelon(m, len(m[0]) if m else 0))
 
 
 @dataclass(frozen=True)
@@ -122,33 +150,25 @@ class Subspace:
 
     @staticmethod
     def span(vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":
-        """Incremental elimination: each vector is reduced against the rows
-        collected so far, so long fiber lists cost little and a full-rank
-        span exits early."""
-        rows: list[tuple[int, list[Fraction]]] = []  # (pivot col, unit-pivot row)
-        for v in vectors:
-            cur = [as_fraction(x) for x in v]
-            if len(cur) != ambient_dim:
-                raise ValueError("vector length does not match ambient dimension")
-            for pc, row in rows:
-                f = cur[pc]
-                if f != 0:
-                    cur = [a - f * b for a, b in zip(cur, row)]
-            pivot = next((j for j, x in enumerate(cur) if x != 0), None)
-            if pivot is None:
-                continue
-            pv = cur[pivot]
-            rows.append((pivot, [x / pv for x in cur]))
-            rows.sort(key=lambda item: item[0])
-            if len(rows) == ambient_dim:
-                return Subspace.full(ambient_dim)
-        for i in reversed(range(len(rows))):
-            pc, row = rows[i]
-            for j in range(i):
-                f = rows[j][1][pc]
-                if f != 0:
-                    rows[j] = (rows[j][0], [a - f * b for a, b in zip(rows[j][1], row)])
-        return Subspace(ambient_dim, tuple(tuple(row) for _, row in rows))
+        """Each vector is scaled to integers and fed to the integer
+        elimination one at a time, so a full-rank span exits early."""
+
+        def scaled():
+            for v in vectors:
+                w = _scaled(v)
+                if len(w) != ambient_dim:
+                    raise ValueError("vector length does not match ambient dimension")
+                yield w
+
+        return Subspace._of_integers(scaled(), ambient_dim)
+
+    @staticmethod
+    def _of_integers(vectors: Iterable[Sequence[int]], ambient_dim: int) -> "Subspace":
+        """The span of integer vectors of length ambient_dim (unchecked)."""
+        rows = _echelon(vectors, ambient_dim)
+        if len(rows) == ambient_dim:
+            return Subspace.full(ambient_dim)
+        return Subspace(ambient_dim, tuple(map(tuple, _unit_rows(rows))))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":

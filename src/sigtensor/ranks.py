@@ -332,25 +332,24 @@ def rank_bound_formula(k: int, m: int) -> int:
     return total
 
 
-def _flattening_bound(t: Tensor, stop: int) -> int:
+def _flattening_bound(nums: list[int], k: int, d: int, stop: int) -> int:
     """Max flattening rank over index bipartitions (S, S^c) up to complement:
     all of them through order 7; beyond that the odd/even split and the
     contiguous prefixes, which keeps the scan linear in the order.
 
-    Each flattening is built from the tensor's integer numerators over one
-    common denominator (rank does not change under scaling), with the shorter
-    side as rows. Bipartitions are scanned by decreasing shape cap
-    min(d^|S|, d^|S^c|); one whose cap is at most the best rank so far is
-    skipped, and the scan ends once the best rank reaches `stop`.
+    Each flattening is built from nums, the integer numerators of the
+    order-k tensor over one common denominator (graded.from_fractions; rank
+    does not change under scaling), with the shorter side as rows.
+    Bipartitions are scanned by decreasing shape cap min(d^|S|, d^|S^c|);
+    one whose cap is at most the best rank so far is skipped, and the scan
+    ends once the best rank reaches `stop`.
     """
-    k, d = t.order, t.dim
     if k <= 7:
         tail = range(2, k + 1)
         parts = [(1,) + tuple(p for i, p in enumerate(tail) if mask >> i & 1) for mask in range(2 ** (k - 1) - 1)]
     else:
         parts = list({tuple(range(1, k + 1, 2)), *(tuple(range(1, j + 1)) for j in range(1, k))})
     parts.sort(key=lambda s: (-min(len(s), k - len(s)), s))
-    nums, _ = graded.from_fractions(t.entries)
     best = 0
     for part in parts:
         rest = [p for p in range(1, k + 1) if p not in part]
@@ -371,7 +370,7 @@ def flattening_lower_bound(t: Tensor) -> int:
         raise ValueError("flattening needs order >= 2")
     # no flattening rank exceeds the entry count, so stopping there never
     # changes the maximum
-    return _flattening_bound(t, len(t.entries))
+    return _flattening_bound(graded.from_fractions(t.entries)[0], t.order, t.dim, len(t.entries))
 
 
 def koszul_lower_bound(t: Tensor) -> int:
@@ -396,12 +395,16 @@ def certify_rank(t: Tensor, upper_witness: Decomposition) -> RankCertificate:
     Every bound is at most the rank, hence at most the witness length, so the
     scan stops once the lower bound reaches that length: the result is the
     same as the full scan's."""
-    # the shape test first: realizing a witness of a huge order would not finish
-    if (upper_witness.dim, upper_witness.order) != (t.dim, t.order) or upper_witness.realize() != t:
+    # the shape test first: realizing a witness of a huge order would not
+    # finish. Both levels are reduced, so equal tensors give equal pairs.
+    level = graded.from_fractions(t.entries)
+    if (upper_witness.dim, upper_witness.order) != (t.dim, t.order) or (
+        graded.accumulate(upper_witness.terms, t.dim, t.order) != level
+    ):
         raise ValueError("invalid witness: decomposition does not realize the tensor")
     upper = upper_witness.length
     if t.order >= 2:
-        lower = _flattening_bound(t, upper)
+        lower = _flattening_bound(level[0], t.order, t.dim, upper)
         if t.order == 3 and lower < upper:
             lower = max(lower, koszul_lower_bound(t))
     else:

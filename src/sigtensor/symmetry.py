@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import neg
 
 from .lie import LogSignature, exp_log_signature, lie_bracket
 from .linalg import as_fraction
@@ -19,25 +20,51 @@ from .tensors import Tensor
 MultiIndex = tuple[int, ...]
 
 
-def _swap_adjacent(index: MultiIndex, pos: int) -> MultiIndex:
-    # pos is 0-based; swaps entries pos and pos+1
-    return index[:pos] + (index[pos + 1], index[pos]) + index[pos + 2 :]
+def _multi_index(offset: int, order: int, dim: int) -> MultiIndex:
+    """The multi-index stored at a flat offset (letters 1..dim)."""
+    letters = []
+    for _ in range(order):
+        offset, r = divmod(offset, dim)
+        letters.append(r + 1)
+    return tuple(reversed(letters))
 
 
 def _transposition_violation(t: Tensor, positions: range, sign: int) -> tuple[MultiIndex, MultiIndex] | None:
     """First index pair violating t[swap(I)] == sign * t[I] over adjacent
-    transpositions at the given 0-based positions."""
+    transpositions at the given 0-based positions.
+
+    Positions are scanned in order; at each, the multi-indices I with
+    I[pos] < I[pos+1] in lexicographic order, then (for sign -1) those
+    with I[pos] == I[pos+1], whose entries must vanish. With letters a, b
+    at pos, pos+1 and a fixed prefix starting at flat offset `outer`, the
+    entries for all suffixes form a run of lo = d^(k-2-pos) entries at
+    outer + a*hi + b*lo, hi = d^(k-1-pos); the (a, b) run is compared with
+    the (b, a) run as a whole, and searched entry by entry only if they
+    differ.
+    """
+    e, k, d = tuple(t.entries), t.order, t.dim  # tuple slices, to compare with tuples
     for pos in positions:
-        for index in t.indices():
-            if index[pos] >= index[pos + 1]:
-                continue  # each unordered pair once; equal letters are trivial for sign +1
-            swapped = _swap_adjacent(index, pos)
-            if t[swapped] != sign * t[index]:
-                return (index, swapped)
+        lo = d ** (k - 2 - pos)
+        hi = lo * d
+        prefixes = range(0, len(e), hi * d)
+        for outer in prefixes:
+            for a in range(d):
+                for b in range(a + 1, d):
+                    i, j = outer + a * hi + b * lo, outer + b * hi + a * lo
+                    x, y = e[i : i + lo], e[j : j + lo]
+                    if sign == -1:
+                        y = tuple(map(neg, y))
+                    if x != y:
+                        r = next(r for r in range(lo) if x[r] != y[r])
+                        return (_multi_index(i + r, k, d), _multi_index(j + r, k, d))
         if sign == -1:
-            for index in t.indices():
-                if index[pos] == index[pos + 1] and t[index] != 0:
-                    return (index, index)
+            for outer in prefixes:
+                for a in range(d):
+                    i = outer + a * (hi + lo)
+                    r = next((r for r in range(lo) if e[i + r]), None)
+                    if r is not None:
+                        index = _multi_index(i + r, k, d)
+                        return (index, index)
     return None
 
 
@@ -61,8 +88,11 @@ def symmetry_report(t: Tensor) -> SymmetryReport:
     k = t.order
     sym_w = _transposition_violation(t, range(k - 1), +1)
     skew_w = _transposition_violation(t, range(k - 1), -1)
-    first_w = _transposition_violation(t, range(k - 2), +1)
-    last_w = _transposition_violation(t, range(1, k - 1), +1)
+    # the partial blocks use a subset of the positions of the full group
+    first_w = last_w = None
+    if sym_w is not None:
+        first_w = _transposition_violation(t, range(k - 2), +1)
+        last_w = _transposition_violation(t, range(1, k - 1), +1)
     partial = set()
     if first_w is None:
         partial.add("first_k_minus_1")

@@ -318,3 +318,51 @@ def test_certify_witness_of_huge_order_exits_4(capsys, tmp_path):
     code, _, err = run(capsys, "certify", "--tensor", str(tensor_file), "--witness", str(witness_file))
     assert code == 4
     assert "invalid witness" in err
+
+
+def test_out_into_missing_directory_exits_3(capsys, tmp_path):
+    target = tmp_path / "missing" / "bound.json"
+    code, out, err = run(capsys, "rank-bound", "--k", "4", "--m", "4", "--out", str(target))
+    assert code == 3 and out == ""
+    assert "Traceback" not in err and "No such file or directory" in err
+
+
+@pytest.mark.parametrize("flag", ["--w1", "--w2"])
+def test_shuffle_with_bad_word_exits_2(capsys, flag):
+    argv = {"--w1": "12", "--w2": "3", flag: "1a"}
+    with pytest.raises(SystemExit) as exc:
+        main(["shuffle", *[x for pair in argv.items() for x in pair]])
+    assert exc.value.code == 2
+    assert f"argument {flag}: not a word" in capsys.readouterr().err
+
+
+def test_one_process_reports_like_a_fresh_parser_per_command(capsys, monkeypatch, axis3):
+    # main keeps one parser per process; each report, error and exit code of
+    # a run of commands must match a fresh interpreter running that command
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import sigtensor
+
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal width
+    commands = [
+        ["shuffle", "--w1", "12", "--w2", "3"],
+        ["signature", "--path", axis3, "--level", "2"],
+        ["shuffle", "--w1", "1a", "--w2", "3"],
+        ["rank-bound", "--k", "4", "--m", "4", "--float"],
+        ["decompose", "--path", axis3, "--level", "3"],
+        ["not-a-command"],
+        ["signature", "--path", axis3],
+        ["shuffle", "--w1", "12", "--w2", "3"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(sigtensor.__file__).parents[1])}
+    for argv in commands:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "sigtensor", *argv], env=env, capture_output=True, text=True)
+        assert (code, out.out, out.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv

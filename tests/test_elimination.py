@@ -1,0 +1,246 @@
+"""Cross-checks of the integer echelon kernel behind Subspace.span, rref and
+mode_subspaces, and of the offset scan behind symmetry_report. Expected
+values come from the plain Fraction elimination and the Tensor-indexing
+scan below, never from the code under test."""
+
+from fractions import Fraction
+from itertools import product
+from math import gcd
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sigtensor import Subspace, Tensor, mode_subspaces, rref, symmetry_report
+from sigtensor.linalg import _echelon
+
+SETTINGS = settings(max_examples=80, deadline=None)
+
+# denominators up to 6, so vectors mix denominators
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+def reference_rref(rows) -> list[list[Fraction]]:
+    """Gauss-Jordan elimination over Fraction: unit pivots, pivot columns
+    cleared above and below, zero rows dropped."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        m[r] = [x / m[r][col] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        r += 1
+    return m[:r]
+
+
+def reference_span(vectors, d: int) -> Subspace:
+    return Subspace(d, tuple(tuple(row) for row in reference_rref(vectors)))
+
+
+@st.composite
+def vector_lists(draw):
+    """Up to 7 vectors in Q^d, d <= 4, with zero vectors, duplicates and
+    multiples mixed in; some lists are confined to a coordinate subspace or
+    to one line."""
+    d = draw(st.integers(1, 4))
+    vector = st.lists(rationals, min_size=d, max_size=d)
+    vs = draw(st.lists(vector, max_size=7))
+    kind = draw(st.sampled_from(["free", "confined", "collinear"]))
+    if kind == "confined":
+        dead = draw(st.sets(st.integers(0, d - 1), min_size=1, max_size=d))
+        vs = [[Fraction(0) if j in dead else x for j, x in enumerate(v)] for v in vs]
+    elif kind == "collinear":
+        line = draw(vector)
+        vs = [[c * x for x in line] for c in draw(st.lists(rationals, max_size=5))]
+    extras = []
+    for v in vs:
+        extra = draw(st.sampled_from(["none", "zero", "duplicate", "multiple"]))
+        if extra == "zero":
+            extras.append([Fraction(0)] * d)
+        elif extra == "duplicate":
+            extras.append(list(v))
+        elif extra == "multiple":
+            c = draw(rationals)
+            extras.append([c * x for x in v])
+    order = draw(st.permutations(range(len(vs) + len(extras))))
+    allv = vs + extras
+    return d, [allv[i] for i in order]
+
+
+@SETTINGS
+@given(vector_lists())
+def test_span_matches_fraction_reference(case):
+    d, vectors = case
+    w = Subspace.span(vectors, d)
+    assert w == reference_span(vectors, d)
+    assert all(type(x) is Fraction for row in w.basis for x in row)
+
+
+@SETTINGS
+@given(vector_lists())
+def test_rref_matches_fraction_reference(case):
+    _, vectors = case
+    assert rref(vectors) == reference_rref(vectors)
+
+
+@SETTINGS
+@given(st.lists(st.lists(st.integers(-6, 6), min_size=4, max_size=4), max_size=7))
+def test_echelon_rows_are_primitive_with_rising_pivots(vectors):
+    rows = _echelon(vectors, 4)
+    pivots = [pc for pc, _ in rows]
+    assert pivots == sorted(set(pivots))
+    for pc, row in rows:
+        assert all(x == 0 for x in row[:pc]) and row[pc] != 0
+        assert gcd(*row) == 1
+    assert len(rows) == len(reference_rref(vectors))
+
+
+def test_span_stops_reading_once_full():
+    read = []
+
+    def vectors():
+        for v in ([1, 0], [1, 1], "not a vector"):
+            read.append(v)
+            yield v
+
+    assert Subspace.span(vectors(), 2).is_full
+    assert read == [[1, 0], [1, 1]]
+
+
+def test_span_and_rref_reject_bad_lengths():
+    with pytest.raises(ValueError, match="ambient dimension"):
+        Subspace.span([[1, 2], [1, 2, 3]], 2)
+    with pytest.raises(ValueError, match="ragged"):
+        rref([[1, 2], [1, 2, 3]])
+    assert rref([]) == []
+
+
+def reference_mode_subspaces(t: Tensor) -> list[Subspace]:
+    """Mode fibers read entry by entry through Tensor indexing."""
+    out = []
+    letters = range(1, t.dim + 1)
+    for mode in range(t.order):
+        fibers = []
+        for rest in product(letters, repeat=t.order - 1):
+            fibers.append([t[rest[:mode] + (i,) + rest[mode:]] for i in letters])
+        out.append(reference_span(fibers, t.dim))
+    return out
+
+
+@st.composite
+def tensors(draw):
+    """Order 1..4, d <= 3 (d <= 4 at order <= 2): dense entries, zero, or
+    a tensor whose fibers all lie in a coordinate subspace or on one line."""
+    k = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 4 if k <= 2 else 3))
+    kind = draw(st.sampled_from(["dense", "zero", "confined", "collinear"]))
+    if kind == "zero":
+        return Tensor.zeros(k, d)
+    if kind == "collinear":
+        line = draw(st.lists(rationals, min_size=d, max_size=d))
+        return Tensor.elementary([line] * k, d).scale(draw(rationals))
+    entries = draw(st.lists(rationals, min_size=d**k, max_size=d**k))
+    if kind == "confined":
+        dead = draw(st.integers(1, d))
+        entries = [Fraction(0) if dead in index else x for index, x in zip(product(range(1, d + 1), repeat=k), entries)]
+    return Tensor.from_entries(k, d, entries)
+
+
+@SETTINGS
+@given(tensors())
+def test_mode_subspaces_match_fibers_read_by_index(t):
+    assert mode_subspaces(t) == reference_mode_subspaces(t)
+
+
+def reference_violation(t: Tensor, positions, sign: int):
+    """First pair (I, swap(I)) with t[swap(I)] != sign * t[I], scanning the
+    positions in order and, at each, every multi-index with I[pos] <
+    I[pos+1] in lexicographic order; for sign -1 then every I with I[pos]
+    == I[pos+1] and t[I] != 0."""
+    for pos in positions:
+        for index in t.indices():
+            if index[pos] < index[pos + 1]:
+                swapped = index[:pos] + (index[pos + 1], index[pos]) + index[pos + 2 :]
+                if t[swapped] != sign * t[index]:
+                    return (index, swapped)
+        if sign == -1:
+            for index in t.indices():
+                if index[pos] == index[pos + 1] and t[index] != 0:
+                    return (index, index)
+    return None
+
+
+def permutation_sign(index) -> int:
+    inversions = sum(1 for i in range(len(index)) for j in range(i + 1, len(index)) if index[i] > index[j])
+    return -1 if inversions % 2 else 1
+
+
+@st.composite
+def structured_tensors(draw):
+    """Order 2..4, d <= 3: symmetric, skew, first-block or last-block
+    symmetric, or dense, each perhaps with one entry changed."""
+    k, d = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["symmetric", "skew", "first", "last", "dense"]))
+    values: dict = {}
+
+    def value(key):
+        if key not in values:
+            values[key] = draw(rationals)
+        return values[key]
+
+    entries = []
+    for index in product(range(1, d + 1), repeat=k):
+        if kind == "symmetric":
+            entries.append(value(tuple(sorted(index))))
+        elif kind == "skew":
+            distinct = len(set(index)) == k
+            entries.append(permutation_sign(index) * value(tuple(sorted(index))) if distinct else Fraction(0))
+        elif kind == "first":
+            entries.append(value(tuple(sorted(index[:-1])) + index[-1:]))
+        elif kind == "last":
+            entries.append(value(index[:1] + tuple(sorted(index[1:]))))
+        else:
+            entries.append(value(index))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(entries) - 1))
+        entries[i] += draw(rationals)
+    return Tensor(k, d, tuple(entries))
+
+
+@SETTINGS
+@given(structured_tensors())
+def test_symmetry_report_matches_indexing_scan(t):
+    k = t.order
+    sym = reference_violation(t, range(k - 1), +1)
+    skew = reference_violation(t, range(k - 1), -1)
+    first = reference_violation(t, range(k - 2), +1)
+    last = reference_violation(t, range(1, k - 1), +1)
+    report = symmetry_report(t)
+    assert report.is_symmetric == (sym is None)
+    assert report.is_skew == (skew is None)
+    assert report.partial == {name for name, w in (("first_k_minus_1", first), ("last_k_minus_1", last)) if w is None}
+    assert report.witness == next((w for w in (sym, skew, first, last) if w is not None), None)
+
+
+@pytest.mark.parametrize("kind, flags", [
+    ("first", (False, False, {"first_k_minus_1"})),
+    ("last", (False, False, {"last_k_minus_1"})),
+    ("skew", (False, True, set())),
+])
+def test_each_passing_branch_is_reached(kind, flags):
+    # order 3, d = 3, values chosen so that only the named block passes
+    values = {}
+    entries = []
+    for index in product(range(1, 4), repeat=3):
+        if kind == "skew":
+            entries.append(Fraction(0) if len(set(index)) < 3 else permutation_sign(index) * 5)
+            continue
+        key = tuple(sorted(index[:-1])) + index[-1:] if kind == "first" else index[:1] + tuple(sorted(index[1:]))
+        entries.append(values.setdefault(key, Fraction(len(values) + 1, 3)))
+    report = symmetry_report(Tensor(3, 3, tuple(entries)))
+    assert (report.is_symmetric, report.is_skew, set(report.partial)) == flags

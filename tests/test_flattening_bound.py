@@ -177,3 +177,20 @@ def test_certify_rejects_witness_of_huge_order_without_realizing_it():
     witness = Decomposition(2, 100_000_000_000, ())
     with pytest.raises(ValueError, match="invalid witness"):
         certify_rank(Tensor.zeros(2, 2), witness)
+
+
+def test_certify_zero_tensor_with_empty_witness():
+    for k in (1, 2, 3):
+        cert = certify_rank(Tensor.zeros(k, 2), Decomposition(2, k, ()))
+        assert (cert.lower, cert.upper, cert.status) == (0, 0, "exact")
+
+
+def test_certify_rejects_witness_off_by_its_denominator_only():
+    # (1/2) e1(x)e2 has the numerators of e1(x)e2 over denominator 2
+    e1, e2 = [1, 0], [0, 1]
+    t = Tensor.elementary([e1, e2])
+    assert certify_rank(t, Decomposition.of(2, 2, [(1, [e1, e2])])).status == "exact"
+    with pytest.raises(ValueError, match="invalid witness"):
+        certify_rank(t, Decomposition.of(2, 2, [(Fraction(1, 2), [e1, e2])]))
+    with pytest.raises(ValueError, match="invalid witness"):
+        certify_rank(t.scale(Fraction(1, 3)), Decomposition.of(2, 2, [(Fraction(1, 6), [e1, e2])]))

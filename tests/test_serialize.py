@@ -3,6 +3,7 @@ from fractions import Fraction
 from time import perf_counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sigtensor import (
     Path,
@@ -154,3 +155,37 @@ def test_csv_ragged_rows():
 def test_dump_json_deterministic():
     blob = {"b": 1, "a": [{"z": "1/2", "y": 3}]}
     assert dump_json(blob) == dump_json(json.loads(dump_json(blob)))
+
+
+# the fast path of parse_rational handles "-?[0-9]+(/[0-9]+)?"; the rest goes
+# to Fraction(text), so both must agree on every string
+RATIONAL_LIKE = st.text(alphabet="0123456789-+/ _.e٣１", max_size=8)
+
+
+def fraction_or_message(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return f"where: bad rational {text!r}: {exc}"
+
+
+def check_parse_rational_agrees_with_fraction(text):
+    expected = fraction_or_message(text)
+    if isinstance(expected, Fraction):
+        got = parse_rational(text, "where")
+        assert got == expected and type(got) is Fraction
+    else:
+        with pytest.raises(ParseError) as exc:
+            parse_rational(text, "where")
+        assert str(exc.value) == expected
+
+
+@pytest.mark.parametrize("text", ["--3", "+3", " 3", "3 ", "1/-2", "1/0", "-0/0", "3_0", "٣", "007/014", "-12/4", "1/2/3", ""])
+def test_parse_rational_agrees_with_fraction_on_edge_strings(text):
+    check_parse_rational_agrees_with_fraction(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(RATIONAL_LIKE, st.text(max_size=6)))
+def test_parse_rational_agrees_with_fraction(text):
+    check_parse_rational_agrees_with_fraction(text)
