@@ -60,6 +60,16 @@ def parse_rational(text: Any, where: str = "") -> Fraction:
         raise ParseError(f"bad rational {text!r}: {exc}", where) from None
 
 
+def _parse_rationals(items: list, where: str) -> list[Fraction]:
+    """Parse rationals; a bad entry's location where[i] is formatted only on failure."""
+    try:
+        return [parse_rational(x) for x in items]
+    except ParseError:
+        for i, x in enumerate(items):
+            parse_rational(x, f"{where}[{i}]")
+        raise
+
+
 def _require(obj: dict, key: str, where: str):
     if key not in obj:
         raise ParseError(f"missing key {key!r}", where)
@@ -100,8 +110,7 @@ def tensor_from_json(obj: Any, where: str = "tensor") -> Tensor:
     # checking that first keeps a huge order from building a huge integer
     if dim < 1 or order < 0 or (dim >= 2 and order > len(entries).bit_length()) or len(entries) != dim**order:
         raise ParseError(f"expected {dim}^{order} entries, got {len(entries)}", where)
-    values = [parse_rational(e, f"{where}.entries[{i}]") for i, e in enumerate(entries)]
-    return Tensor(order, dim, tuple(values))
+    return Tensor(order, dim, tuple(_parse_rationals(entries, f"{where}.entries")))
 
 
 # -- vectors and paths -----------------------------------------------------
@@ -113,7 +122,7 @@ def vector_to_json(v: Vector) -> list[str]:
 def vector_from_json(obj: Any, where: str) -> Vector:
     if not isinstance(obj, list) or not obj:
         raise ParseError("expected a nonempty list of rationals", where)
-    return tuple(parse_rational(x, f"{where}[{i}]") for i, x in enumerate(obj))
+    return tuple(_parse_rationals(obj, where))
 
 
 def path_to_json(p: Path) -> dict:
@@ -145,7 +154,8 @@ def signature_to_json(s: TruncatedSignature) -> dict:
     }
 
 
-def signature_from_json(obj: Any, where: str = "signature") -> TruncatedSignature:
+def _levels_from_json(obj: Any, where: str, first: int, cls):
+    """A signature lists levels first=0..max_level, a log-signature first=1..max_level."""
     if not isinstance(obj, dict):
         raise ParseError("expected an object", where)
     dim = _require(obj, "dim", where)
@@ -153,13 +163,17 @@ def signature_from_json(obj: Any, where: str = "signature") -> TruncatedSignatur
     levels = _require(obj, "levels", where)
     if not _is_int(dim) or not _is_int(max_level):
         raise ParseError("dim and max_level must be integers", where)
-    if not isinstance(levels, list) or len(levels) != max_level + 1:
-        raise ParseError("levels must list tensors for 0..max_level", where)
-    tensors = [tensor_from_json(t, f"{where}.levels[{k}]") for k, t in enumerate(levels)]
+    if not isinstance(levels, list) or len(levels) != max_level + 1 - first:
+        raise ParseError(f"levels must list tensors for {first}..max_level", where)
+    tensors = [tensor_from_json(t, f"{where}.levels[{k}]") for k, t in enumerate(levels, first)]
     try:
-        return TruncatedSignature(dim, max_level, tuple(tensors))
+        return cls(dim, max_level, tuple(tensors))
     except ValueError as exc:
         raise ParseError(str(exc), where) from None
+
+
+def signature_from_json(obj: Any, where: str = "signature") -> TruncatedSignature:
+    return _levels_from_json(obj, where, 0, TruncatedSignature)
 
 
 def log_signature_to_json(l: LogSignature) -> dict:
@@ -171,20 +185,7 @@ def log_signature_to_json(l: LogSignature) -> dict:
 
 
 def log_signature_from_json(obj: Any, where: str = "log-signature") -> LogSignature:
-    if not isinstance(obj, dict):
-        raise ParseError("expected an object", where)
-    dim = _require(obj, "dim", where)
-    max_level = _require(obj, "max_level", where)
-    levels = _require(obj, "levels", where)
-    if not _is_int(dim) or not _is_int(max_level):
-        raise ParseError("dim and max_level must be integers", where)
-    if not isinstance(levels, list) or len(levels) != max_level:
-        raise ParseError("levels must list tensors for 1..max_level", where)
-    tensors = [tensor_from_json(t, f"{where}.levels[{k+1}]") for k, t in enumerate(levels)]
-    try:
-        return LogSignature(dim, max_level, tuple(tensors))
-    except ValueError as exc:
-        raise ParseError(str(exc), where) from None
+    return _levels_from_json(obj, where, 1, LogSignature)
 
 
 # -- decompositions and certificates ----------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import TYPE_CHECKING, Mapping
 
 if TYPE_CHECKING:
@@ -97,25 +96,29 @@ class WordSum:
         return "WordSum(" + " + ".join(parts) + ")"
 
 
-@lru_cache(maxsize=None)
-def _shuffle_letters(v: tuple[int, ...], w: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    if not v:
-        return ((w, 1),)
-    if not w:
-        return ((v, 1),)
-    acc: dict[tuple[int, ...], int] = {}
-    for prefix, c in _shuffle_letters(v[:-1], w):
-        key = prefix + (v[-1],)
-        acc[key] = acc.get(key, 0) + c
-    for prefix, c in _shuffle_letters(v, w[:-1]):
-        key = prefix + (w[-1],)
-        acc[key] = acc.get(key, 0) + c
-    return tuple(sorted(acc.items()))
-
-
 def shuffle(v: Word, w: Word) -> WordSum:
-    """Shuffle product of two words as a homogeneous WordSum."""
-    return WordSum({Word(letters): c for letters, c in _shuffle_letters(v.letters, w.letters)})
+    """Shuffle product of two words as a homogeneous WordSum.
+
+    Bottom-up over prefix pairs: shuffle(v[:i], w[:j]) is shuffle(v[:i-1], w[:j])
+    followed by v[i-1] plus shuffle(v[:i], w[:j-1]) followed by w[j-1]. Two rows
+    over the shorter word are kept; a word is a str, one character per distinct
+    letter, which grows by a byte copy where a tuple would count references.
+    """
+    long, short = (v.letters, w.letters) if len(v) >= len(w) else (w.letters, v.letters)
+    alphabet = sorted(set(long) | set(short))
+    code = {letter: chr(k) for k, letter in enumerate(alphabet)}
+    long, short = [code[x] for x in long], [code[x] for x in short]
+    row = [{"".join(short[:j]): 1} for j in range(len(short) + 1)]
+    for a in long:
+        cells = [{word + a: c for word, c in row[0].items()}]
+        for j, b in enumerate(short, 1):
+            acc = {word + a: c for word, c in row[j].items()}
+            for word, c in cells[j - 1].items():
+                key = word + b
+                acc[key] = acc.get(key, 0) + c
+            cells.append(acc)
+        row = cells
+    return WordSum({Word(tuple(alphabet[ord(x)] for x in word)): c for word, c in row[-1].items()})
 
 
 def evaluate(sig: "TruncatedSignature", ws: WordSum | Word) -> Fraction:

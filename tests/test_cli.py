@@ -1,4 +1,5 @@
 import json
+from time import perf_counter
 
 import pytest
 
@@ -366,3 +367,47 @@ def test_one_process_reports_like_a_fresh_parser_per_command(capsys, monkeypatch
         out = capsys.readouterr()
         fresh = subprocess.run([sys.executable, "-m", "sigtensor", *argv], env=env, capture_output=True, text=True)
         assert (code, out.out, out.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+def test_shuffle_of_1200_letter_word_exits_0(capsys):
+    # the recursive shuffle hit the recursion limit here
+    code, out, err = run(capsys, "shuffle", "--w1", "1" * 1200, "--w2", "2")
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert len(result) == 1201 and set(result.values()) == {1}
+    assert result["1" * 600 + "2" + "1" * 600] == 1
+
+
+def test_shuffle_over_guard_exits_4_before_any_work(capsys, monkeypatch):
+    # comb(32, 16) = 601080390 interleavings ran until the process was killed
+    from sigtensor import cli
+
+    def no_work(v, w):
+        raise AssertionError("shuffle ran past the guard")
+
+    monkeypatch.setattr(cli, "shuffle", no_work)
+    code, out, err = run(capsys, "shuffle", "--w1", "1212121212121212", "--w2", "3434343434343434")
+    assert code == 4 and out == ""
+    assert err == (
+        "precondition violated: precondition 'comb(|w1| + |w2|, |w1|) <= 200000' violated "
+        "(|w1|=16, |w2|=16); pass --allow-large to override\n"
+    )
+    start = perf_counter()
+    code, _, err = run(capsys, "shuffle", "--w1", "1" * 100_000, "--w2", "2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18")
+    assert code == 4 and "(|w1|=100000, |w2|=17)" in err
+    assert perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("w2, allow_large, runs", [
+    ("3434343434", False, True),  # comb(20, 10) = 184756, inside the guard
+    ("34343434343", False, False),  # comb(21, 10) = 352716
+    ("34343434343", True, True),
+])
+def test_shuffle_guard_bound(capsys, monkeypatch, w2, allow_large, runs):
+    from sigtensor import WordSum, cli
+
+    calls = []
+    monkeypatch.setattr(cli, "shuffle", lambda v, w: calls.append((v, w)) or WordSum({}))
+    argv = ["shuffle", "--w1", "1212121212", "--w2", w2] + ["--allow-large"] * allow_large
+    code, _, _ = run(capsys, *argv)
+    assert (code, len(calls)) == ((0, 1) if runs else (4, 0))

@@ -189,3 +189,49 @@ def test_parse_rational_agrees_with_fraction_on_edge_strings(text):
 @given(st.one_of(RATIONAL_LIKE, st.text(max_size=6)))
 def test_parse_rational_agrees_with_fraction(text):
     check_parse_rational_agrees_with_fraction(text)
+
+
+_SIG = {"dim": 2, "max_level": 2, "levels": [
+    {"order": 0, "dim": 2, "entries": ["1"]},
+    {"order": 1, "dim": 2, "entries": ["1", "3"]},
+    {"order": 2, "dim": 2, "entries": ["1/2", "3", "0", "9/2"]},
+]}
+_PATH = {"dim": 2, "increments": [["1", "2"], ["0", "1"]]}
+_DEC = {"dim": 2, "order": 2, "terms": [{"coeff": "1", "factors": [["1", "0"], ["1", "2"]]}]}
+
+
+def _set(blob, keys, value):
+    blob = json.loads(json.dumps(blob))
+    target = blob
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    return blob
+
+
+@pytest.mark.parametrize("parse, blob, message", [
+    (signature_from_json, _set(_SIG, ["levels", 2, "entries", 0], "x"),
+     "signature.levels[2].entries[0]: bad rational 'x': Invalid literal for Fraction: 'x'"),
+    (signature_from_json, _set(_SIG, ["levels", 2, "entries", 0], 0.5),
+     "signature.levels[2].entries[0]: expected a rational string, got float"),
+    (signature_from_json, _set(_SIG, ["levels", 2, "entries", 0], True),
+     "signature.levels[2].entries[0]: expected a rational string, got bool"),
+    (signature_from_json, _set(_set(_SIG, ["levels", 2, "entries", 1], "1/0"), ["levels", 2, "entries", 3], "x"),
+     "signature.levels[2].entries[1]: bad rational '1/0': Fraction(1, 0)"),
+    (log_signature_from_json, _set(_SIG, ["levels"], _SIG["levels"][1:2] + [_set(_SIG["levels"][2], ["entries", 3], "1/0")]),
+     "log-signature.levels[2].entries[3]: bad rational '1/0': Fraction(1, 0)"),
+    (path_from_json, _set(_PATH, ["increments", 1, 1], "y"),
+     "path.increments[1][1]: bad rational 'y': Invalid literal for Fraction: 'y'"),
+    (decomposition_from_json, _set(_DEC, ["terms", 0, "factors", 0, 1], False),
+     "decomposition.terms[0].factors[0][1]: expected a rational string, got bool"),
+    (decomposition_from_json, _set(_DEC, ["terms", 0, "coeff"], "1/0"),
+     "decomposition.terms[0].coeff: bad rational '1/0': Fraction(1, 0)"),
+    (signature_from_json, _set(_SIG, ["levels"], _SIG["levels"][:2]),
+     "signature: levels must list tensors for 0..max_level"),
+    (log_signature_from_json, _SIG,
+     "log-signature: levels must list tensors for 1..max_level"),
+])
+def test_parse_errors_name_the_first_bad_nested_entry(parse, blob, message):
+    with pytest.raises(ParseError) as exc:
+        parse(blob)
+    assert str(exc.value) == message

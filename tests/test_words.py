@@ -1,3 +1,5 @@
+import itertools
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -126,3 +128,30 @@ def test_check_shuffle_identity_counterexample():
 def test_check_shuffle_identity_trivial_element():
     sig = TruncatedSignature.trivial(2, 4)
     assert check_shuffle_identity(sig, 4) is None
+
+
+def _shuffle_by_positions(v: Word, w: Word) -> WordSum:
+    """Reference shuffle: each choice of the positions that v's letters take
+    in a word of length |v| + |w| is one interleaving."""
+    n = len(v) + len(w)
+    total = Counter()
+    for positions in itertools.combinations(range(n), len(v)):
+        vs, ws, chosen = iter(v.letters), iter(w.letters), set(positions)
+        total[tuple(next(vs) if i in chosen else next(ws) for i in range(n))] += 1
+    return WordSum({Word(letters): c for letters, c in total.items()})
+
+
+wide_words = st.lists(st.integers(1, 12), max_size=6).map(lambda ls: Word(tuple(ls)))
+
+
+@given(wide_words, wide_words)
+def test_shuffle_matches_interleaving_positions(v, w):
+    assert shuffle(v, w) == _shuffle_by_positions(v, w)
+
+
+def test_shuffle_of_1200_letter_word():
+    # a recursion over prefixes went past the interpreter's recursion limit
+    long = Word((1,) * 1200)
+    for result in (shuffle(long, Word.of(2)), shuffle(Word.of(2), long)):
+        assert len(result.terms) == 1201 and set(result.terms.values()) == {1}
+        assert result.terms[Word((1,) * 7 + (2,) + (1,) * 1193)] == 1
