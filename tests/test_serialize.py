@@ -147,6 +147,14 @@ def test_csv_position_in_errors():
         parse_time_series_csv("1,2\nx,3\n")
 
 
+def test_csv_error_message_counts_rows_after_the_header():
+    # the blank line counts as a row; the header does not
+    with pytest.raises(ParseError) as exc:
+        parse_time_series_csv("t,x,y\n1,2,3\n\n4,x,5\n", has_header=True, where="s.csv")
+    assert str(exc.value) == "s.csv:row 3, column 2: bad rational 'x': Invalid literal for Fraction: 'x'"
+    assert exc.value.where == "s.csv:row 3, column 2"
+
+
 def test_csv_ragged_rows():
     with pytest.raises(ParseError, match="inconsistent"):
         parse_time_series_csv("1,2\n3\n")
