@@ -44,6 +44,7 @@ DEFAULT_LEVEL = 4
 GUARD_DIM = 6
 GUARD_LEVEL = 8
 GUARD_SHUFFLE = 200_000
+GUARD_TERMS = 100_000
 COST_WARN_ENTRIES = 200_000
 
 
@@ -180,6 +181,12 @@ def cmd_decompose(args):
     _check_size(path.dim, args.level, args.allow_large)
     if args.level < 2:
         raise ValueError("precondition 'level >= 2' violated")
+    # the witness has this many terms, and realizing each costs dim^level
+    if not args.allow_large and rank_bound_formula(args.level, path.segments) > GUARD_TERMS:
+        raise ValueError(
+            f"precondition 'rank_bound_formula(level, segments) <= {GUARD_TERMS}' violated "
+            f"(level={args.level}, segments={path.segments}); pass --allow-large to override"
+        )
     dec = decompose_s_k_alpha(path.increments, args.level, args.alpha)
     # the witness is certified against a tensor computed without it
     if args.alpha == 0:
@@ -300,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(*flags, **options)
         p.add_argument("--out", help="write the report to this file (relative to SIGTENSOR_OUT_DIR if set)")
         p.add_argument("--float", action="store_true", help="add lossy decimal columns next to exact values")
-        p.add_argument("--allow-large", action="store_true", help="lift the dim <= 6, level <= 8 and shuffle-size guards")
+        p.add_argument("--allow-large", action="store_true", help="lift the dim <= 6, level <= 8, shuffle-size and decompose term-count guards")
     return parser
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from . import graded
 from .linalg import Subspace
 from .signatures import TruncatedSignature
 from .tensors import Tensor
@@ -21,12 +20,12 @@ def mode_subspaces(t: Tensor) -> list[Subspace]:
     """For each mode, the span of the mode fibers in Q^d (the row space of
     the fibers-as-rows unfolding). The tensor is concise iff all are full.
 
-    The entries become integer numerators over one denominator once, which
-    scales every fiber alike; a fiber is then a strided slice of them."""
+    A fiber is a strided slice of the integer numerators t.nums: their one
+    denominator scales every fiber alike, which keeps each span."""
     if t.order < 1:
         raise ValueError("mode subspaces need order >= 1")
     d = t.dim
-    nums, _ = graded.from_fractions(t.entries)
+    nums = t.nums
     out = []
     for mode in range(1, t.order + 1):
         stride = d ** (t.order - mode)

@@ -1,10 +1,10 @@
 """Scaled-integer kernel for the truncated tensor algebra.
 
-A level is a pair (nums, den): a flat list of Python ints in Tensor storage
-order (first index slowest) and one positive int denominator, so entry i is
-nums[i] / den. Exact rationals become Fractions only at the API boundary
-(from_fractions / to_tensor), so every product, bracket and term below is
-integer arithmetic on lists.
+A level is a pair (nums, den): a flat sequence of Python ints in Tensor
+storage order (first index slowest) and one positive int denominator, so
+entry i is nums[i] / den. Tensor owns this representation (its fields nums
+and den are a reduced level). Fraction inputs are scaled to integers on
+entry, so every product, bracket and term below is integer arithmetic.
 
 Signatures of piecewise linear paths use a fixed scheme: with D the lcm of
 the increment denominators, level k is stored over k! * D^k, and a segment v
@@ -19,9 +19,7 @@ from math import comb, factorial, gcd, lcm
 from operator import add, mul, sub
 from typing import Iterable, Sequence
 
-from .tensors import Tensor
-
-Level = tuple[list[int], int]
+Level = tuple[Sequence[int], int]
 
 
 def from_fractions(entries: Sequence[Fraction]) -> Level:
@@ -31,14 +29,7 @@ def from_fractions(entries: Sequence[Fraction]) -> Level:
     return [x.numerator * (den // x.denominator) for x in entries], den
 
 
-def to_tensor(level: Level, order: int, dim: int) -> Tensor:
-    nums, den = level
-    if den == 1:
-        return Tensor(order, dim, tuple(map(Fraction, nums)))
-    return Tensor(order, dim, tuple(Fraction(n, den) for n in nums))
-
-
-def reduced(nums: list[int], den: int) -> Level:
+def reduced(nums: Sequence[int], den: int) -> Level:
     """Divide numerators and denominator by their gcd."""
     g = gcd(den, *nums)
     if g == 1:
@@ -46,7 +37,7 @@ def reduced(nums: list[int], den: int) -> Level:
     return [n // g for n in nums], den // g
 
 
-def outer(a: list[int], b: list[int]) -> list[int]:
+def outer(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return [x * y for x in a for y in b]
 
 
@@ -106,7 +97,7 @@ def axpy(acc: Level, c: Fraction, x: Level) -> Level:
     return reduced(list(map(add, map(mul, na, repeat(sa)), map(mul, nx, repeat(sx)))), den)
 
 
-def dynkin(nums: list[int], dim: int, order: int) -> list[int]:
+def dynkin(nums: Sequence[int], dim: int, order: int) -> list[int]:
     """Left-to-right bracketing on the coefficients of an order-k tensor.
 
     D_k = (1 - c_k)(D_(k-1) (x) id) with c_r moving letter r of a word to
@@ -115,7 +106,7 @@ def dynkin(nums: list[int], dim: int, order: int) -> list[int]:
     d^(k-r) indexed by (u_1, m) are read from (m, u_1), a d x d^(r-1)
     block transpose. Each pass is O(d^k), k - 1 passes in all.
     """
-    a = nums
+    a = list(nums)
     for r in range(2, order + 1):
         size = dim ** (order - r)
         blocks = a if size == 1 else list(zip(*[iter(a)] * size))

@@ -38,14 +38,8 @@ def random_path(rng: random.Random, max_dim: int = 4, max_segments: int = 5, bou
 
 
 def random_lie_level(rng: random.Random, d: int, k: int, bound: int = 2) -> Tensor:
-    entries = [Fraction(0)] * d**k
-    for b in lie_basis(d, k):
-        c = rng.randint(-bound, bound)
-        if c:
-            for i, x in enumerate(b.entries):
-                if x:
-                    entries[i] += c * x
-    return Tensor(k, d, tuple(entries))
+    """A random integer combination of the Lie basis, one draw per basis element."""
+    return sum((b.scale(rng.randint(-bound, bound)) for b in lie_basis(d, k)), Tensor.zeros(k, d))
 
 
 def random_log_signature(rng: random.Random, d: int, max_level: int, bound: int = 2) -> LogSignature:

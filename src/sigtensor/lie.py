@@ -8,9 +8,8 @@ signature; its level-k component splits over partitions of k into the
 f_lambda summands, and the span of each summand is the Thrall module
 W_lambda.
 
-The Dynkin check, log and exp run in the scaled-integer kernel of `graded`:
-each level is a list of integer numerators over one integer denominator,
-and only the Tensors handed back hold Fractions.
+The Dynkin check, log and exp run in the scaled-integer kernel of `graded`
+on each level's integer numerators over its one denominator (t.nums, t.den).
 """
 
 from __future__ import annotations
@@ -43,8 +42,7 @@ def dynkin_map(t: Tensor) -> Tensor:
     """
     if t.order == 0:
         raise ValueError("the bracketing operator needs order >= 1")
-    nums, den = graded.from_fractions(t.entries)
-    return graded.to_tensor((graded.dynkin(nums, t.dim, t.order), den), t.order, t.dim)
+    return Tensor._of_level(t.order, t.dim, (graded.dynkin(t.nums, t.dim, t.order), t.den))
 
 
 def is_lie_element(t: Tensor) -> bool:
@@ -52,9 +50,8 @@ def is_lie_element(t: Tensor) -> bool:
     the integer numerators over the common denominator of t."""
     if t.order == 0:
         raise ValueError("order-0 tensors are not graded Lie elements")
-    nums, _ = graded.from_fractions(t.entries)
     k = t.order
-    return graded.dynkin(nums, t.dim, k) == [k * x for x in nums]
+    return graded.dynkin(t.nums, t.dim, k) == [k * x for x in t.nums]
 
 
 @dataclass(frozen=True)
@@ -113,10 +110,6 @@ def _truncated_product(a: list[graded.Level], b: list[graded.Level], dim: int) -
     return graded.product([zero] + a, [zero] + b, dim)[1:]
 
 
-def _lie_levels(levels: Sequence[graded.Level], dim: int) -> tuple[Tensor, ...]:
-    return tuple(graded.to_tensor(l, k, dim) for k, l in enumerate(levels, start=1))
-
-
 def exp_log_signature(l: LogSignature) -> TruncatedSignature:
     """Exponential series exp(T) = sum T^(x)n / n!, truncated at K.
 
@@ -124,12 +117,13 @@ def exp_log_signature(l: LogSignature) -> TruncatedSignature:
     (a_1, ..., a_t) of k of T_(a_1) (x) ... (x) T_(a_t) / t!.
     """
     d, K = l.dim, l.max_level
-    x = [graded.from_fractions(t.entries) for t in l.levels]
+    x = [(t.nums, t.den) for t in l.levels]
     acc = power = x
     for n in range(2, K + 1):
         power = _truncated_product(power, x, d)
         acc = [graded.axpy(s, Fraction(1, factorial(n)), p) for s, p in zip(acc, power)]
-    return TruncatedSignature(d, K, (Tensor.scalar(1, d),) + _lie_levels(acc, d))
+    levels = (Tensor._of_level(k, d, a) for k, a in enumerate(acc, start=1))
+    return TruncatedSignature(d, K, (Tensor.scalar(1, d), *levels))
 
 
 def log_signature(s: TruncatedSignature) -> LogSignature:
@@ -142,12 +136,12 @@ def log_signature(s: TruncatedSignature) -> LogSignature:
     if s.constant_term != 1:
         raise ValueError("log needs constant term 1")
     d, K = s.dim, s.max_level
-    x = [graded.from_fractions(s.level(k).entries) for k in range(1, K + 1)]
+    x = [(level.nums, level.den) for level in s.levels[1:]]
     acc = power = x
     for t in range(2, K + 1):
         power = _truncated_product(power, x, d)
         acc = [graded.axpy(a, Fraction((-1) ** (t + 1), t), p) for a, p in zip(acc, power)]
-    return LogSignature(d, K, _lie_levels(acc, d))
+    return LogSignature(d, K, tuple(Tensor._of_level(k, d, a) for k, a in enumerate(acc, start=1)))
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import itemgetter
 from typing import Iterable, Sequence
+
+from . import graded
 
 Vector = tuple[Fraction, ...]
 MatrixRows = Sequence[Sequence[Fraction]]
@@ -71,9 +73,7 @@ def integer_rank(rows: list[list[int]]) -> int:
 
 def _scaled(row: Sequence) -> list[int]:
     """The row times the lcm of its denominators: integers with the same span."""
-    fracs = [as_fraction(x) for x in row]
-    scale = lcm(*(f.denominator for f in fracs))
-    return [f.numerator * (scale // f.denominator) for f in fracs]
+    return graded.from_fractions(as_vector(row))[0]
 
 
 def matrix_rank(rows: MatrixRows) -> int:

@@ -14,11 +14,10 @@ the recursion
 
     S_{k,a} = v_1 (x) S_{k-1,a+1}(v_1..v_m) + S_{k,0}(v_2..v_m) / a!.
 
-The flattening bound builds no Fraction matrix: the tensor becomes integer
-numerators over one common denominator once, each flattening is read from
-them through precomputed offsets, and its rank comes from the one Bareiss
-kernel, linalg.integer_rank. The Koszul bound reaches the same kernel
-through matrix_rank.
+The flattening bound builds no Fraction matrix: each flattening is read from
+the tensor's integer numerators (t.nums) through precomputed offsets, and
+its rank comes from the one Bareiss kernel, linalg.integer_rank. The Koszul
+bound reaches the same kernel through matrix_rank.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ class Decomposition:
         return sum(1 for c, _ in self.terms if c != 0)
 
     def realize(self) -> Tensor:
-        return graded.to_tensor(graded.accumulate(self.terms, self.dim, self.order), self.order, self.dim)
+        return Tensor._of_level(self.order, self.dim, graded.accumulate(self.terms, self.dim, self.order))
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,7 @@ def s_k_alpha(vs: Sequence[Sequence], k: int, alpha: int) -> Tensor:
         for a in parts[1:]:
             weight *= factorial(a)
         terms.append((Fraction(1, weight), [v for v, a in zip(vecs, parts) for _ in range(a)]))
-    return graded.to_tensor(graded.accumulate(terms, d, k), k, d)
+    return Tensor._of_level(k, d, graded.accumulate(terms, d, k))
 
 
 def decompose_two_segments(u: Sequence, v: Sequence, k: int, alpha: int = 0) -> Decomposition:
@@ -332,14 +331,14 @@ def rank_bound_formula(k: int, m: int) -> int:
     return total
 
 
-def _flattening_bound(nums: list[int], k: int, d: int, stop: int) -> int:
+def _flattening_bound(nums: Sequence[int], k: int, d: int, stop: int) -> int:
     """Max flattening rank over index bipartitions (S, S^c) up to complement:
     all of them through order 7; beyond that the odd/even split and the
     contiguous prefixes, which keeps the scan linear in the order.
 
     Each flattening is built from nums, the integer numerators of the
-    order-k tensor over one common denominator (graded.from_fractions; rank
-    does not change under scaling), with the shorter side as rows.
+    order-k tensor over its one denominator (rank does not change under
+    scaling), with the shorter side as rows.
     Bipartitions are scanned by decreasing shape cap min(d^|S|, d^|S^c|);
     one whose cap is at most the best rank so far is skipped, and the scan
     ends once the best rank reaches `stop`.
@@ -370,7 +369,7 @@ def flattening_lower_bound(t: Tensor) -> int:
         raise ValueError("flattening needs order >= 2")
     # no flattening rank exceeds the entry count, so stopping there never
     # changes the maximum
-    return _flattening_bound(graded.from_fractions(t.entries)[0], t.order, t.dim, len(t.entries))
+    return _flattening_bound(t.nums, t.order, t.dim, len(t.nums))
 
 
 def koszul_lower_bound(t: Tensor) -> int:
@@ -395,16 +394,12 @@ def certify_rank(t: Tensor, upper_witness: Decomposition) -> RankCertificate:
     Every bound is at most the rank, hence at most the witness length, so the
     scan stops once the lower bound reaches that length: the result is the
     same as the full scan's."""
-    # the shape test first: realizing a witness of a huge order would not
-    # finish. Both levels are reduced, so equal tensors give equal pairs.
-    level = graded.from_fractions(t.entries)
-    if (upper_witness.dim, upper_witness.order) != (t.dim, t.order) or (
-        graded.accumulate(upper_witness.terms, t.dim, t.order) != level
-    ):
+    # the shape test first: a witness of a huge order could not be realized
+    if (upper_witness.dim, upper_witness.order) != (t.dim, t.order) or upper_witness.realize() != t:
         raise ValueError("invalid witness: decomposition does not realize the tensor")
     upper = upper_witness.length
     if t.order >= 2:
-        lower = _flattening_bound(level[0], t.order, t.dim, upper)
+        lower = _flattening_bound(t.nums, t.order, t.dim, upper)
         if t.order == 3 and lower < upper:
             lower = max(lower, koszul_lower_bound(t))
     else:

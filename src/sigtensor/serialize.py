@@ -12,7 +12,7 @@ import json
 import re
 from fractions import Fraction
 from io import StringIO
-from typing import Any
+from typing import Any, Callable
 
 from .linalg import Subspace, Vector
 from .lie import LogSignature
@@ -60,13 +60,13 @@ def parse_rational(text: Any, where: str = "") -> Fraction:
         raise ParseError(f"bad rational {text!r}: {exc}", where) from None
 
 
-def _parse_rationals(items: list, where: str) -> list[Fraction]:
-    """Parse rationals; a bad entry's location where[i] is formatted only on failure."""
+def _parse_rationals(items: list, where: Callable[[int], str]) -> list[Fraction]:
+    """Parse rationals; a bad entry's location where(i) is formatted only on failure."""
     try:
         return [parse_rational(x) for x in items]
     except ParseError:
         for i, x in enumerate(items):
-            parse_rational(x, f"{where}[{i}]")
+            parse_rational(x, where(i))
         raise
 
 
@@ -110,7 +110,7 @@ def tensor_from_json(obj: Any, where: str = "tensor") -> Tensor:
     # checking that first keeps a huge order from building a huge integer
     if dim < 1 or order < 0 or (dim >= 2 and order > len(entries).bit_length()) or len(entries) != dim**order:
         raise ParseError(f"expected {dim}^{order} entries, got {len(entries)}", where)
-    return Tensor(order, dim, tuple(_parse_rationals(entries, f"{where}.entries")))
+    return Tensor(order, dim, tuple(_parse_rationals(entries, lambda i: f"{where}.entries[{i}]")))
 
 
 # -- vectors and paths -----------------------------------------------------
@@ -122,7 +122,7 @@ def vector_to_json(v: Vector) -> list[str]:
 def vector_from_json(obj: Any, where: str) -> Vector:
     if not isinstance(obj, list) or not obj:
         raise ParseError("expected a nonempty list of rationals", where)
-    return tuple(_parse_rationals(obj, where))
+    return tuple(_parse_rationals(obj, lambda i: f"{where}[{i}]"))
 
 
 def path_to_json(p: Path) -> dict:
@@ -274,9 +274,10 @@ def parse_time_series_csv(text: str, has_header: bool = False, where: str = "csv
         rows = rows[1:]
     samples = []
     for r, row in enumerate(rows):
-        if not row or all(not cell.strip() for cell in row):
+        cells = [cell.strip() for cell in row]
+        if not any(cells):
             continue
-        samples.append(tuple(parse_rational(cell.strip(), f"{where}:row {r + 1}, column {c + 1}") for c, cell in enumerate(row)))
+        samples.append(tuple(_parse_rationals(cells, lambda c: f"{where}:row {r + 1}, column {c + 1}")))
     if not samples:
         raise ParseError("no samples", where)
     width = len(samples[0])

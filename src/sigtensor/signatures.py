@@ -5,8 +5,8 @@ because the signature is invariant under translation and reparametrization.
 Signatures are computed through Chen's identity (concatenation multiplies
 signatures in the truncated tensor algebra) in the scaled-integer kernel of
 `graded`: level k of a path whose increments have common denominator D is
-held as integer numerators over k! * D^k and becomes Fractions only in the
-returned Tensors. An independent oracle integrates each entry directly as an
+held as integer numerators over k! * D^k, the Tensor's nums over den once
+reduced. An independent oracle integrates each entry directly as an
 iterated integral with per-piece polynomial arithmetic over Q, in Fractions.
 """
 
@@ -100,9 +100,9 @@ def chen_concat(a: TruncatedSignature, b: TruncatedSignature) -> TruncatedSignat
     tensor-algebra product of the signatures."""
     if a.dim != b.dim or a.max_level != b.max_level:
         raise ValueError("signatures must share dimension and truncation level")
-    left = [graded.from_fractions(t.entries) for t in a.levels]
-    right = [graded.from_fractions(t.entries) for t in b.levels]
-    levels = (graded.to_tensor(l, k, a.dim) for k, l in enumerate(graded.product(left, right, a.dim)))
+    left = [(t.nums, t.den) for t in a.levels]
+    right = [(t.nums, t.den) for t in b.levels]
+    levels = (Tensor._of_level(k, a.dim, l) for k, l in enumerate(graded.product(left, right, a.dim)))
     return TruncatedSignature(a.dim, a.max_level, tuple(levels))
 
 
@@ -112,7 +112,7 @@ def pwl_signature(path: Path, max_level: int) -> TruncatedSignature:
     multiply-exponentiate, without being built first."""
     d = path.dim
     levels = graded.signature(path.increments, d, max_level)
-    return TruncatedSignature(d, max_level, tuple(graded.to_tensor(l, k, d) for k, l in enumerate(levels)))
+    return TruncatedSignature(d, max_level, tuple(Tensor._of_level(k, d, l) for k, l in enumerate(levels)))
 
 
 def iterated_integral_entry(path: Path, word: Word) -> Fraction:

@@ -42,7 +42,7 @@ def _transposition_violation(t: Tensor, positions: range, sign: int) -> tuple[Mu
     the (b, a) run as a whole, and searched entry by entry only if they
     differ.
     """
-    e, k, d = tuple(t.entries), t.order, t.dim  # tuple slices, to compare with tuples
+    e, k, d = t.nums, t.order, t.dim  # one denominator, so numerators compare as entries
     for pos in positions:
         lo = d ** (k - 2 - pos)
         hi = lo * d
@@ -157,6 +157,7 @@ def sig222_from_params(p: Sig222Params) -> Tensor:
     """The 2x2x2 signature tensor with the given log coordinates, written
     out entrywise (level 3 of the exponential)."""
     x, y, a, b, c = p.x, p.y, p.a, p.b, p.c
+    # keyed in storage (lexicographic) order
     entries = {
         (1, 1, 1): x**3 / 6,
         (1, 1, 2): x**2 * y / 6 + a * x / 2 + b,
@@ -167,11 +168,7 @@ def sig222_from_params(p: Sig222Params) -> Tensor:
         (2, 2, 1): x * y**2 / 6 - a * y / 2 + c,
         (2, 2, 2): y**3 / 6,
     }
-    t = Tensor.zeros(3, 2)
-    flat = list(t.entries)
-    for idx, val in entries.items():
-        flat[t.offset(idx)] = val
-    return Tensor(3, 2, tuple(flat))
+    return Tensor(3, 2, tuple(entries.values()))
 
 
 def partial_symmetry_constraint(p: Sig222Params, side: str) -> bool:

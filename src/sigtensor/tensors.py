@@ -4,6 +4,12 @@ Entries are stored flat in lexicographic order of the multi-index
 (i_1, ..., i_k), i_j in {1..d}, with i_1 slowest. That makes a flattening
 along a contiguous prefix a pure reshape; general index subsets go through
 an explicit index map.
+
+Tensor owns this representation: integer numerators `nums` in that order
+over one denominator `den` > 0 with gcd(den, *nums) == 1, a pair unique to
+the tensor, so equality and hashing compare fields. It is the level format
+of the kernel in `graded`, whose output Tensor._of_level wraps. `entries`
+gives the values as Fractions, built on first use.
 """
 
 from __future__ import annotations
@@ -11,29 +17,53 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import Iterable, Sequence
 
+from . import graded
 from .linalg import as_fraction, as_vector, matrix_rank
 
 MultiIndex = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Tensor:
     order: int
     dim: int
-    entries: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
-    def __post_init__(self):
-        if self.order < 0:
+    def __init__(self, order: int, dim: int, entries: Sequence[Fraction]):
+        if order < 0:
             raise ValueError("order must be >= 0")
-        if self.dim < 1:
+        if dim < 1:
             raise ValueError("dim must be >= 1")
-        if len(self.entries) != self.dim**self.order:
+        if len(entries) != dim**order:
             raise ValueError(
-                f"expected {self.dim**self.order} entries for order {self.order}, "
-                f"dim {self.dim}; got {len(self.entries)}"
+                f"expected {dim**order} entries for order {order}, "
+                f"dim {dim}; got {len(entries)}"
             )
+        try:
+            nums, den = graded.from_fractions(entries)
+        except AttributeError:
+            raise TypeError("tensor entries must be ints or Fractions") from None
+        # over the lcm of reduced denominators the pair is already reduced
+        self.__dict__.update(order=order, dim=dim, nums=tuple(nums), den=den)
+
+    @staticmethod
+    def _of_level(order: int, dim: int, level: graded.Level) -> "Tensor":
+        """The tensor of an unreduced kernel level (nums, den); unchecked."""
+        nums, den = graded.reduced(*level)
+        t = Tensor.__new__(Tensor)
+        t.__dict__.update(order=order, dim=dim, nums=tuple(nums), den=den)
+        return t
+
+    @cached_property
+    def entries(self) -> tuple[Fraction, ...]:
+        if self.den == 1:
+            return tuple(map(Fraction, self.nums))
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     @staticmethod
     def from_entries(order: int, dim: int, entries: Iterable) -> "Tensor":
@@ -67,10 +97,7 @@ class Tensor:
             dim = len(vecs[0])
         if any(len(v) != dim for v in vecs):
             raise ValueError("all factor vectors must have the same dimension")
-        entries: tuple[Fraction, ...] = (Fraction(1),)
-        for v in vecs:
-            entries = tuple(x * y for x in entries for y in v)
-        return Tensor(len(vecs), dim, entries)
+        return Tensor._of_level(len(vecs), dim, graded.accumulate([(Fraction(1), vecs)], dim, len(vecs)))
 
     def offset(self, index: MultiIndex) -> int:
         if len(index) != self.order:
@@ -91,22 +118,22 @@ class Tensor:
 
     @property
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
+        return not any(self.nums)
 
     def __add__(self, other: "Tensor") -> "Tensor":
         self._check_same_shape(other)
-        return Tensor(self.order, self.dim, tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return Tensor._of_level(self.order, self.dim, graded.axpy((self.nums, self.den), Fraction(1), (other.nums, other.den)))
 
     def __sub__(self, other: "Tensor") -> "Tensor":
         self._check_same_shape(other)
-        return Tensor(self.order, self.dim, tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return Tensor._of_level(self.order, self.dim, graded.axpy((self.nums, self.den), Fraction(-1), (other.nums, other.den)))
 
     def __neg__(self) -> "Tensor":
-        return Tensor(self.order, self.dim, tuple(-a for a in self.entries))
+        return Tensor._of_level(self.order, self.dim, ([-n for n in self.nums], self.den))
 
     def scale(self, c) -> "Tensor":
         f = as_fraction(c)
-        return Tensor(self.order, self.dim, tuple(f * a for a in self.entries))
+        return Tensor._of_level(self.order, self.dim, ([f.numerator * n for n in self.nums], f.denominator * self.den))
 
     def __rmul__(self, c) -> "Tensor":
         return self.scale(c)
@@ -119,8 +146,7 @@ class Tensor:
 def tensor_product(a: Tensor, b: Tensor) -> Tensor:
     if a.dim != b.dim:
         raise ValueError("tensor dimension mismatch")
-    entries = tuple(x * y for x in a.entries for y in b.entries)
-    return Tensor(a.order + b.order, a.dim, entries)
+    return Tensor._of_level(a.order + b.order, a.dim, (graded.outer(a.nums, b.nums), a.den * b.den))
 
 
 @dataclass(frozen=True)
@@ -179,25 +205,13 @@ def unflatten(f: Flattening, dim: int) -> Tensor:
 
 def permute_modes(t: Tensor, perm: Sequence[int]) -> Tensor:
     """Relabel modes: output entry at (i_{perm[1]}, ..., i_{perm[k]}) is the
-    input entry at (i_1, ..., i_k). perm is 1-based and must be a bijection."""
+    input entry at (i_1, ..., i_k). perm is 1-based and must be a bijection.
+    Output letter j is input letter perm[j], so mode_offsets(perm) lists the
+    input offsets in output storage order."""
     k = t.order
     if sorted(perm) != list(range(1, k + 1)):
         raise ValueError("perm must be a bijection on 1..order")
-    inv = [0] * k
-    for j, p in enumerate(perm):
-        inv[p - 1] = j
-    d = t.dim
-    entries = [Fraction(0)] * len(t.entries)
-    for index in itertools.product(range(1, d + 1), repeat=k):
-        src = tuple(index[inv[j]] for j in range(k))
-        off = 0
-        for i in index:
-            off = off * d + (i - 1)
-        s_off = 0
-        for i in src:
-            s_off = s_off * d + (i - 1)
-        entries[off] = t.entries[s_off]
-    return Tensor(k, d, tuple(entries))
+    return Tensor._of_level(k, t.dim, ([t.nums[o] for o in mode_offsets(perm, k, t.dim)], t.den))
 
 
 def gl_act(m: Sequence[Sequence], t: Tensor) -> Tensor:
@@ -208,25 +222,21 @@ def gl_act(m: Sequence[Sequence], t: Tensor) -> Tensor:
         raise ValueError(f"matrix must be {d}x{d}")
     if matrix_rank(rows) != d:
         raise ValueError("matrix is singular; the action requires GL")
-    if t.order == 0:
-        return t
-    entries = list(t.entries)
+    # the matrix is ints over one scale: each contraction multiplies den by it
+    ints, scale = graded.from_fractions([x for r in rows for x in r])
+    nums = t.nums
     # Contract one mode at a time; mode 1 is slowest so its stride is d^(k-1).
     for mode in range(t.order):
         stride = d ** (t.order - 1 - mode)
         block = stride * d
-        new = [Fraction(0)] * len(entries)
-        for base in range(0, len(entries), block):
+        new = [0] * len(nums)
+        for base in range(0, len(nums), block):
             for off in range(stride):
-                col = [entries[base + i * stride + off] for i in range(d)]
+                col = nums[base + off : base + block : stride]
                 for r in range(d):
-                    acc = Fraction(0)
-                    for i in range(d):
-                        if rows[r][i]:
-                            acc += rows[r][i] * col[i]
-                    new[base + r * stride + off] = acc
-        entries = new
-    return Tensor(t.order, d, tuple(entries))
+                    new[base + r * stride + off] = sum(map(mul, ints[r * d : (r + 1) * d], col))
+        nums = new
+    return Tensor._of_level(t.order, d, (nums, t.den * scale**t.order))
 
 
 def koszul_flatten(t: Tensor, pivot_mode: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -242,30 +252,18 @@ def koszul_flatten(t: Tensor, pivot_mode: int) -> tuple[tuple[Fraction, ...], ..
     if pivot_mode not in (1, 2, 3):
         raise ValueError("pivot_mode must be 1, 2, or 3")
     d = t.dim
+    e = t.entries
     others = [m for m in (1, 2, 3) if m != pivot_mode]
-    v_mode, w_mode = others[0], others[1]
-    pairs = [(a, b) for a in range(1, d + 1) for b in range(a + 1, d + 1)]
-    pair_pos = {p: j for j, p in enumerate(pairs)}
-    n_cols = d * len(pairs)
-    grid = [[Fraction(0)] * n_cols for _ in range(d * d)]
-    entry = [0, 0, 0]
-    for u in range(1, d + 1):
-        for w in range(1, d + 1):
-            row = grid[(u - 1) * d + (w - 1)]
-            for v in range(1, d + 1):
-                for wp in range(1, d + 1):
-                    if wp == w:
-                        continue
-                    entry[pivot_mode - 1] = u
-                    entry[v_mode - 1] = v
-                    entry[w_mode - 1] = wp
-                    val = t[tuple(entry)]
-                    if val == 0:
-                        continue
-                    if wp < w:
-                        col = (v - 1) * len(pairs) + pair_pos[(wp, w)]
-                        row[col] += val
-                    else:
-                        col = (v - 1) * len(pairs) + pair_pos[(w, wp)]
-                        row[col] -= val
-    return tuple(tuple(r) for r in grid)
+    s_u, s_v, s_w = (d ** (3 - m) for m in (pivot_mode, *others))
+    pairs = list(itertools.combinations(range(d), 2))
+    zero = Fraction(0)
+    # skewing sends T[u, v, x] to column (v, {x, w}), signed + if x < w, - if x > w
+    return tuple(
+        tuple(
+            e[u * s_u + v * s_v + a * s_w] if w == b else -e[u * s_u + v * s_v + b * s_w] if w == a else zero
+            for v in range(d)
+            for a, b in pairs
+        )
+        for u in range(d)
+        for w in range(d)
+    )

@@ -411,3 +411,31 @@ def test_shuffle_guard_bound(capsys, monkeypatch, w2, allow_large, runs):
     argv = ["shuffle", "--w1", "1212121212", "--w2", w2] + ["--allow-large"] * allow_large
     code, _, _ = run(capsys, *argv)
     assert (code, len(calls)) == ((0, 1) if runs else (4, 0))
+
+
+def test_decompose_over_term_guard_exits_4_at_once(capsys, tmp_path):
+    # rank_bound_formula(8, 60) = 150474074 terms ran until the process was killed
+    path_file = tmp_path / "long.json"
+    path_file.write_text(json.dumps({"dim": 2, "increments": [[str(i % 3 - 1), str(i % 5 - 2)] for i in range(60)]}))
+    start = perf_counter()
+    code, out, err = run(capsys, "decompose", "--path", str(path_file), "--level", "8")
+    assert perf_counter() - start < 1
+    assert code == 4 and out == ""
+    assert err == (
+        "precondition violated: precondition 'rank_bound_formula(level, segments) <= 100000' violated "
+        "(level=8, segments=60); pass --allow-large to override\n"
+    )
+
+
+@pytest.mark.parametrize("allow_large", [False, True])
+def test_allow_large_lifts_the_decompose_term_guard(capsys, monkeypatch, axis3, allow_large):
+    from sigtensor import cli
+
+    monkeypatch.setattr(cli, "GUARD_TERMS", 3)  # the axis path at level 4 needs rank_bound_formula(4, 3) = 7
+    argv = ["decompose", "--path", axis3, "--level", "4"] + ["--allow-large"] * allow_large
+    code, out, err = run(capsys, *argv)
+    if allow_large:
+        assert code == 0, err
+        assert json.loads(out)["result"]["length"] == 7
+    else:
+        assert code == 4 and "rank_bound_formula(level, segments) <= 3" in err

@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from sigtensor import (
     Path,
@@ -16,6 +19,8 @@ from sigtensor import (
     tensor_product,
     unflatten,
 )
+
+SETTINGS = settings(max_examples=60, deadline=None)
 
 
 def basis(d, *letters):
@@ -196,3 +201,161 @@ def test_gl_act_general_invertible_preserves_flattening_bound():
     for _ in range(3):
         t = Tensor.from_entries(4, 3, [rng.randint(-2, 2) for _ in range(81)])
         assert flattening_lower_bound(gl_act(m, t)) == flattening_lower_bound(t)
+
+
+# -- the integer representation, against Fraction references ------------------
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@st.composite
+def entry_lists(draw, order=None, dim=None):
+    """(order, dim, entries) with d <= 3, order <= 3: rational, all-integer or zero."""
+    k = draw(st.integers(0, 3)) if order is None else order
+    d = draw(st.integers(1, 3)) if dim is None else dim
+    values = draw(st.sampled_from([rationals, st.integers(-5, 5).map(Fraction), st.just(Fraction(0))]))
+    return k, d, draw(st.lists(values, min_size=d**k, max_size=d**k))
+
+
+@st.composite
+def same_shape_pairs(draw):
+    k, d, a = draw(entry_lists())
+    return k, d, a, draw(entry_lists(k, d))[2]
+
+
+def ref_permute_modes(entries, k, d, perm):
+    inv = [0] * k
+    for j, p in enumerate(perm):
+        inv[p - 1] = j
+    out = [Fraction(0)] * len(entries)
+    for index in itertools.product(range(1, d + 1), repeat=k):
+        src = tuple(index[inv[j]] for j in range(k))
+        off = s_off = 0
+        for i, s in zip(index, src):
+            off, s_off = off * d + (i - 1), s_off * d + (s - 1)
+        out[off] = entries[s_off]
+    return out
+
+
+def ref_gl_act(m, entries, k, d):
+    for mode in range(k):
+        stride = d ** (k - 1 - mode)
+        new = list(entries)
+        for base in range(0, len(entries), stride * d):
+            for off in range(stride):
+                col = [entries[base + i * stride + off] for i in range(d)]
+                for r in range(d):
+                    new[base + r * stride + off] = sum((m[r][i] * col[i] for i in range(d)), Fraction(0))
+        entries = new
+    return list(entries)
+
+
+def ref_koszul_flatten(t, pivot_mode):
+    """The per-entry loop over multi-indices that koszul_flatten replaced."""
+    d = t.dim
+    v_mode, w_mode = [m for m in (1, 2, 3) if m != pivot_mode]
+    pairs = [(a, b) for a in range(1, d + 1) for b in range(a + 1, d + 1)]
+    pair_pos = {p: j for j, p in enumerate(pairs)}
+    grid = [[Fraction(0)] * (d * len(pairs)) for _ in range(d * d)]
+    entry = [0, 0, 0]
+    for u in range(1, d + 1):
+        for w in range(1, d + 1):
+            row = grid[(u - 1) * d + (w - 1)]
+            for v in range(1, d + 1):
+                for wp in range(1, d + 1):
+                    if wp == w:
+                        continue
+                    entry[pivot_mode - 1], entry[v_mode - 1], entry[w_mode - 1] = u, v, wp
+                    val = t[tuple(entry)]
+                    if wp < w:
+                        row[(v - 1) * len(pairs) + pair_pos[(wp, w)]] += val
+                    else:
+                        row[(v - 1) * len(pairs) + pair_pos[(w, wp)]] -= val
+    return tuple(tuple(r) for r in grid)
+
+
+@SETTINGS
+@given(entry_lists())
+def test_levels_are_reduced_and_round_trip(level):
+    k, d, entries = level
+    t = Tensor(k, d, tuple(entries))
+    assert t.den > 0 and gcd(t.den, *t.nums) == 1
+    assert len(t.nums) == d**k and all(type(n) is int for n in t.nums)
+    assert t.entries == tuple(entries) and all(type(x) is Fraction for x in t.entries)
+    assert t.is_zero == (not any(entries))
+
+
+@SETTINGS
+@given(same_shape_pairs(), st.integers(1, 12))
+def test_equality_and_hash_follow_the_entries_across_routes(pair, c):
+    k, d, a, b = pair
+    s, t = Tensor(k, d, tuple(a)), Tensor(k, d, tuple(b))
+    # the kernel's unreduced form of t: every numerator and the denominator times c
+    scaled = Tensor._of_level(k, d, ([c * n for n in t.nums], c * t.den))
+    for u in (scaled, t + t - t, (-t).scale(-c).scale(Fraction(1, c)), s - s + t):
+        assert u == t and hash(u) == hash(t) and u.entries == t.entries
+        assert (u == s) == (tuple(a) == tuple(b))
+
+
+@SETTINGS
+@given(same_shape_pairs(), rationals)
+def test_arithmetic_matches_fraction_references(pair, c):
+    k, d, a, b = pair
+    s, t = Tensor(k, d, tuple(a)), Tensor(k, d, tuple(b))
+    assert list((s + t).entries) == [x + y for x, y in zip(a, b)]
+    assert list((s - t).entries) == [x - y for x, y in zip(a, b)]
+    assert list((-s).entries) == [-x for x in a]
+    assert list(s.scale(c).entries) == list((c * s).entries) == [c * x for x in a]
+
+
+@SETTINGS
+@given(entry_lists(), st.data())
+def test_tensor_product_matches_the_fraction_outer_product(left, data):
+    k, d, a = left
+    m, _, b = data.draw(entry_lists(data.draw(st.integers(0, 3 - k)), d))
+    product = tensor_product(Tensor(k, d, tuple(a)), Tensor(m, d, tuple(b)))
+    assert product.order == k + m
+    assert list(product.entries) == [x * y for x in a for y in b]
+
+
+@SETTINGS
+@given(entry_lists(), st.data())
+def test_permute_modes_matches_the_index_loop(level, data):
+    k, d, entries = level
+    perm = data.draw(st.permutations(range(1, k + 1)))
+    got = permute_modes(Tensor(k, d, tuple(entries)), perm)
+    assert list(got.entries) == ref_permute_modes(entries, k, d, perm)
+
+
+@SETTINGS
+@given(entry_lists(), st.data())
+def test_gl_act_matches_the_fraction_contraction(level, data):
+    k, d, entries = level
+    m = data.draw(st.lists(st.lists(rationals, min_size=d, max_size=d), min_size=d, max_size=d))
+    assume(matrix_rank(m) == d)
+    got = gl_act(m, Tensor(k, d, tuple(entries)))
+    assert list(got.entries) == ref_gl_act(m, entries, k, d)
+
+
+@SETTINGS
+@given(st.integers(1, 3), st.integers(0, 3), st.data())
+def test_elementary_matches_the_fraction_outer_product(d, k, data):
+    vectors = [data.draw(st.lists(rationals, min_size=d, max_size=d)) for _ in range(k)]
+    want = [Fraction(1)]
+    for v in vectors:
+        want = [x * y for x in want for y in v]
+    assert list(Tensor.elementary(vectors, d).entries) == want
+
+
+@SETTINGS
+@given(st.integers(1, 4), st.sampled_from([1, 2, 3]), st.data())
+def test_koszul_flatten_matches_the_per_entry_loop(d, pivot, data):
+    _, _, entries = data.draw(entry_lists(3, d))
+    t = Tensor(3, d, tuple(entries))
+    assert koszul_flatten(t, pivot) == ref_koszul_flatten(t, pivot)
+
+
+@pytest.mark.parametrize("entries", [(1.5, Fraction(1)), (0.0, 0), (Fraction(1), 2.0)])
+def test_float_entries_are_rejected(entries):
+    with pytest.raises(TypeError):
+        Tensor(1, 2, entries)
