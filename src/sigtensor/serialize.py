@@ -3,6 +3,13 @@
 All numbers travel as exact rational strings "p/q" (or "p"); nothing is
 ever rounded. Parse failures raise ParseError with a position annotation so
 the CLI can report exactly where an input file went wrong.
+
+A tensor level is parsed straight to Tensor's integer numerators over one
+denominator and emitted from them with one gcd per entry, so neither
+direction builds a Fraction per entry. Only a level with an entry outside
+the plain "p"/"p/q" ASCII form (a JSON int, other Fraction syntax, a zero
+denominator, a malformed string) is parsed through Fraction, which keeps
+every accepted syntax and every error message of parse_rational.
 """
 
 from __future__ import annotations
@@ -12,8 +19,10 @@ import json
 import re
 from fractions import Fraction
 from io import StringIO
+from math import gcd, lcm
 from typing import Any, Callable
 
+from . import graded
 from .linalg import Subspace, Vector
 from .lie import LogSignature
 from .ranks import Decomposition, RankCertificate
@@ -70,6 +79,33 @@ def _parse_rationals(items: list, where: Callable[[int], str]) -> list[Fraction]
         raise
 
 
+def _parse_level(items: list, where: Callable[[int], str]) -> graded.Level:
+    """A level (nums, den) of rationals, not yet reduced.
+
+    Plain "p" and "p/q" strings are split into ints and put over L, the lcm
+    of the q's. L * x is an integer for every entry x, so the reduced
+    denominator divides L, and reducing the pair gives the canonical one
+    even for unreduced input such as "2/4". Any other entry, or a zero q,
+    sends the whole level through _parse_rationals.
+    """
+    nums, dens = [], []
+    plain = _PLAIN_RATIONAL.fullmatch
+    try:
+        for x in items:
+            if type(x) is not str or plain(x) is None:
+                break
+            p, _, q = x.partition("/")
+            nums.append(int(p))
+            dens.append(int(q) if q else 1)
+        else:
+            den = lcm(*dens)
+            if den:
+                return [p * (den // q) for p, q in zip(nums, dens)], den
+    except ValueError:  # past int's limit on digits
+        pass
+    return graded.from_fractions(_parse_rationals(items, where))
+
+
 def _require(obj: dict, key: str, where: str):
     if key not in obj:
         raise ParseError(f"missing key {key!r}", where)
@@ -93,7 +129,10 @@ def dump_json(obj: Any) -> str:
 # -- tensors ---------------------------------------------------------------
 
 def tensor_to_json(t: Tensor) -> dict:
-    return {"order": t.order, "dim": t.dim, "entries": [format_rational(x) for x in t.entries]}
+    """Entries as str(Fraction) would write them, formatted from nums and den."""
+    den = t.den
+    entries = [str(n // g) if (g := gcd(n, den)) == den else f"{n // g}/{den // g}" for n in t.nums]
+    return {"order": t.order, "dim": t.dim, "entries": entries}
 
 
 def tensor_from_json(obj: Any, where: str = "tensor") -> Tensor:
@@ -110,7 +149,7 @@ def tensor_from_json(obj: Any, where: str = "tensor") -> Tensor:
     # checking that first keeps a huge order from building a huge integer
     if dim < 1 or order < 0 or (dim >= 2 and order > len(entries).bit_length()) or len(entries) != dim**order:
         raise ParseError(f"expected {dim}^{order} entries, got {len(entries)}", where)
-    return Tensor(order, dim, tuple(_parse_rationals(entries, lambda i: f"{where}.entries[{i}]")))
+    return Tensor._of_level(order, dim, _parse_level(entries, lambda i: f"{where}.entries[{i}]"))
 
 
 # -- vectors and paths -----------------------------------------------------
@@ -207,6 +246,8 @@ def decomposition_from_json(obj: Any, where: str = "decomposition") -> Decomposi
     dim = _require(obj, "dim", where)
     order = _require(obj, "order", where)
     terms_json = _require(obj, "terms", where)
+    if not _is_int(dim) or not _is_int(order):
+        raise ParseError("dim and order must be integers", where)
     if not isinstance(terms_json, list):
         raise ParseError("terms must be a list", where)
     terms = []

@@ -9,7 +9,7 @@ signatures and are rejected rather than silently accepted.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from operator import neg
 
@@ -140,9 +140,13 @@ class Sig222Params:
     b: Fraction
     c: Fraction
 
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, as_fraction(getattr(self, f.name)))
+
     @staticmethod
     def of(x, y, a, b, c) -> "Sig222Params":
-        return Sig222Params(*(as_fraction(v) for v in (x, y, a, b, c)))
+        return Sig222Params(x, y, a, b, c)
 
     def log_signature(self) -> LogSignature:
         e1 = Tensor.basis_vector(2, 1)

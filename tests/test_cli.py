@@ -321,6 +321,20 @@ def test_certify_witness_of_huge_order_exits_4(capsys, tmp_path):
     assert "invalid witness" in err
 
 
+@pytest.mark.parametrize("key, value", [("dim", 2.0), ("order", True)], ids=["float_dim", "bool_order"])
+def test_certify_witness_with_non_int_dim_or_order_exits_3(capsys, tmp_path, key, value):
+    # a float dim crashed in the kernel, and order true certified as order 1
+    tensor_file = tmp_path / "t.json"
+    tensor_file.write_text(json.dumps({"order": 1, "dim": 2, "entries": ["1", "0"]}))
+    witness = {"dim": 2, "order": 1, "terms": [{"coeff": "1", "factors": [["1", "0"]]}]}
+    witness[key] = value
+    witness_file = tmp_path / "w.json"
+    witness_file.write_text(json.dumps(witness))
+    code, out, err = run(capsys, "certify", "--tensor", str(tensor_file), "--witness", str(witness_file))
+    assert code == 3 and out == ""
+    assert "Traceback" not in err and "dim and order must be integers" in err
+
+
 def test_out_into_missing_directory_exits_3(capsys, tmp_path):
     target = tmp_path / "missing" / "bound.json"
     code, out, err = run(capsys, "rank-bound", "--k", "4", "--m", "4", "--out", str(target))

@@ -243,3 +243,95 @@ def test_parse_errors_name_the_first_bad_nested_entry(parse, blob, message):
     with pytest.raises(ParseError) as exc:
         parse(blob)
     assert str(exc.value) == message
+
+
+# tensor levels parse plain "p"/"p/q" strings straight to integer numerators
+# over one denominator, and anything else through parse_rational: both must
+# give the Tensor that Fraction gives, with the same canonical nums and den
+
+def _plain_rational(sign, num, zeros, den):
+    text = sign + "0" * zeros + str(num)
+    return text if den is None else f"{text}/{'0' * zeros}{den}"
+
+
+PLAIN_ENTRY = st.builds(
+    _plain_rational,
+    st.sampled_from(["", "-"]),
+    st.integers(0, 10**6),
+    st.integers(0, 3),
+    st.one_of(st.none(), st.integers(1, 10**4)),
+)
+LEVEL_ENTRY = st.one_of(
+    PLAIN_ENTRY,
+    st.sampled_from(["-0", "0/7", "2/4", "007/010", "-0/3"]),
+    st.integers(10**200, 10**210).map(lambda n: str(n) + "/3"),
+    st.integers(-(10**210), 10**210).map(str),
+    st.integers(-50, 50),  # a JSON int
+    st.sampled_from([" 3", "+3", "1e3", "3_0", "٣", "1.5", "-2/4 "]),  # Fraction syntax only
+)
+
+
+@st.composite
+def level_json(draw, entry=LEVEL_ENTRY):
+    order, dim = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    entries = draw(st.lists(entry, min_size=dim**order, max_size=dim**order))
+    return {"order": order, "dim": dim, "entries": entries}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(level_json(), level_json(PLAIN_ENTRY)))
+def test_tensor_from_json_agrees_with_fraction_tensor(blob):
+    expected = Tensor(blob["order"], blob["dim"], [Fraction(x) for x in blob["entries"]])
+    got = tensor_from_json(blob)
+    assert got == expected
+    assert (got.nums, got.den) == (expected.nums, expected.den)
+    assert type(got.nums) is tuple and all(type(n) is int for n in got.nums)
+
+
+# the edge strings of test_parse_rational_agrees_with_fraction_on_edge_strings
+EDGE_STRINGS = ["--3", "+3", " 3", "3 ", "1/-2", "1/0", "-0/0", "3_0", "٣", "007/014", "-12/4", "1/2/3", ""]
+
+
+@pytest.mark.parametrize("position", [0, 3])
+@pytest.mark.parametrize("text", EDGE_STRINGS)
+def test_tensor_from_json_edge_string_gives_parse_rational_value_or_message(text, position):
+    entries = ["1/2", "-3", "0", "5/6"]
+    entries[position] = text
+    where = f"tensor.entries[{position}]"
+    try:
+        value = parse_rational(text, where)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            tensor_from_json({"order": 2, "dim": 2, "entries": entries})
+        assert str(got.value) == str(exc) and got.value.where == where
+    else:
+        t = tensor_from_json({"order": 2, "dim": 2, "entries": entries})
+        assert t.entries[position] == value
+        assert t == Tensor(2, 2, [parse_rational(x) for x in entries])
+
+
+def test_tensor_from_json_reads_digits_past_int_limit_as_parse_rational_does():
+    text = "1" * 5000
+    try:
+        expected = parse_rational(text, "tensor.entries[1]")
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            tensor_from_json({"order": 1, "dim": 2, "entries": ["1", text]})
+        assert str(got.value) == str(exc)
+    else:
+        assert tensor_from_json({"order": 1, "dim": 2, "entries": ["1", text]}).entries[1] == expected
+
+
+@st.composite
+def fraction_tensors(draw):
+    order, dim = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    return Tensor(order, dim, draw(st.lists(st.fractions(), min_size=dim**order, max_size=dim**order)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fraction_tensors())
+def test_tensor_to_json_writes_str_of_each_fraction_without_building_them(t):
+    blob = tensor_to_json(t)
+    assert "entries" not in t.__dict__
+    assert blob["entries"] == [str(x) for x in t.entries]
+    assert (blob["order"], blob["dim"]) == (t.order, t.dim)

@@ -22,6 +22,15 @@ from sigtensor.lie import lie_basis
 from sigtensor.symmetry import is_skew, is_symmetric
 
 
+def test_sig222_params_constructor_and_of_give_equal_exact_tensors():
+    direct = Sig222Params(1, 2, 3, 4, 5)
+    assert direct == Sig222Params.of(1, 2, 3, 4, 5)
+    assert all(type(v) is Fraction for v in (direct.x, direct.y, direct.a, direct.b, direct.c))
+    t = sig222_from_params(direct)
+    assert t == sig222_from_params(Sig222Params.of("1", "2", "3", "4", "5"))
+    assert t.entries[0] == Fraction(1, 6)
+
+
 def test_power_tensor_report():
     t = Tensor.elementary([[1, 2]] * 3)
     rep = symmetry_report(t)
