@@ -204,6 +204,9 @@ def cmd_decompose(args):
 @_command("rank-bound", "certified rank upper bound formula",
           _arg("--k", type=int, required=True), _arg("--m", type=int, required=True))
 def cmd_rank_bound(args):
+    # the formula costs about k^3, so k takes the level guard
+    if args.k > GUARD_LEVEL and not args.allow_large:
+        raise ValueError(f"precondition 'k <= {GUARD_LEVEL}' violated (k={args.k}); pass --allow-large to override")
     return {"k": args.k, "m": args.m}, {"bound": rank_bound_formula(args.k, args.m)}
 
 

@@ -9,30 +9,43 @@ up to the truncation level only.
 
 from __future__ import annotations
 
+from itertools import chain, islice
 from typing import Iterable
 
-from .linalg import Subspace
+from .linalg import Subspace, _pivot_columns
 from .signatures import TruncatedSignature
 from .tensors import Tensor
 
 
 def mode_subspaces(t: Tensor) -> list[Subspace]:
-    """For each mode, the span of the mode fibers in Q^d (the row space of
-    the fibers-as-rows unfolding). The tensor is concise iff all are full.
-
-    A fiber is a strided slice of the integer numerators t.nums: their one
-    denominator scales every fiber alike, which keeps each span."""
+    """For each mode, the span of the mode fibers in Q^d (the column space
+    of the d x d^(k-1) unfolding). The tensor is concise iff all are full."""
     if t.order < 1:
         raise ValueError("mode subspaces need order >= 1")
     d = t.dim
-    nums = t.nums
-    out = []
-    for mode in range(1, t.order + 1):
-        stride = d ** (t.order - mode)
-        block = stride * d
-        fibers = (nums[base + off : base + block : stride] for base in range(0, len(nums), block) for off in range(stride))
-        out.append(Subspace._of_integers(fibers, d))
-    return out
+    return [Subspace._of_integers(_spanning_fibers(t.nums, d, d ** (t.order - mode)), d) for mode in range(1, t.order + 1)]
+
+
+def _spanning_fibers(nums: tuple[int, ...], d: int, stride: int):
+    """Mode fibers that span the mode subspace, read lazily by the echelon.
+
+    A fiber is a strided slice of the integer numerators: their one
+    denominator scales every fiber alike, which keeps each span. The first d
+    fibers come first, so a full mode stops there. Only if the echelon reads
+    on, and there are more fibers, are the d unfolding rows built, each
+    joined from the fewer slices (d^(mode-1) contiguous blocks or d^(k-mode)
+    strided runs, one column order for all rows); the fibers at their pivot
+    columns, the first linearly independent ones, follow."""
+    block = stride * d
+    yield from islice((nums[base + off : base + block : stride] for base in range(0, len(nums), block) for off in range(stride)), d)
+    if len(nums) <= d * d:  # at order <= 2 those were all the fibers
+        return
+    if len(nums) // block <= stride:
+        rows = [list(chain.from_iterable(nums[b : b + stride] for b in range(i * stride, len(nums), block))) for i in range(d)]
+    else:
+        rows = [list(chain.from_iterable(nums[i * stride + off :: block] for off in range(stride))) for i in range(d)]
+    for c in _pivot_columns(rows):
+        yield [r[c] for r in rows]
 
 
 def is_concise(t: Tensor) -> bool:

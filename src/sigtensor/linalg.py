@@ -3,19 +3,21 @@
 Everything works over Q and never rounds; inputs and outputs are
 `fractions.Fraction`, while elimination runs on integers. Each row or vector
 is scaled to integers by the lcm of its denominators, which keeps its span.
-Ranks come from integer_rank, fraction-free (Bareiss) elimination, so
-intermediate values stay integral and small; the flattening bounds in
-`ranks` call it on integer numerators directly. Subspaces and rref come from
-_echelon, an incremental integer echelon form that reads vectors one at a
-time and stops once the span is full (mode_subspaces feeds it the integer
-fibers of a tensor). Fractions appear only when its at most d rows become
-the canonical RREF basis.
+Ranks and pivot columns come from _pivot_columns, fraction-free (Bareiss)
+elimination, so intermediate values stay integral and small; the flattening
+bounds in `ranks` call integer_rank on integer numerators directly.
+Subspaces and rref come from _echelon, an incremental integer echelon form
+that reads vectors one at a time and stops once the span is full.
+mode_subspaces feeds it a tensor's first d integer fibers and, when they do
+not span, the fibers at the pivot columns of the unfolding. Fractions appear
+only when the echelon's at most d rows become the canonical RREF basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count
 from math import gcd
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -41,22 +43,28 @@ def as_vector(entries: Iterable) -> Vector:
     return tuple(as_fraction(x) for x in entries)
 
 
-def integer_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+def _pivot_columns(rows: list[list[int]]) -> list[int]:
+    """Pivot columns of an integer matrix by fraction-free (Bareiss)
+    elimination: column c is a pivot iff it is not in the span of columns
+    0..c-1, so the pivot columns are the first linearly independent ones.
 
     The rows must share one length; the list and its rows are not modified.
-    Each step takes a row with a nonzero leading entry as pivot p and
+    Each step takes the first row with a nonzero leading entry as pivot p and
     replaces every other row r by the tail of (p * r - r[0] * pivot) divided
     by the previous pivot, which Sylvester's identity keeps exact. Rows that
     become zero are dropped: a zero row stays zero, and no other row's
-    update reads it. A leading column with no nonzero entry is cut off.
+    update reads it. When no row has a nonzero leading entry, every row is
+    cut at the first column where any row is nonzero, in one slice.
     """
-    rank, prev = 0, 1
+    pivots, col, prev = [], 0, 1
     rows = [r for r in rows if any(r)]
     while rows:
         lead = next((i for i, r in enumerate(rows) if r[0]), None)
         if lead is None:
-            rows = [r[1:] for r in rows]
+            # every kept row is nonzero, so each has a first nonzero column
+            skip = min(next(compress(count(), r)) for r in rows)
+            rows = [r[skip:] for r in rows]
+            col += skip
             continue
         pivot = rows.pop(lead)
         p, tail = pivot[0], pivot[1:]
@@ -67,8 +75,14 @@ def integer_rank(rows: list[list[int]]) -> int:
             if any(row):
                 kept.append(row)
         rows, prev = kept, p
-        rank += 1
-    return rank
+        pivots.append(col)
+        col += 1
+    return pivots
+
+
+def integer_rank(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix: the number of its pivot columns."""
+    return len(_pivot_columns(rows))
 
 
 def _scaled(row: Sequence) -> list[int]:

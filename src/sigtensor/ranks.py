@@ -45,6 +45,8 @@ class Decomposition:
     terms: tuple[tuple[Fraction, tuple[Vector, ...]], ...]
 
     def __post_init__(self):
+        if self.dim < 1 or self.order < 0:
+            raise ValueError(f"a decomposition needs dim >= 1 and order >= 0, got dim={self.dim}, order={self.order}")
         for coeff, factors in self.terms:
             if len(factors) != self.order:
                 raise ValueError("every term needs one factor per mode")

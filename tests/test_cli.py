@@ -335,6 +335,39 @@ def test_certify_witness_with_non_int_dim_or_order_exits_3(capsys, tmp_path, key
     assert "Traceback" not in err and "dim and order must be integers" in err
 
 
+@pytest.mark.parametrize("key, value", [("dim", -1), ("dim", 0), ("order", -1)])
+def test_certify_witness_with_out_of_range_dim_or_order_exits_3(capsys, tmp_path, key, value):
+    # a malformed witness was reported as one that does not realize the tensor
+    tensor_file = tmp_path / "t.json"
+    tensor_file.write_text(json.dumps({"order": 2, "dim": 2, "entries": ["1", "0", "0", "1"]}))
+    witness = {"dim": 2, "order": 2, "terms": []}
+    witness[key] = value
+    witness_file = tmp_path / "w.json"
+    witness_file.write_text(json.dumps(witness))
+    code, out, err = run(capsys, "certify", "--tensor", str(tensor_file), "--witness", str(witness_file))
+    assert code == 3 and out == ""
+    assert "Traceback" not in err and "needs dim >= 1 and order >= 0" in err
+
+
+def test_rank_bound_over_level_guard_exits_4_at_once(capsys, monkeypatch):
+    # the formula costs about k^3: k = m = 100000 did not finish in 100 s
+    from sigtensor import cli
+
+    def no_work(k, m):
+        raise AssertionError("rank_bound_formula ran past the guard")
+
+    monkeypatch.setattr(cli, "rank_bound_formula", no_work)
+    code, out, err = run(capsys, "rank-bound", "--k", "100000", "--m", "100000")
+    assert code == 4 and out == ""
+    assert err == "precondition violated: precondition 'k <= 8' violated (k=100000); pass --allow-large to override\n"
+
+
+def test_allow_large_lifts_the_rank_bound_guard(capsys):
+    code, out, err = run(capsys, "rank-bound", "--k", "9", "--m", "2", "--allow-large")
+    assert code == 0, err
+    assert json.loads(out)["result"]["bound"] == 5
+
+
 def test_out_into_missing_directory_exits_3(capsys, tmp_path):
     target = tmp_path / "missing" / "bound.json"
     code, out, err = run(capsys, "rank-bound", "--k", "4", "--m", "4", "--out", str(target))

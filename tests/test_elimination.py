@@ -1,7 +1,8 @@
 """Cross-checks of the integer echelon kernel behind Subspace.span, rref and
-mode_subspaces, and of the offset scan behind symmetry_report. Expected
-values come from the plain Fraction elimination and the Tensor-indexing
-scan below, never from the code under test."""
+mode_subspaces, of the pivot columns of the Bareiss kernel, and of the
+offset scan behind symmetry_report. Expected values come from the plain
+Fraction elimination, the one-fiber-at-a-time echelon scan and the
+Tensor-indexing scan below, never from the code under test."""
 
 from fractions import Fraction
 from itertools import product
@@ -10,8 +11,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sigtensor import Subspace, Tensor, mode_subspaces, rref, symmetry_report
-from sigtensor.linalg import _echelon
+from sigtensor import Subspace, Tensor, conciseness, mode_subspaces, rref, symmetry_report
+from sigtensor.linalg import _echelon, _pivot_columns, integer_rank
 
 SETTINGS = settings(max_examples=80, deadline=None)
 
@@ -155,6 +156,102 @@ def tensors(draw):
 @given(tensors())
 def test_mode_subspaces_match_fibers_read_by_index(t):
     assert mode_subspaces(t) == reference_mode_subspaces(t)
+
+
+def reference_pivot_columns(rows) -> list[int]:
+    """Column c is a pivot iff it raises the Fraction rank of columns 0..c."""
+    ranks = [len(reference_rref([row[:c] for row in rows])) for c in range(len(rows[0]) + 1 if rows else 1)]
+    return [c for c in range(len(ranks) - 1) if ranks[c + 1] > ranks[c]]
+
+
+@st.composite
+def integer_matrices(draw):
+    """Up to 5 rows of up to 8 integers: dense, or the product of two integer
+    factors of inner size r <= 3; then some columns are zeroed, often a
+    leading run of them."""
+    n_rows, n_cols = draw(st.integers(0, 5)), draw(st.integers(1, 8))
+    small = st.integers(-6, 6)
+
+    def matrix(n, m):
+        return draw(st.lists(st.lists(small, min_size=m, max_size=m), min_size=n, max_size=n))
+
+    if draw(st.booleans()):
+        rows = matrix(n_rows, n_cols)
+    else:
+        r = draw(st.integers(1, 3))
+        a, b = matrix(n_rows, r), matrix(r, n_cols)
+        rows = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+    lead = draw(st.integers(0, n_cols))
+    dead = draw(st.sets(st.integers(0, n_cols - 1)))
+    return [[0 if c < lead or c in dead else x for c, x in enumerate(row)] for row in rows]
+
+
+@SETTINGS
+@given(integer_matrices())
+def test_pivot_columns_match_fraction_reference_and_keep_input(rows):
+    before = [list(r) for r in rows]
+    assert _pivot_columns(rows) == reference_pivot_columns(rows)
+    assert rows == before
+
+
+def test_pivot_column_after_a_long_zero_run():
+    rows = [[0] * 1999 + [x] for x in (0, 3, -2, 5)]
+    assert _pivot_columns(rows) == [1999]
+    assert integer_rank(rows) == 1
+
+
+def fiber_scan_mode_subspaces(t: Tensor) -> list[Subspace]:
+    """Every mode fiber, one at a time, through the incremental echelon."""
+    d, nums = t.dim, t.nums
+    out = []
+    for mode in range(1, t.order + 1):
+        stride = d ** (t.order - mode)
+        block = stride * d
+        fibers = (nums[base + off : base + block : stride] for base in range(0, len(nums), block) for off in range(stride))
+        out.append(Subspace._of_integers(fibers, d))
+    return out
+
+
+@st.composite
+def mode_tensors(draw):
+    """Order 1..4, d <= 5: random entries, a sum of elementary tensors with
+    factors in a random subspace, a tensor confined to a coordinate subspace
+    without e_1 (so its leading fibers are zero), rank 1, or zero."""
+    k, d = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["random", "subspace", "confined", "rank1", "zero"]))
+    vector = st.lists(rationals, min_size=d, max_size=d)
+    if kind == "zero":
+        return Tensor.zeros(k, d)
+    if kind == "rank1":
+        return Tensor.elementary(draw(st.lists(vector, min_size=k, max_size=k)), d).scale(draw(rationals))
+    if kind == "subspace":
+        basis = draw(st.lists(vector, min_size=1, max_size=max(1, d - 1)))
+        coefficients = st.lists(rationals, min_size=len(basis), max_size=len(basis))
+        factor = coefficients.map(lambda cs: [sum(c * b[j] for c, b in zip(cs, basis)) for j in range(d)])
+        terms = draw(st.lists(st.lists(factor, min_size=k, max_size=k), min_size=1, max_size=3))
+        return sum((Tensor.elementary(factors, d) for factors in terms), Tensor.zeros(k, d))
+    # up to 625 entries, drawn from a seeded generator rather than one by one
+    rng = draw(st.randoms(use_true_random=False))
+    entries = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(d**k)]
+    if kind == "confined":
+        dead = {1} | draw(st.sets(st.integers(1, d)))
+        entries = [0 if dead.intersection(index) else x for index, x in zip(product(range(1, d + 1), repeat=k), entries)]
+    return Tensor.from_entries(k, d, entries)
+
+
+@SETTINGS
+@given(mode_tensors())
+def test_mode_subspaces_match_one_fiber_at_a_time_scan(t):
+    assert mode_subspaces(t) == fiber_scan_mode_subspaces(t)
+
+
+def test_full_modes_are_settled_by_their_first_fibers(monkeypatch):
+    def no_unfolding(rows):
+        raise AssertionError("the unfolding of a full mode was eliminated")
+
+    monkeypatch.setattr(conciseness, "_pivot_columns", no_unfolding)
+    t = Tensor.from_entries(3, 3, [(7 * i * i + 3 * i + 1) % 11 - 5 for i in range(27)])
+    assert all(w.is_full for w in mode_subspaces(t))
 
 
 def reference_violation(t: Tensor, positions, sign: int):

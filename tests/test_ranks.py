@@ -394,6 +394,16 @@ def test_classify_generic_rank_two():
     assert classify_222_complex_rank(t) == 2
 
 
+@pytest.mark.parametrize("dim, order", [(0, 2), (-1, 2), (2, -1)])
+def test_decomposition_rejects_out_of_range_dim_or_order(dim, order):
+    with pytest.raises(ValueError, match="needs dim >= 1 and order >= 0"):
+        Decomposition(dim, order, ())
+
+
+def test_decomposition_of_order_zero_is_allowed():
+    assert Decomposition(1, 0, ((Fraction(2), ()),)).length == 1
+
+
 def test_decomposition_round_trip_json():
     from sigtensor.serialize import decomposition_from_json, decomposition_to_json
 
