@@ -240,7 +240,7 @@ def cmd_sig222(args):
     values = [x.strip() for x in args.params.split(",")]
     if len(values) != 5:
         raise ParseError("expected five comma-separated rationals x,y,a,b,c", "--params")
-    params = Sig222Params.of(*values)
+    params = Sig222Params(*(serialize.parse_rational(v, f"--params[{i}]") for i, v in enumerate(values)))
     tensor = sig222_from_params(params)
     return (
         {"params": {"x": str(params.x), "y": str(params.y), "a": str(params.a), "b": str(params.b), "c": str(params.c)}},

@@ -6,10 +6,13 @@ the CLI can report exactly where an input file went wrong.
 
 A tensor level is parsed straight to Tensor's integer numerators over one
 denominator and emitted from them with one gcd per entry, so neither
-direction builds a Fraction per entry. Only a level with an entry outside
-the plain "p"/"p/q" ASCII form (a JSON int, other Fraction syntax, a zero
-denominator, a malformed string) is parsed through Fraction, which keeps
-every accepted syntax and every error message of parse_rational.
+direction builds a Fraction per entry. A level of plain "p"/"p/q" ASCII
+strings is checked and parsed in a few C-level passes over the whole level
+(a join, one character-class match, str.partition, int and a table of
+scales per distinct denominator), with no Python loop per entry. Only a
+level with an entry outside that form (a JSON int, other Fraction syntax,
+a zero denominator, a malformed string) is parsed through Fraction, which
+keeps every accepted syntax and every error message of parse_rational.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ import json
 import re
 from fractions import Fraction
 from io import StringIO
+from itertools import repeat, tee
 from math import gcd, lcm
+from operator import itemgetter, mul
 from typing import Any, Callable
 
 from . import graded
@@ -79,29 +84,41 @@ def _parse_rationals(items: list, where: Callable[[int], str]) -> list[Fraction]
         raise
 
 
+# the characters of a level's plain entries joined by commas: one character
+# class repeated, so matching keeps no backtracking state per entry
+_PLAIN_LEVEL_CHARS = re.compile(r"[-0-9,/]*")
+
+
 def _parse_level(items: list, where: Callable[[int], str]) -> graded.Level:
     """A level (nums, den) of rationals, not yet reduced.
 
-    Plain "p" and "p/q" strings are split into ints and put over L, the lcm
-    of the q's. L * x is an integer for every entry x, so the reduced
-    denominator divides L, and reducing the pair gives the canonical one
-    even for unreduced input such as "2/4". Any other entry, or a zero q,
+    Plain "p" and "p/q" strings are parsed in a few passes over the whole
+    level. The level joined by commas must hold only ASCII digits, "-", "/"
+    and ",", and no entry may end in "/". Over those characters int()
+    accepts exactly -?[0-9]+, so int(p) checks every p and a positive int(q)
+    checks each distinct q; an entry holding a comma fails int(). Entries
+    are put over L, the lcm of the q's: L * x is an integer for every entry
+    x, so the reduced denominator divides L, and reducing the pair gives the
+    canonical one even for unreduced input such as "2/4". Any other entry (a
+    non-string, other Fraction syntax, a zero q, digits past int's limit)
     sends the whole level through _parse_rationals.
     """
-    nums, dens = [], []
-    plain = _PLAIN_RATIONAL.fullmatch
     try:
-        for x in items:
-            if type(x) is not str or plain(x) is None:
-                break
-            p, _, q = x.partition("/")
-            nums.append(int(p))
-            dens.append(int(q) if q else 1)
-        else:
-            den = lcm(*dens)
-            if den:
-                return [p * (den // q) for p, q in zip(nums, dens)], den
-    except ValueError:  # past int's limit on digits
+        joined = ",".join(items)
+        if _PLAIN_LEVEL_CHARS.fullmatch(joined):
+            if "/" not in joined:
+                return list(map(int, items)), 1
+            if "/," not in joined and not joined.endswith("/"):
+                q_texts = set(map(itemgetter(2), map(str.partition, items, repeat("/"))))
+                q_ints = {q: int(q) if q else 1 for q in q_texts}
+                if min(q_ints.values()) > 0:
+                    den = lcm(*q_ints.values())
+                    scale = {q: den // v for q, v in q_ints.items()}
+                    # tee buffers one partition at a time: the two maps below advance together
+                    ps, qs = tee(map(str.partition, items, repeat("/")))
+                    nums = map(int, map(itemgetter(0), ps))
+                    return list(map(mul, nums, map(scale.__getitem__, map(itemgetter(2), qs)))), den
+    except (TypeError, ValueError):  # a non-string entry; a bad p or q, or digits past int's limit
         pass
     return graded.from_fractions(_parse_rationals(items, where))
 

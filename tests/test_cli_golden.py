@@ -93,6 +93,8 @@ CASES = {
     "broken-json": ["symmetry", "--tensor", "broken.json"],
     "bad-entry": ["classify222", "--tensor", "badentry.json"],
     "sig222-four-params": ["sig222", "--params", "1,2,3,4"],
+    "sig222-zero-denominator": ["sig222", "--params", "1,2,3,4,1/0"],
+    "sig222-bad-param": ["sig222", "--params", "1,2,3,4,x"],
     "out-missing-dir": ["rank-bound", "--k", "4", "--m", "4", "--out", "missing/bound.json"],
     # exit 4: preconditions
     "signature-guard": ["signature", "--path", "path3.json", "--level", "9"],
@@ -149,7 +151,9 @@ GOLDEN = {
     "shuffle-commas": "e8ced76f4dcdbff305c83b8fe4f812eb9e6cfa1d509ddb1042d2a07e036b061a",
     "sig222": "d10fb88a6792b58daf14289158a465500f2ea493fc5c0857c4dbf630da72d992",
     "sig222--float": "f77770e3b13eadfec3ae593416abb2486571bf5162a11411e418e76a9420db82",
+    "sig222-bad-param": "2467c4431283a3972b25873ca6483f3d2979525297bfd96f98da460edea2d7d9",
     "sig222-four-params": "b2d7f485def3a3fc8b2d4adce569efdba2d8401304fc40cc1b9c5dae9a477753",
+    "sig222-zero-denominator": "66ffbe045a15a8486eb9e7bdaad0541f5d15813b8e1518ff1d7e64131c36c8b6",
     "signature": "324fbf0991b1e1126ef965acf7294215ae039ec00b735f4256613549ef5d65b5",
     "signature--float": "b5e1187c5d2c150d36881ffc3967edf91642550377cf8ddb487ff7b04f99a5a0",
     "signature-allow-large": "1790696385d9140b5785998248514f9b60025bf698872c756d3eccee10fc109f",
