@@ -5,11 +5,17 @@ mode fibers) is contained in W, so the minimal such W is the span of all
 mode subspaces. For signatures this detects whether the underlying path is
 confined to an affine subspace: the recovered direction space is certified
 up to the truncation level only.
+
+A mode subspace is settled by the first d fibers when they span Q^d, else
+by the pivot columns of the d x d^(k-1) unfolding. When n < d of its rows
+are nonzero (a path in a coordinate hyperplane), the n columns from the
+first nonzero one are eliminated first, and reaching n pivots there skips
+the full unfolding.
 """
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import chain, compress, count, islice
 from typing import Iterable
 
 from .linalg import Subspace, _pivot_columns
@@ -35,7 +41,12 @@ def _spanning_fibers(nums: tuple[int, ...], d: int, stride: int):
     on, and there are more fibers, are the d unfolding rows built, each
     joined from the fewer slices (d^(mode-1) contiguous blocks or d^(k-mode)
     strided runs, one column order for all rows); the fibers at their pivot
-    columns, the first linearly independent ones, follow."""
+    columns, the first linearly independent ones, follow.
+
+    With n < d nonzero rows the rank is at most n, and the pivots among the
+    n columns from the first nonzero one are the unfolding's pivots there.
+    So that window is eliminated first; if it holds n pivots they are all
+    of them, and the full elimination runs only when it does not."""
     block = stride * d
     yield from islice((nums[base + off : base + block : stride] for base in range(0, len(nums), block) for off in range(stride)), d)
     if len(nums) <= d * d:  # at order <= 2 those were all the fibers
@@ -44,7 +55,14 @@ def _spanning_fibers(nums: tuple[int, ...], d: int, stride: int):
         rows = [list(chain.from_iterable(nums[b : b + stride] for b in range(i * stride, len(nums), block))) for i in range(d)]
     else:
         rows = [list(chain.from_iterable(nums[i * stride + off :: block] for off in range(stride))) for i in range(d)]
-    for c in _pivot_columns(rows):
+    live = [r for r in rows if any(r)]
+    pivots = []
+    if len(live) < d:
+        start = min((next(compress(count(), r)) for r in live), default=0)
+        pivots = [start + c for c in _pivot_columns([r[start : start + len(live)] for r in live])]
+    if len(pivots) < len(live):
+        pivots = _pivot_columns(live)
+    for c in pivots:
         yield [r[c] for r in rows]
 
 

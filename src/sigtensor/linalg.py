@@ -9,14 +9,18 @@ bounds in `ranks` call integer_rank on integer numerators directly.
 Subspaces and rref come from _echelon, an incremental integer echelon form
 that reads vectors one at a time and stops once the span is full.
 mode_subspaces feeds it a tensor's first d integer fibers and, when they do
-not span, the fibers at the pivot columns of the unfolding. Fractions appear
-only when the echelon's at most d rows become the canonical RREF basis.
+not span, the fibers at the pivot columns of the unfolding (or of a window
+of it, which conciseness cuts before calling _pivot_columns; the rank
+callers always pass whole matrices). Fractions appear only when the
+echelon's at most d rows become the canonical RREF basis; Subspace.full(d)
+is built once per d and shared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import compress, count
 from math import gcd
 from operator import itemgetter
@@ -189,6 +193,7 @@ class Subspace:
         return Subspace(ambient_dim, ())
 
     @staticmethod
+    @cache  # one shared instance per dimension: a Subspace is immutable
     def full(ambient_dim: int) -> "Subspace":
         eye = [[Fraction(int(i == j)) for j in range(ambient_dim)] for i in range(ambient_dim)]
         return Subspace(ambient_dim, tuple(tuple(r) for r in eye))

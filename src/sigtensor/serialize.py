@@ -13,6 +13,8 @@ scales per distinct denominator), with no Python loop per entry. Only a
 level with an entry outside that form (a JSON int, other Fraction syntax,
 a zero denominator, a malformed string) is parsed through Fraction, which
 keeps every accepted syntax and every error message of parse_rational.
+parse_rational takes every syntax Fraction takes, except an exponent above
+4300 in magnitude ("1e9999999"), which it refuses before building the value.
 """
 
 from __future__ import annotations
@@ -59,6 +61,30 @@ def _is_int(x: Any) -> bool:
 _PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
+# the exponent that Fraction's decimal syntax ("1e3", "-2.5E-2") turns into
+# 10**|exponent|; past CPython's default limit on int-to-string conversion
+# such a value could not be written back, so it is refused before it is built
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+MAX_EXPONENT = 4300
+
+
+def _check_exponent(text: str) -> None:
+    """Raise ValueError if text is Fraction syntax with an exponent of
+    magnitude above MAX_EXPONENT, or written in more characters than that,
+    which is not read as an int. The text is Fraction syntax exactly when
+    it still is with the exponent's digits set to 0, which is cheap to
+    parse; on any other text Fraction raises its own error before any
+    arithmetic."""
+    exp = _EXPONENT.search(text)
+    if exp is None or (len(exp[1]) <= MAX_EXPONENT and abs(int(exp[1])) <= MAX_EXPONENT):
+        return
+    try:
+        Fraction(text[: exp.start(1)] + re.sub(r"\d", "0", exp[1]) + text[exp.end(1) :])
+    except ValueError:
+        return
+    raise ValueError(f"exponent above {MAX_EXPONENT} in magnitude")
+
+
 def parse_rational(text: Any, where: str = "") -> Fraction:
     if _is_int(text):
         return Fraction(text)
@@ -67,6 +93,7 @@ def parse_rational(text: Any, where: str = "") -> Fraction:
     try:
         plain = _PLAIN_RATIONAL.fullmatch(text)
         if plain is None:
+            _check_exponent(text)
             return Fraction(text)
         num, den = plain.groups()
         return Fraction(int(num)) if den is None else Fraction(int(num), int(den))

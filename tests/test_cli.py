@@ -486,3 +486,21 @@ def test_allow_large_lifts_the_decompose_term_guard(capsys, monkeypatch, axis3, 
         assert json.loads(out)["result"]["length"] == 7
     else:
         assert code == 4 and "rank_bound_formula(level, segments) <= 3" in err
+
+
+def test_symmetry_on_an_entry_with_a_huge_exponent_exits_3_at_once(capsys, tmp_path):
+    # "1e9999999" is Fraction syntax for 10**9999999: built, it took 5.4 s and 35 MB
+    tensor_file = tmp_path / "t.json"
+    tensor_file.write_text(json.dumps({"order": 2, "dim": 2, "entries": ["1", "1/2", "1e9999999", "3"]}))
+    start = perf_counter()
+    code, out, err = run(capsys, "symmetry", "--tensor", str(tensor_file))
+    assert perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert "entries[2]: bad rational '1e9999999': exponent above 4300 in magnitude" in err
+    assert "Traceback" not in err
+
+
+def test_sig222_param_with_a_huge_exponent_exits_3(capsys):
+    code, out, err = run(capsys, "sig222", "--params", "1,2,3,4,1e999999")
+    assert code == 3 and out == ""
+    assert "--params[4]: bad rational '1e999999': exponent above 4300 in magnitude" in err

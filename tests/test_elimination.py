@@ -11,7 +11,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sigtensor import Subspace, Tensor, conciseness, mode_subspaces, rref, symmetry_report
+from sigtensor import Path, Subspace, Tensor, conciseness, mode_subspaces, pwl_signature, rref, symmetry_report
 from sigtensor.linalg import _echelon, _pivot_columns, integer_rank
 
 SETTINGS = settings(max_examples=80, deadline=None)
@@ -216,16 +216,25 @@ def fiber_scan_mode_subspaces(t: Tensor) -> list[Subspace]:
 def mode_tensors(draw):
     """Order 1..4, d <= 5: random entries, a sum of elementary tensors with
     factors in a random subspace, a tensor confined to a coordinate subspace
-    without e_1 (so its leading fibers are zero), rank 1, or zero."""
+    without e_1 (so its leading fibers are zero), rank 1, zero, or, at order
+    3..4, a sum of elementary tensors with factors in a random subspace of
+    such a coordinate subspace: its unfoldings have zero rows, a zero prefix
+    longer than d and, when that subspace has fewer dimensions than there
+    are live coordinates, dependent nonzero rows. Their n-column windows
+    reach n pivots on some draws and fall short on others."""
     k, d = draw(st.integers(1, 4)), draw(st.integers(1, 5))
-    kind = draw(st.sampled_from(["random", "subspace", "confined", "rank1", "zero"]))
+    kind = draw(st.sampled_from(["random", "subspace", "confined", "rank1", "zero", "dead_subspace"]))
     vector = st.lists(rationals, min_size=d, max_size=d)
     if kind == "zero":
         return Tensor.zeros(k, d)
     if kind == "rank1":
         return Tensor.elementary(draw(st.lists(vector, min_size=k, max_size=k)), d).scale(draw(rationals))
-    if kind == "subspace":
+    if kind in ("subspace", "dead_subspace"):
         basis = draw(st.lists(vector, min_size=1, max_size=max(1, d - 1)))
+        if kind == "dead_subspace":
+            k = max(k, 3)
+            dead = {0} | draw(st.sets(st.integers(0, d - 1), max_size=d - 1))
+            basis = [[0 if j in dead else x for j, x in enumerate(b)] for b in basis]
         coefficients = st.lists(rationals, min_size=len(basis), max_size=len(basis))
         factor = coefficients.map(lambda cs: [sum(c * b[j] for c, b in zip(cs, basis)) for j in range(d)])
         terms = draw(st.lists(st.lists(factor, min_size=k, max_size=k), min_size=1, max_size=3))
@@ -252,6 +261,54 @@ def test_full_modes_are_settled_by_their_first_fibers(monkeypatch):
     monkeypatch.setattr(conciseness, "_pivot_columns", no_unfolding)
     t = Tensor.from_entries(3, 3, [(7 * i * i + 3 * i + 1) % 11 - 5 for i in range(27)])
     assert all(w.is_full for w in mode_subspaces(t))
+
+
+def eliminated_widths(monkeypatch) -> list[int]:
+    """The column counts of the matrices mode_subspaces eliminates, in order."""
+    widths = []
+
+    def recorded(rows):
+        widths.append(len(rows[0]))
+        return _pivot_columns(rows)
+
+    monkeypatch.setattr(conciseness, "_pivot_columns", recorded)
+    return widths
+
+
+# increments of a d=4 path with a generic signature
+INCREMENTS = [[1, -2, 3, 0], [-3, 1, 0, 2], [2, 2, -1, -3], [0, -1, 3, 1], [-2, 3, 1, -1], [3, 0, -2, 2]]
+
+
+def test_coordinate_confined_modes_are_settled_in_the_window(monkeypatch):
+    # in {x_1 = 0} each level-5 unfolding has one zero row, then 4 independent
+    # rows whose pivots are the 4 columns after the first nonzero one
+    widths = eliminated_widths(monkeypatch)
+    t = pwl_signature(Path.from_increments([[0] + u for u in INCREMENTS]), 5).level(5)
+    hyperplane = Subspace.span([[int(i == j) for i in range(5)] for j in range(1, 5)], 5)
+    assert mode_subspaces(t) == [hyperplane] * 5
+    assert widths == [4] * 5
+    assert fiber_scan_mode_subspaces(t) == [hyperplane] * 5
+
+
+def test_a_window_short_of_the_rank_falls_back_to_the_unfolding(monkeypatch):
+    # in {x_1 = x_3 = 0} a level-3 unfolding has 3 independent nonzero rows,
+    # but a window (2, 2), (2, 3), (2, 4) holds the zero column (2, 3)
+    widths = eliminated_widths(monkeypatch)
+    t = pwl_signature(Path.from_increments([[0, u[0], 0] + u[1:3] for u in INCREMENTS]), 3).level(3)
+    plane = Subspace.span([[0, 1, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]], 5)
+    assert mode_subspaces(t) == [plane] * 3 == fiber_scan_mode_subspaces(t)
+    assert widths == [3, 5**2] * 3
+
+
+def test_non_coordinate_hyperplane_modes_fall_back_to_the_unfolding(monkeypatch):
+    # in {x_1 + x_2 = 0} no unfolding row is zero, so each mode eliminates
+    # its whole 5 x 625 unfolding
+    widths = eliminated_widths(monkeypatch)
+    t = pwl_signature(Path.from_increments([[u[0], -u[0]] + u[1:] for u in INCREMENTS]), 5).level(5)
+    hyperplane = Subspace.span([[1, -1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]], 5)
+    assert mode_subspaces(t) == [hyperplane] * 5
+    assert widths == [5**4] * 5
+    assert fiber_scan_mode_subspaces(t) == [hyperplane] * 5
 
 
 def reference_violation(t: Tensor, positions, sign: int):

@@ -79,3 +79,15 @@ def test_subspace_sum_and_extremes():
     assert (a + b).dim == 2
     assert Subspace.zero(3).dim == 0
     assert Subspace.full(3).is_full
+
+
+@pytest.mark.parametrize("d", [1, 3, 6])
+def test_full_subspace_is_one_shared_identity_per_dimension(d):
+    eye = tuple(tuple(Fraction(int(i == j)) for j in range(d)) for i in range(d))
+    w = Subspace.full(d)
+    assert w is Subspace.full(d)
+    assert w.basis == eye and all(type(x) is Fraction for row in w.basis for x in row)
+    built = Subspace(d, eye)
+    assert w == built and hash(w) == hash(built)
+    assert w == Subspace.span(eye, d) == Subspace.span(reversed(eye), d)
+    assert w != Subspace.full(d + 1) and w != Subspace.span(eye[1:], d)

@@ -174,9 +174,14 @@ RATIONAL_LIKE = st.text(alphabet="0123456789-+/ _.e٣１", max_size=8)
 
 def fraction_or_message(text, where="where"):
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         return f"{where}: bad rational {text!r}: {exc}"
+    # Fraction took the text, so what follows its "e" is the exponent
+    exponent = text.replace("E", "e").partition("e")[2]
+    if exponent and abs(int(exponent)) > 4300:
+        return f"{where}: bad rational {text!r}: exponent above 4300 in magnitude"
+    return value
 
 
 def check_parse_rational_agrees_with_fraction(text):
@@ -190,9 +195,32 @@ def check_parse_rational_agrees_with_fraction(text):
         assert str(exc.value) == expected
 
 
-@pytest.mark.parametrize("text", ["--3", "+3", " 3", "3 ", "1/-2", "1/0", "-0/0", "3_0", "٣", "007/014", "-12/4", "1/2/3", ""])
+@pytest.mark.parametrize("text", [
+    "--3", "+3", " 3", "3 ", "1/-2", "1/0", "-0/0", "3_0", "٣", "007/014", "-12/4", "1/2/3", "",
+    # exponents up to 4300 in magnitude are read, larger ones refused; malformed
+    # text with a huge exponent keeps Fraction's message
+    "1e3", "-2.5E-2", "1e-300", " 1.5e4300 ", "1e-4300", "1e0_4_3_0_0", "1e4301", "-2.5E-4301",
+    "x1e9999999", "1e9999999x", "1/2e9999999", "1e+-9999999", "1e9999999_", "1e99__99999",
+])
 def test_parse_rational_agrees_with_fraction_on_edge_strings(text):
     check_parse_rational_agrees_with_fraction(text)
+
+
+@pytest.mark.parametrize("text", ["1e9999999", " .5e+9999999 ", "-2.5E-9999999"])
+def test_parse_rational_refuses_exponents_above_4300_before_building_them(text):
+    start = perf_counter()
+    with pytest.raises(ParseError) as exc:
+        parse_rational(text, "where")
+    assert perf_counter() - start < 0.1
+    assert str(exc.value) == f"where: bad rational {text!r}: exponent above 4300 in magnitude"
+
+
+def test_parse_rational_refuses_an_exponent_of_5000_digits_at_once():
+    # past 4300 digits int() itself refuses the exponent, as Fraction(text) does
+    start = perf_counter()
+    with pytest.raises(ParseError):
+        parse_rational("3e" + "9" * 5000)
+    assert perf_counter() - start < 0.1
 
 
 @settings(max_examples=300, deadline=None)
