@@ -181,6 +181,9 @@ def cmd_decompose(args):
     _check_size(path.dim, args.level, args.allow_large)
     if args.level < 2:
         raise ValueError("precondition 'level >= 2' violated")
+    # the weights (level + alpha)! grow with alpha as they do with the level
+    if args.alpha > GUARD_LEVEL and not args.allow_large:
+        raise ValueError(f"precondition 'alpha <= {GUARD_LEVEL}' violated (alpha={args.alpha}); pass --allow-large to override")
     # the witness has this many terms, and realizing each costs dim^level
     if not args.allow_large and rank_bound_formula(args.level, path.segments) > GUARD_TERMS:
         raise ValueError(
@@ -189,15 +192,11 @@ def cmd_decompose(args):
         )
     dec = decompose_s_k_alpha(path.increments, args.level, args.alpha)
     # the witness is certified against a tensor computed without it
-    if args.alpha == 0:
-        target = pwl_signature(path, args.level).level(args.level)
-    else:
-        target = s_k_alpha(path.increments, args.level, args.alpha)
-    cert = certify_rank(target, dec)
+    cert = certify_rank(s_k_alpha(path.increments, args.level, args.alpha), dec)
     return (
         {"path": serialize.path_to_json(path), "level": args.level, "alpha": args.alpha},
         {"decomposition": serialize.decomposition_to_json(dec), "length": dec.length},
-        {"rank": serialize.certificate_to_json(cert, include_witness=False)},
+        {"rank": serialize.certificate_to_json(cert)},
     )
 
 
@@ -216,7 +215,7 @@ def cmd_certify(args):
     tensor = _read(serialize.tensor_from_json, args.tensor)
     witness = _read(serialize.decomposition_from_json, args.witness)
     cert = certify_rank(tensor, witness)
-    return {"tensor": args.tensor, "witness": args.witness}, serialize.certificate_to_json(cert, include_witness=False)
+    return {"tensor": args.tensor, "witness": args.witness}, serialize.certificate_to_json(cert)
 
 
 @_command("classify222", "complex rank of a 2x2x2 tensor", _arg("--tensor", required=True))
@@ -286,6 +285,7 @@ def cmd_concise(args):
           _arg("--n", type=int, required=True), _arg("--k0", type=int, required=True), verdict="pure_volume")
 def cmd_pure_volume(args):
     sig = _read(serialize.signature_from_json, args.sig)
+    _check_size(sig.dim, sig.max_level, args.allow_large)
     return {"sig": args.sig, "n": args.n, "k0": args.k0}, {"pure_volume": pure_volume_check(sig, args.n, args.k0)}
 
 
@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(*flags, **options)
         p.add_argument("--out", help="write the report to this file (relative to SIGTENSOR_OUT_DIR if set)")
         p.add_argument("--float", action="store_true", help="add lossy decimal columns next to exact values")
-        p.add_argument("--allow-large", action="store_true", help="lift the dim <= 6, level <= 8, shuffle-size and decompose term-count guards")
+        p.add_argument("--allow-large", action="store_true", help="lift the dim <= 6, level <= 8, decompose alpha <= 8, shuffle-size and decompose term-count guards")
     return parser
 
 

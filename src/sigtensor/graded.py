@@ -7,8 +7,11 @@ and den are a reduced level). Fraction inputs are scaled to integers on
 entry, so every product, bracket and term below is integer arithmetic.
 
 Signatures of piecewise linear paths use a fixed scheme: with D the lcm of
-the increment denominators, level k is stored over k! * D^k, and a segment v
-enters through w = D * v, an integer vector (see mul_exp).
+the increment denominators, level k is stored over (k + alpha)! * D^k, and a
+segment v enters through w = D * v, an integer vector (see mul_exp). The
+weight alpha turns the first segment's exp(v) into sum_j v^(x)j / (j+alpha)!,
+which gives the sums S_{k,alpha} of `ranks`; alpha = 0 is the signature.
+Log and exp in `lie` are series evaluated by Horner steps of `product`.
 """
 
 from __future__ import annotations
@@ -41,37 +44,44 @@ def outer(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return [x * y for x in a for y in b]
 
 
-def mul_exp(nums: list[list[int]], w: list[int]) -> None:
-    """In place S <- S (x) exp(v) for a signature in the k! * D^k scheme.
+def mul_exp(nums: list[list[int]], w: list[int], alpha: int = 0) -> None:
+    """In place S <- S (x) exp(v) for levels in the (k + alpha)! * D^k scheme.
 
-    nums[k] holds k! D^k S_k and w = D v. Level k of the product is
-    sum_i S_i (x) v^(x)(k-i) / (k-i)!, whose numerator over k! D^k is
-    sum_i C(k, i) N_i (x) w^(x)(k-i); Horner's rule evaluates it as
-    T = N_0, then T = T (x) w + C(k, i) N_i for i = 1..k. Levels are
-    updated from the top down, so each still reads the old lower levels.
+    nums[k] holds (k + alpha)! D^k S_k and w = D v. Level k of the product
+    is sum_i S_i (x) v^(x)(k-i) / (k-i)!, whose numerator over
+    (k + alpha)! D^k is sum_i C(k + alpha, k - i) N_i (x) w^(x)(k-i);
+    Horner's rule evaluates it as T = C(k + alpha, k) N_0, then
+    T = T (x) w + C(k + alpha, k - i) N_i for i = 1..k. Levels are updated
+    from the top down, so each still reads the old lower levels.
     """
     for k in range(len(nums) - 1, 0, -1):
-        t = nums[0]
+        t = [comb(k + alpha, k) * x for x in nums[0]]
         for i in range(1, k + 1):
-            c = comb(k, i)
+            c = comb(k + alpha, k - i)
             n = nums[i] if c == 1 else map(mul, nums[i], repeat(c))
             t = list(map(add, outer(t, w), n))
         nums[k] = t
 
 
-def signature(increments: Sequence[Sequence[Fraction]], dim: int, max_level: int) -> list[Level]:
-    """Levels 0..K of the signature of the piecewise linear path with these
-    increments: Chen's identity with each segment folded in by mul_exp."""
+def signature(increments: Sequence[Sequence[Fraction]], dim: int, max_level: int, alpha: int = 0) -> list[Level]:
+    """Levels 0..K of E_alpha(v_1) (x) exp(v_2) (x) ... (x) exp(v_m) for the
+    increments v_1..v_m; at alpha = 0, the signature of the piecewise linear
+    path. The first segment gives N_k = w^(x)k, and Chen's identity folds
+    in each later one by mul_exp."""
     D = lcm(*(x.denominator for u in increments for x in u))
-    nums = [[1]] + [[0] * dim**k for k in range(1, max_level + 1)]
-    for u in increments:
-        mul_exp(nums, [x.numerator * (D // x.denominator) for x in u])
-    return [(n, factorial(k) * D**k) for k, n in enumerate(nums)]
+    first, *rest = ([x.numerator * (D // x.denominator) for x in u] for u in increments)
+    nums = [[1]]
+    for _ in range(max_level):
+        nums.append(outer(nums[-1], first))
+    for w in rest:
+        mul_exp(nums, w, alpha)
+    return [(n, factorial(k + alpha) * D**k) for k, n in enumerate(nums)]
 
 
 def product(a: Sequence[Level], b: Sequence[Level], dim: int) -> list[Level]:
     """Truncated product: level k is sum_i a_i (x) b_(k-i), for k up to the
-    truncation len(a) - 1 shared by both factors."""
+    truncation len(a) - 1. b may be one level shorter when a_0 is zero,
+    since its top level would only meet a_0."""
     live_a = [any(n) for n, _ in a]
     live_b = [any(n) for n, _ in b]
     out = []

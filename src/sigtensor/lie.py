@@ -104,10 +104,21 @@ class LogSignature:
         return LogSignature(self.dim, level, levels)
 
 
-def _truncated_product(a: list[graded.Level], b: list[graded.Level], dim: int) -> list[graded.Level]:
-    """Product of two constant-term-0 elements given as kernel levels 1..K."""
-    zero = ([0], 1)
-    return graded.product([zero] + a, [zero] + b, dim)[1:]
+def _truncated_product(x: list[graded.Level], c: Fraction, u: list[graded.Level], dim: int) -> list[graded.Level]:
+    """One Horner step: levels 1..n of x (x) (c + u), for u given as levels
+    1..n-1 and x as levels 1..K (K >= n) of constant-term-0 elements."""
+    n = len(u) + 1
+    return graded.product([([0], 1)] + x[:n], [([c.numerator], c.denominator)] + u, dim)[1:]
+
+
+def _series(x: list[graded.Level], coeffs: Sequence[Fraction], dim: int) -> list[graded.Level]:
+    """sum_t c_t x^(x)t over t = 1..K for x given as levels 1..K, by
+    Horner's rule: u = c_K x, then u = x (x) (c_j + u) for j = K-1..1.
+    Step j only keeps the K-j+1 levels that the later steps read."""
+    u: list[graded.Level] = []
+    for c in reversed(coeffs):
+        u = _truncated_product(x, c, u, dim)
+    return u
 
 
 def exp_log_signature(l: LogSignature) -> TruncatedSignature:
@@ -118,10 +129,7 @@ def exp_log_signature(l: LogSignature) -> TruncatedSignature:
     """
     d, K = l.dim, l.max_level
     x = [(t.nums, t.den) for t in l.levels]
-    acc = power = x
-    for n in range(2, K + 1):
-        power = _truncated_product(power, x, d)
-        acc = [graded.axpy(s, Fraction(1, factorial(n)), p) for s, p in zip(acc, power)]
+    acc = _series(x, [Fraction(1, factorial(n)) for n in range(1, K + 1)], d)
     levels = (Tensor._of_level(k, d, a) for k, a in enumerate(acc, start=1))
     return TruncatedSignature(d, K, (Tensor.scalar(1, d), *levels))
 
@@ -137,10 +145,7 @@ def log_signature(s: TruncatedSignature) -> LogSignature:
         raise ValueError("log needs constant term 1")
     d, K = s.dim, s.max_level
     x = [(level.nums, level.den) for level in s.levels[1:]]
-    acc = power = x
-    for t in range(2, K + 1):
-        power = _truncated_product(power, x, d)
-        acc = [graded.axpy(a, Fraction((-1) ** (t + 1), t), p) for a, p in zip(acc, power)]
+    acc = _series(x, [Fraction((-1) ** (t + 1), t) for t in range(1, K + 1)], d)
     return LogSignature(d, K, tuple(Tensor._of_level(k, d, a) for k, a in enumerate(acc, start=1)))
 
 
@@ -234,20 +239,10 @@ def pure_volume_check(s: TruncatedSignature, n: int, k0: int) -> bool:
         raise ValueError("k0 must exceed n")
     if k0 > s.max_level:
         raise ValueError("k0 exceeds the truncation level")
-    t_n = log_signature(s).level(n)
-    d = s.dim
-    for k in range(k0, s.max_level + 1):
-        if k % n == 0:
-            h = k // n
-            expected = Tensor.scalar(1, d)
-            for _ in range(h):
-                expected = tensor_product(expected, t_n)
-            expected = expected.scale(Fraction(1, factorial(h)))
-            if s.level(k) != expected:
-                return False
-        elif not s.level(k).is_zero:
-            return False
-    return True
+    # exp of the log's level n alone is T^(x)h / h! at level hn, else zero
+    pure = tuple(t if k == n else Tensor.zeros(k, s.dim) for k, t in enumerate(log_signature(s).levels, start=1))
+    expected = exp_log_signature(LogSignature(s.dim, s.max_level, pure))
+    return all(s.level(k) == expected.level(k) for k in range(k0, s.max_level + 1))
 
 
 @lru_cache(maxsize=None)

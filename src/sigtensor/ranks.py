@@ -7,7 +7,11 @@ The central object is the weighted sum
         v_1^(x)a_1 (x) ... (x) v_m^(x)a_m / ((a_1+a)! a_2! ... a_m!)
 
 which at a = 0 is exactly the level-k signature of the piecewise linear path
-with increments v_1, ..., v_m. The decomposition constructors reproduce the
+with increments v_1, ..., v_m. In general it is level k of
+E_a(v_1) (x) exp(v_2) (x) ... (x) exp(v_m) with E_a(v) = sum_j v^(x)j / (j+a)!,
+so s_k_alpha is the signature kernel of `graded` at weight a: level k held
+over (k+a)! D^k, each later segment folded in by Horner's rule, with no sum
+over compositions. The decomposition constructors reproduce the
 groupings that pair consecutive monomials into elementary tensors; the extra
 weight a on the first factor is what makes the constructions compose under
 the recursion
@@ -24,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import ceil, comb, factorial
 from typing import Iterable, Sequence
 
@@ -105,29 +108,16 @@ def _vec_add(*vectors: Vector) -> Vector:
     return tuple(sum(col) for col in zip(*vectors))
 
 
-def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
-    """All (a_1, ..., a_parts) of nonnegative ints summing to total."""
-    for bars in combinations(range(total + parts - 1), parts - 1):
-        cuts = (-1,) + bars + (total + parts - 1,)
-        yield tuple(cuts[i + 1] - cuts[i] - 1 for i in range(parts))
-
-
 def s_k_alpha(vs: Sequence[Sequence], k: int, alpha: int) -> Tensor:
-    """The defining sum, evaluated densely: one weighted elementary term per
-    composition of k, accumulated in the scaled-integer kernel."""
+    """The defining sum as level k of the kernel's signature at weight
+    alpha, which evaluates every composition of k by Horner's rule."""
     if k < 2:
         raise ValueError("k must be >= 2")
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
     vecs = _vectors(vs)
     d = len(vecs[0])
-    terms = []
-    for parts in _compositions(k, len(vecs)):
-        weight = factorial(parts[0] + alpha)
-        for a in parts[1:]:
-            weight *= factorial(a)
-        terms.append((Fraction(1, weight), [v for v, a in zip(vecs, parts) for _ in range(a)]))
-    return Tensor._of_level(k, d, graded.accumulate(terms, d, k))
+    return Tensor._of_level(k, d, graded.signature(vecs, d, k, alpha)[k])
 
 
 def decompose_two_segments(u: Sequence, v: Sequence, k: int, alpha: int = 0) -> Decomposition:

@@ -311,11 +311,9 @@ def decomposition_from_json(obj: Any, where: str = "decomposition") -> Decomposi
         raise ParseError(str(exc), where) from None
 
 
-def certificate_to_json(c: RankCertificate, include_witness: bool = True) -> dict:
-    out: dict[str, Any] = {"lower": c.lower, "upper": c.upper, "status": c.status}
-    if include_witness and c.witness is not None:
-        out["witness"] = decomposition_to_json(c.witness)
-    return out
+def certificate_to_json(c: RankCertificate) -> dict:
+    """The bounds and status; the witness is reported on its own, if at all."""
+    return {"lower": c.lower, "upper": c.upper, "status": c.status}
 
 
 # -- reports and subspaces ---------------------------------------------------

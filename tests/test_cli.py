@@ -488,6 +488,39 @@ def test_allow_large_lifts_the_decompose_term_guard(capsys, monkeypatch, axis3, 
         assert code == 4 and "rank_bound_formula(level, segments) <= 3" in err
 
 
+def test_decompose_over_alpha_guard_exits_4_at_once(capsys, axis3):
+    # unguarded, alpha = 1000000 ran for 241 s and then failed to print (level + alpha)!
+    start = perf_counter()
+    code, out, err = run(capsys, "decompose", "--path", axis3, "--level", "4", "--alpha", "1000000")
+    assert perf_counter() - start < 1
+    assert code == 4 and out == ""
+    assert err == "precondition violated: precondition 'alpha <= 8' violated (alpha=1000000); pass --allow-large to override\n"
+
+
+def test_allow_large_lifts_the_decompose_alpha_guard(capsys, axis3):
+    code, out, err = run(capsys, "decompose", "--path", axis3, "--level", "4", "--alpha", "9", "--allow-large")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["inputs"]["alpha"] == 9 and report["result"]["length"] == 7
+
+
+@pytest.mark.parametrize("allow_large", [False, True])
+def test_pure_volume_takes_the_dim_guard(capsys, tmp_path, allow_large):
+    from sigtensor import segment_signature
+
+    sig_file = tmp_path / "seg7.json"
+    sig_file.write_text(dump_json(signature_to_json(segment_signature([1, 0, 0, 0, 0, 0, 2], 3))))
+    argv = ["pure-volume", "--sig", str(sig_file), "--n", "1", "--k0", "2"] + ["--allow-large"] * allow_large
+    code, out, err = run(capsys, *argv)
+    if allow_large:
+        # a segment is a pure 1-volume
+        assert code == 0, err
+        assert json.loads(out)["result"]["pure_volume"] is True
+    else:
+        assert code == 4 and out == ""
+        assert "(dim=7, level=3); pass --allow-large to override" in err
+
+
 def test_symmetry_on_an_entry_with_a_huge_exponent_exits_3_at_once(capsys, tmp_path):
     # "1e9999999" is Fraction syntax for 10**9999999: built, it took 5.4 s and 35 MB
     tensor_file = tmp_path / "t.json"
