@@ -3,8 +3,8 @@
 Every command reads exact rational inputs, runs one library operation, and
 writes a JSON report to stdout (or --out). Exit codes: 0 success (and every
 requested check passed), 1 a requested check failed, 2 unknown command or
-bad arguments, 3 malformed input file or a file that cannot be read or
-written, 4 violated mathematical precondition.
+bad arguments, 3 malformed input file or a file that cannot be decoded,
+read or written, 4 violated mathematical precondition.
 
 A command is one function registered by @_command(name, help, *arguments),
 each argument an _arg(*flags, **options) for add_argument; path_input adds
@@ -48,6 +48,11 @@ GUARD_TERMS = 100_000
 COST_WARN_ENTRIES = 200_000
 
 
+def _too_large(condition: str, values: str) -> ValueError:
+    """The error of an --allow-large guard: the condition and the values that broke it."""
+    return ValueError(f"precondition '{condition}' violated ({values}); pass --allow-large to override")
+
+
 def _check_size(dim: int, level: int, allow_large: bool):
     entries = sum(dim**k for k in range(level + 1))
     if entries > COST_WARN_ENTRIES:
@@ -56,10 +61,7 @@ def _check_size(dim: int, level: int, allow_large: bool):
             file=sys.stderr,
         )
     if (dim > GUARD_DIM or level > GUARD_LEVEL) and not allow_large:
-        raise ValueError(
-            f"precondition 'dim <= {GUARD_DIM} and level <= {GUARD_LEVEL}' violated "
-            f"(dim={dim}, level={level}); pass --allow-large to override"
-        )
+        raise _too_large(f"dim <= {GUARD_DIM} and level <= {GUARD_LEVEL}", f"dim={dim}, level={level}")
 
 
 def _add_float_columns(obj: Any) -> Any:
@@ -77,10 +79,16 @@ def _add_float_columns(obj: Any) -> Any:
     return obj
 
 
+def _to_float(text: str) -> float | None:
+    """The nearest double, or None (JSON null) for a value outside the double range."""
+    try:
+        return float(Fraction(text))
+    except OverflowError:
+        return None
+
+
 def _to_floats(value: Any):
-    if isinstance(value, str):
-        return float(Fraction(value))
-    return [float(Fraction(x)) for x in value]
+    return _to_float(value) if isinstance(value, str) else [_to_float(x) for x in value]
 
 
 def _read(parse: Callable[[Any, str], Any], file: str):
@@ -148,10 +156,7 @@ def cmd_shuffle(args):
     # comb(n, k) rises with k up to n/2 and comb(64, 32) is far past the guard,
     # so k capped at 32 decides the guard without building a huge integer
     if math.comb(len(v) + len(w), min(len(v), len(w), 32)) > GUARD_SHUFFLE and not args.allow_large:
-        raise ValueError(
-            f"precondition 'comb(|w1| + |w2|, |w1|) <= {GUARD_SHUFFLE}' violated "
-            f"(|w1|={len(v)}, |w2|={len(w)}); pass --allow-large to override"
-        )
+        raise _too_large(f"comb(|w1| + |w2|, |w1|) <= {GUARD_SHUFFLE}", f"|w1|={len(v)}, |w2|={len(w)}")
     return {"w1": str(v), "w2": str(w)}, serialize.word_sum_to_json(shuffle(v, w))
 
 
@@ -183,13 +188,10 @@ def cmd_decompose(args):
         raise ValueError("precondition 'level >= 2' violated")
     # the weights (level + alpha)! grow with alpha as they do with the level
     if args.alpha > GUARD_LEVEL and not args.allow_large:
-        raise ValueError(f"precondition 'alpha <= {GUARD_LEVEL}' violated (alpha={args.alpha}); pass --allow-large to override")
+        raise _too_large(f"alpha <= {GUARD_LEVEL}", f"alpha={args.alpha}")
     # the witness has this many terms, and realizing each costs dim^level
     if not args.allow_large and rank_bound_formula(args.level, path.segments) > GUARD_TERMS:
-        raise ValueError(
-            f"precondition 'rank_bound_formula(level, segments) <= {GUARD_TERMS}' violated "
-            f"(level={args.level}, segments={path.segments}); pass --allow-large to override"
-        )
+        raise _too_large(f"rank_bound_formula(level, segments) <= {GUARD_TERMS}", f"level={args.level}, segments={path.segments}")
     dec = decompose_s_k_alpha(path.increments, args.level, args.alpha)
     # the witness is certified against a tensor computed without it
     cert = certify_rank(s_k_alpha(path.increments, args.level, args.alpha), dec)
@@ -205,7 +207,7 @@ def cmd_decompose(args):
 def cmd_rank_bound(args):
     # the formula costs about k^3, so k takes the level guard
     if args.k > GUARD_LEVEL and not args.allow_large:
-        raise ValueError(f"precondition 'k <= {GUARD_LEVEL}' violated (k={args.k}); pass --allow-large to override")
+        raise _too_large(f"k <= {GUARD_LEVEL}", f"k={args.k}")
     return {"k": args.k, "m": args.m}, {"bound": rank_bound_formula(args.k, args.m)}
 
 
@@ -309,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         for flags, options in command.arguments:
             p.add_argument(*flags, **options)
         p.add_argument("--out", help="write the report to this file (relative to SIGTENSOR_OUT_DIR if set)")
-        p.add_argument("--float", action="store_true", help="add lossy decimal columns next to exact values")
+        p.add_argument("--float", action="store_true", help="add lossy decimal columns next to exact values (null for a value outside the double range)")
         p.add_argument("--allow-large", action="store_true", help="lift the dim <= 6, level <= 8, decompose alpha <= 8, shuffle-size and decompose term-count guards")
     return parser
 

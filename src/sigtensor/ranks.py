@@ -100,12 +100,9 @@ def _vectors(vs: Sequence[Sequence]) -> list[Vector]:
     return vecs
 
 
-def _vec_scale(c: Fraction, v: Vector) -> Vector:
-    return tuple(c * x for x in v)
-
-
-def _vec_add(*vectors: Vector) -> Vector:
-    return tuple(sum(col) for col in zip(*vectors))
+def _mix(d: int, *pairs: tuple[Vector, int]) -> Vector:
+    """Sum of v / c over the (v, c) pairs; the zero vector of length d if none."""
+    return tuple(map(sum, zip(*([x / c for x in v] for v, c in pairs)))) or (Fraction(0),) * d
 
 
 def s_k_alpha(vs: Sequence[Sequence], k: int, alpha: int) -> Tensor:
@@ -128,79 +125,39 @@ def decompose_two_segments(u: Sequence, v: Sequence, k: int, alpha: int = 0) -> 
         raise ValueError("k must be >= 1")
     uu, vv = _vectors([u, v])
     d = len(uu)
-    terms: TermList = []
-    if k % 2 == 0:
-        terms.append((Fraction(1, factorial(alpha) * factorial(k)), [vv] * k))
-        js = range(1, k, 2)
-    else:
-        js = range(0, k, 2)
-    for j in js:
-        coeff = Fraction(1, factorial(j + alpha) * factorial(k - j - 1))
-        mixed = _vec_add(_vec_scale(Fraction(1, j + 1 + alpha), uu), _vec_scale(Fraction(1, k - j), vv))
-        terms.append((coeff, [uu] * j + [mixed] + [vv] * (k - j - 1)))
+    terms: TermList = [] if k % 2 else [(Fraction(1, factorial(alpha) * factorial(k)), [vv] * k)]
+    for j in range(1 - k % 2, k, 2):
+        mixed = _mix(d, (uu, j + 1 + alpha), (vv, k - j))
+        terms.append((Fraction(1, factorial(j + alpha) * factorial(k - j - 1)), [uu] * j + [mixed] + [vv] * (k - j - 1)))
     return Decomposition.of(d, k, terms)
 
 
 def decompose_three_segments(u: Sequence, v: Sequence, w: Sequence, k: int, alpha: int = 0) -> Decomposition:
     """Group the trinomial terms of S_{k,alpha}(u, v, w) into at most
-    ceil((k+1)^2/4) elementary tensors."""
+    ceil((k+1)^2/4) elementary tensors: u^a (x) (u, v, w) (x) w^c with
+    a + c = k-1 and a of the parity of k-1, u^j v^b (x) (v, w) (x) w^e with
+    j >= 1 and e even, v^b (x) (v, w) (x) w^c with b of the parity of k-1,
+    and for even k the term w^k on its own."""
     if k < 1:
         raise ValueError("k must be >= 1")
     uu, vv, ww = _vectors([u, v, w])
     d = len(uu)
-    beta = Fraction(1, factorial(alpha))
     terms: TermList = []
-    if k % 2 == 1:
-        s = (k - 1) // 2
-        for i in range(0, s + 1):
-            coeff = Fraction(1, factorial(2 * i + alpha) * factorial(2 * (s - i)))
-            mixed = _vec_add(
-                _vec_scale(Fraction(1, 2 * i + 1 + alpha), uu),
-                vv,
-                _vec_scale(Fraction(1, 2 * (s - i) + 1), ww),
-            )
-            terms.append((coeff, [uu] * (2 * i) + [mixed] + [ww] * (2 * (s - i))))
-        for i in range(0, s):
-            for j in range(1, 2 * (s - i)):
-                coeff = Fraction(1, factorial(j + alpha) * factorial(2 * (s - i) - j) * factorial(2 * i))
-                mixed = _vec_add(
-                    _vec_scale(Fraction(1, 2 * (s - i) - j + 1), vv),
-                    _vec_scale(Fraction(1, 2 * i + 1), ww),
-                )
-                terms.append((coeff, [uu] * j + [vv] * (2 * (s - i) - j) + [mixed] + [ww] * (2 * i)))
-        for i in range(1, s + 1):
-            coeff = beta * Fraction(1, factorial(2 * i) * factorial(2 * (s - i)))
-            mixed = _vec_add(
-                _vec_scale(Fraction(1, 2 * i + 1), vv),
-                _vec_scale(Fraction(1, 2 * (s - i) + 1), ww),
-            )
-            terms.append((coeff, [vv] * (2 * i) + [mixed] + [ww] * (2 * (s - i))))
-    else:
-        s = k // 2
-        for i in range(0, s):
-            coeff = Fraction(1, factorial(2 * i + 1 + alpha) * factorial(2 * (s - i - 1)))
-            mixed = _vec_add(
-                _vec_scale(Fraction(1, 2 * i + 2 + alpha), uu),
-                vv,
-                _vec_scale(Fraction(1, 2 * (s - i - 1) + 1), ww),
-            )
-            terms.append((coeff, [uu] * (2 * i + 1) + [mixed] + [ww] * (2 * (s - i - 1))))
-        for i in range(0, s - 1):
-            for j in range(1, 2 * (s - i) - 1):
-                coeff = Fraction(1, factorial(j + alpha) * factorial(2 * (s - i) - j - 1) * factorial(2 * i))
-                mixed = _vec_add(
-                    _vec_scale(Fraction(1, 2 * (s - i) - j), vv),
-                    _vec_scale(Fraction(1, 2 * i + 1), ww),
-                )
-                terms.append((coeff, [uu] * j + [vv] * (2 * (s - i) - j - 1) + [mixed] + [ww] * (2 * i)))
-        for i in range(0, s):
-            coeff = beta * Fraction(1, factorial(2 * i + 1) * factorial(2 * (s - i - 1)))
-            mixed = _vec_add(
-                _vec_scale(Fraction(1, 2 * i + 2), vv),
-                _vec_scale(Fraction(1, 2 * (s - i) - 1), ww),
-            )
-            terms.append((coeff, [vv] * (2 * i + 1) + [mixed] + [ww] * (2 * (s - i - 1))))
-        terms.append((beta * Fraction(1, factorial(k)), [ww] * k))
+    for a in range(1 - k % 2, k, 2):
+        c = k - 1 - a
+        mixed = _mix(d, (uu, a + 1 + alpha), (vv, 1), (ww, c + 1))
+        terms.append((Fraction(1, factorial(a + alpha) * factorial(c)), [uu] * a + [mixed] + [ww] * c))
+    for e in range(0, k - 2, 2):
+        for j in range(1, k - e - 1):
+            b = k - 1 - e - j
+            mixed = _mix(d, (vv, b + 1), (ww, e + 1))
+            terms.append((Fraction(1, factorial(j + alpha) * factorial(b) * factorial(e)), [uu] * j + [vv] * b + [mixed] + [ww] * e))
+    for b in range(1 + k % 2, k, 2):
+        c = k - 1 - b
+        mixed = _mix(d, (vv, b + 1), (ww, c + 1))
+        terms.append((Fraction(1, factorial(alpha) * factorial(b) * factorial(c)), [vv] * b + [mixed] + [ww] * c))
+    if k % 2 == 0:
+        terms.append((Fraction(1, factorial(alpha) * factorial(k)), [ww] * k))
     return Decomposition.of(d, k, terms)
 
 
@@ -209,17 +166,11 @@ def decompose_second_level(vs: Sequence[Sequence], alpha: int = 0) -> Decomposit
     v_i (x) v_j with j >= i, so the length is at most m."""
     vecs = _vectors(vs)
     d = len(vecs[0])
-    m = len(vecs)
     terms: TermList = []
-    for i in range(m):
-        if i == 0:
-            coeff = Fraction(1, factorial(1 + alpha))
-            head = _vec_scale(Fraction(1, 2 + alpha), vecs[0])
-        else:
-            coeff = Fraction(1, factorial(alpha))
-            head = _vec_scale(Fraction(1, 2), vecs[i])
-        mixed = _vec_add(head, *(vecs[j] for j in range(i + 1, m)))
-        terms.append((coeff, [vecs[i], mixed]))
+    for i, v in enumerate(vecs):
+        first = i == 0  # only v_1 carries the weight alpha
+        mixed = _mix(d, (v, 2 + alpha * first), *((x, 1) for x in vecs[i + 1:]))
+        terms.append((Fraction(1, factorial(alpha + first)), [v, mixed]))
     return Decomposition.of(d, 2, terms)
 
 
@@ -227,46 +178,31 @@ def decompose_s3_alpha(vs: Sequence[Sequence], alpha: int = 0) -> Decomposition:
     """The 2m-2 term grouping of S_{3,alpha}(v_1, ..., v_m), split at
     s = ceil(m/2): squares of early vectors lead, squares of late vectors
     trail, and mixed middles cover the rest."""
-    vecs = _vectors(vs)
-    m = len(vecs)
+    v = _vectors(vs)  # 0-based: v[0] is the alpha-weighted first vector
+    m = len(v)
     if m < 2:
         raise ValueError("need at least two vectors")
-    d = len(vecs[0])
+    d = len(v[0])
     s = ceil(m / 2)
     beta = Fraction(1, factorial(alpha))
-    gamma1 = Fraction(1, alpha + 1)
-    terms: TermList = []
-    v = vecs  # 0-based: v[0] is the alpha-weighted first vector
 
-    def span(lo: int, hi: int, head: Vector | None = None) -> Vector:
-        parts = ([head] if head is not None else []) + [v[j] for j in range(lo, hi)]
-        if not parts:
-            return tuple(Fraction(0) for _ in range(d))
-        return _vec_add(*parts)
+    def ones(lo: int, hi: int) -> list[tuple[Vector, int]]:
+        return [(x, 1) for x in v[lo:hi]]
 
     # leading squares: v1^(x)2 covers every monomial with v1 twice
-    mixed = span(1, m, head=_vec_scale(Fraction(1, 3 + alpha), v[0]))
-    terms.append((Fraction(1, factorial(2 + alpha)), [v[0], v[0], mixed]))
+    terms: TermList = [(Fraction(1, factorial(2 + alpha)), [v[0], v[0], _mix(d, (v[0], 3 + alpha), *ones(1, m))])]
     # squares of v_i for 2 <= i <= s
     for i in range(1, s):
-        mixed = span(i + 1, m, head=_vec_scale(Fraction(1, 3), v[i]))
-        terms.append((beta * Fraction(1, 2), [v[i], v[i], mixed]))
+        terms.append((beta / 2, [v[i], v[i], _mix(d, (v[i], 3), *ones(i + 1, m))]))
     # middles at position i for 2 <= i <= s
     for i in range(1, s):
-        left = span(1, i, head=_vec_scale(gamma1, v[0]))
-        right = span(i + 1, m, head=_vec_scale(Fraction(1, 2), v[i]))
-        terms.append((beta, [left, v[i], right]))
+        terms.append((beta, [_mix(d, (v[0], alpha + 1), *ones(1, i)), v[i], _mix(d, (v[i], 2), *ones(i + 1, m))]))
     # trailing squares: v_i^(x)2 for s+1 <= i <= m
     for i in range(s, m):
-        left = span(1, i, head=_vec_scale(gamma1, v[0]))
-        left = _vec_add(left, _vec_scale(Fraction(1, 3), v[i]))
-        terms.append((beta * Fraction(1, 2), [left, v[i], v[i]]))
+        terms.append((beta / 2, [_mix(d, (v[0], alpha + 1), *ones(1, i), (v[i], 3)), v[i], v[i]]))
     # middles at position i for s+1 <= i <= m-1
     for i in range(s, m - 1):
-        left = span(1, i, head=_vec_scale(gamma1, v[0]))
-        left = _vec_add(left, _vec_scale(Fraction(1, 2), v[i]))
-        right = span(i + 1, m)
-        terms.append((beta, [left, v[i], right]))
+        terms.append((beta, [_mix(d, (v[0], alpha + 1), *ones(1, i), (v[i], 2)), v[i], _mix(d, *ones(i + 1, m))]))
     return Decomposition.of(d, 3, terms)
 
 

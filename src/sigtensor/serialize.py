@@ -164,6 +164,8 @@ def load_json(path: str) -> Any:
         raise ParseError(str(exc), path) from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}", path) from None
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, nesting too deep, an int past the digit limit
+        raise ParseError(f"cannot decode JSON: {exc}", path) from None
 
 
 def dump_json(obj: Any) -> str:
@@ -348,11 +350,16 @@ def read_time_series_csv(path: str, has_header: bool = False) -> list[Vector]:
             text = fh.read()
     except OSError as exc:
         raise ParseError(str(exc), path) from None
+    except ValueError as exc:  # bad UTF-8
+        raise ParseError(f"cannot decode: {exc}", path) from None
     return parse_time_series_csv(text, has_header=has_header, where=path)
 
 
 def parse_time_series_csv(text: str, has_header: bool = False, where: str = "csv") -> list[Vector]:
-    rows = list(csv.reader(StringIO(text)))
+    try:
+        rows = list(csv.reader(StringIO(text)))
+    except csv.Error as exc:  # such as a cell past the reader's field size limit
+        raise ParseError(str(exc), where) from None
     if has_header and rows:
         rows = rows[1:]
     samples = []

@@ -1,4 +1,6 @@
 import json
+import sys
+from fractions import Fraction
 from time import perf_counter
 
 import pytest
@@ -537,3 +539,43 @@ def test_sig222_param_with_a_huge_exponent_exits_3(capsys):
     code, out, err = run(capsys, "sig222", "--params", "1,2,3,4,1e999999")
     assert code == 3 and out == ""
     assert "--params[4]: bad rational '1e999999': exponent above 4300 in magnitude" in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"[" * 100_000 + b"]" * 100_000, b"[" + b"1" * 5000 + b"]", b'{"dim": 2, "\xff": 1}'],
+    ids=["nested_too_deep", "int_past_digit_limit", "bad_utf8"],
+)
+def test_json_that_cannot_be_decoded_exits_3(capsys, tmp_path, content):
+    sig_file = tmp_path / "sig.json"
+    sig_file.write_bytes(content)
+    code, out, err = run(capsys, "log", "--sig", str(sig_file))
+    assert code == 3 and out == ""
+    assert f"input error: {sig_file}: cannot decode JSON: " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"1,2\n3," + b"4" * 200_000 + b"\n", b"1,2\n3,\xff\n"],
+    ids=["cell_past_field_limit", "bad_utf8"],
+)
+def test_csv_that_cannot_be_decoded_exits_3(capsys, tmp_path, content):
+    csv_file = tmp_path / "series.csv"
+    csv_file.write_bytes(content)
+    code, out, err = run(capsys, "signature", "--series", str(csv_file), "--level", "2")
+    assert code == 3 and out == ""
+    assert err.startswith(f"input error: {csv_file}: ")
+    assert "Traceback" not in err
+
+
+def test_float_column_is_null_outside_the_double_range(capsys):
+    code, out, err = run(capsys, "sig222", "--params", "1e300,1,1,1,1", "--float")
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    tensor = result["tensor"]
+    # entry (1,1,1) is x^3/6 = 10^900/6; the exact string stays next to the null
+    assert tensor["entries"][0] == str(Fraction(10**900, 6))
+    for exact, lossy in zip(tensor["entries"], tensor["entries_float_lossy"]):
+        assert (lossy is None) == (abs(Fraction(exact)) > sys.float_info.max)
+    assert result["hyperdeterminant_float_lossy"] is None
