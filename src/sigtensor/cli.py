@@ -45,6 +45,7 @@ GUARD_DIM = 6
 GUARD_LEVEL = 8
 GUARD_SHUFFLE = 200_000
 GUARD_TERMS = 100_000
+GUARD_VERIFY_SIZE = 1000  # the harness costs about 16 ms per unit of size
 COST_WARN_ENTRIES = 200_000
 
 
@@ -294,6 +295,8 @@ def cmd_pure_volume(args):
 @_command("verify", "seeded randomized property harness",
           _arg("--seed", type=int, default=0), _arg("--size", type=_positive_int, default=10), verdict="passed")
 def cmd_verify(args):
+    if args.size > GUARD_VERIFY_SIZE and not args.allow_large:
+        raise _too_large(f"size <= {GUARD_VERIFY_SIZE}", f"size={args.size}")
     return {"seed": args.seed, "size": args.size}, run_harness(args.seed, args.size)
 
 
@@ -312,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(*flags, **options)
         p.add_argument("--out", help="write the report to this file (relative to SIGTENSOR_OUT_DIR if set)")
         p.add_argument("--float", action="store_true", help="add lossy decimal columns next to exact values (null for a value outside the double range)")
-        p.add_argument("--allow-large", action="store_true", help="lift the dim <= 6, level <= 8, decompose alpha <= 8, shuffle-size and decompose term-count guards")
+        p.add_argument("--allow-large", action="store_true", help="lift the dim <= 6, level <= 8, decompose alpha <= 8, shuffle-size, decompose term-count and verify size <= 1000 guards")
     return parser
 
 

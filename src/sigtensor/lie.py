@@ -22,7 +22,7 @@ from math import factorial
 from typing import Iterable, Sequence
 
 from . import graded
-from .signatures import TruncatedSignature
+from .signatures import TruncatedSignature, _Graded
 from .tensors import Tensor, tensor_product
 
 
@@ -54,37 +54,18 @@ def is_lie_element(t: Tensor) -> bool:
     return graded.dynkin(t.nums, t.dim, k) == [k * x for x in t.nums]
 
 
-@dataclass(frozen=True)
-class LogSignature:
+class LogSignature(_Graded):
     """Levels 1..K of a completed free Lie algebra element.
 
     Construction validates every level against the Dynkin criterion, since
     the structural results on signatures all assume genuine Lie levels.
     """
 
-    dim: int
-    max_level: int
-    levels: tuple[Tensor, ...]
+    first = 1
 
-    def __post_init__(self):
-        if self.max_level < 0:
-            raise ValueError("max_level must be >= 0")
-        if len(self.levels) != self.max_level:
-            raise ValueError("need one tensor per level 1..K")
-        for k, t in enumerate(self.levels, start=1):
-            if t.order != k or t.dim != self.dim:
-                raise ValueError(f"level {k} has wrong shape")
-            if not is_lie_element(t):
-                raise ValueError(f"level {k} is not a Lie element")
-
-    def level(self, k: int) -> Tensor:
-        if not 1 <= k <= self.max_level:
-            raise ValueError(f"level {k} outside 1..{self.max_level}")
-        return self.levels[k - 1]
-
-    @staticmethod
-    def from_levels(levels: Sequence[Tensor], dim: int) -> "LogSignature":
-        return LogSignature(dim, len(levels), tuple(levels))
+    def _check_level(self, k: int, t: Tensor) -> None:
+        if not is_lie_element(t):
+            raise ValueError(f"level {k} is not a Lie element")
 
     @staticmethod
     def zero(dim: int, max_level: int) -> "LogSignature":

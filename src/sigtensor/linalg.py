@@ -6,8 +6,8 @@ is scaled to integers by the lcm of its denominators, which keeps its span.
 Ranks and pivot columns come from _pivot_columns, fraction-free (Bareiss)
 elimination, so intermediate values stay integral and small; the flattening
 bounds in `ranks` call integer_rank on integer numerators directly.
-Subspaces and rref come from _echelon, an incremental integer echelon form
-that reads vectors one at a time and stops once the span is full.
+Subspaces, inclusion tests and rref come from _echelon, an incremental integer
+echelon form that reads vectors one at a time and stops once the span is full.
 mode_subspaces feeds it a tensor's first d integer fibers and, when they do
 not span, the fibers at the pivot columns of the unfolding (or of a window
 of it, which conciseness cuts before calling _pivot_columns; the rank
@@ -94,14 +94,17 @@ def _scaled(row: Sequence) -> list[int]:
     return graded.from_fractions(as_vector(row))[0]
 
 
-def matrix_rank(rows: MatrixRows) -> int:
-    """Exact rank over Q (hence over R and C). Each row is scaled to integers
-    by the lcm of its denominators, which keeps the row space, and the
-    result goes to integer_rank."""
+def _scaled_matrix(rows: MatrixRows) -> list[list[int]]:
+    """Every row scaled by _scaled, which keeps the row space; a ragged matrix is refused."""
     m = [_scaled(row) for row in rows]
     if any(len(r) != len(m[0]) for r in m):
         raise ValueError("ragged matrix")
-    return integer_rank(m)
+    return m
+
+
+def matrix_rank(rows: MatrixRows) -> int:
+    """Exact rank over Q (hence over R and C): integer_rank of the scaled rows."""
+    return integer_rank(_scaled_matrix(rows))
 
 
 def _echelon(vectors: Iterable[Sequence[int]], n: int) -> list[tuple[int, list[int]]]:
@@ -149,9 +152,7 @@ def _unit_rows(rows: list[tuple[int, list[int]]]) -> list[list[Fraction]]:
 
 def rref(rows: MatrixRows) -> list[list[Fraction]]:
     """Reduced row echelon form over Fraction; zero rows are dropped."""
-    m = [_scaled(row) for row in rows]
-    if any(len(r) != len(m[0]) for r in m):
-        raise ValueError("ragged matrix")
+    m = _scaled_matrix(rows)
     return _unit_rows(_echelon(m, len(m[0]) if m else 0))
 
 
@@ -207,19 +208,11 @@ class Subspace:
         return self.dim == self.ambient_dim
 
     def contains(self, vector: Sequence) -> bool:
-        v = as_vector(vector)
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector length does not match ambient dimension")
-        residual = list(v)
-        for row in self.basis:
-            lead = next(j for j, x in enumerate(row) if x != 0)
-            if residual[lead] != 0:
-                f = residual[lead]
-                residual = [a - f * b for a, b in zip(residual, row)]
-        return all(x == 0 for x in residual)
+        return self.contains_subspace(Subspace.span([vector], self.ambient_dim))
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(row) for row in other.basis)
+        # other's rows first: span refuses one of another dimension even if self is full
+        return Subspace.span(other.basis + self.basis, self.ambient_dim).dim == self.dim
 
     def __add__(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:

@@ -150,10 +150,14 @@ def _parse_level(items: list, where: Callable[[int], str]) -> graded.Level:
     return graded.from_fractions(_parse_rationals(items, where))
 
 
-def _require(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise ParseError(f"missing key {key!r}", where)
-    return obj[key]
+def _fields(obj: Any, where: str, *keys: str) -> list:
+    """The values of keys in a JSON object, or the first missing key reported."""
+    if not isinstance(obj, dict):
+        raise ParseError("expected an object", where)
+    for key in keys:
+        if key not in obj:
+            raise ParseError(f"missing key {key!r}", where)
+    return [obj[key] for key in keys]
 
 
 def load_json(path: str) -> Any:
@@ -182,11 +186,7 @@ def tensor_to_json(t: Tensor) -> dict:
 
 
 def tensor_from_json(obj: Any, where: str = "tensor") -> Tensor:
-    if not isinstance(obj, dict):
-        raise ParseError("expected an object", where)
-    order = _require(obj, "order", where)
-    dim = _require(obj, "dim", where)
-    entries = _require(obj, "entries", where)
+    order, dim, entries = _fields(obj, where, "order", "dim", "entries")
     if not _is_int(order) or not _is_int(dim):
         raise ParseError("order and dim must be integers", where)
     if not isinstance(entries, list):
@@ -215,10 +215,7 @@ def path_to_json(p: Path) -> dict:
 
 
 def path_from_json(obj: Any, where: str = "path") -> Path:
-    if not isinstance(obj, dict):
-        raise ParseError("expected an object", where)
-    dim = _require(obj, "dim", where)
-    incs = _require(obj, "increments", where)
+    dim, incs = _fields(obj, where, "dim", "increments")
     if not _is_int(dim) or dim < 1:
         raise ParseError("dim must be a positive integer", where)
     if not isinstance(incs, list) or not incs:
@@ -231,26 +228,19 @@ def path_from_json(obj: Any, where: str = "path") -> Path:
 
 # -- signatures ------------------------------------------------------------
 
-def signature_to_json(s: TruncatedSignature) -> dict:
-    return {
-        "dim": s.dim,
-        "max_level": s.max_level,
-        "levels": [tensor_to_json(s.level(k)) for k in range(0, s.max_level + 1)],
-    }
+def signature_to_json(s: TruncatedSignature | LogSignature) -> dict:
+    """Levels 0..K of a signature, or 1..K of a log-signature."""
+    return {"dim": s.dim, "max_level": s.max_level, "levels": [tensor_to_json(t) for t in s.levels]}
 
 
-def _levels_from_json(obj: Any, where: str, first: int, cls):
-    """A signature lists levels first=0..max_level, a log-signature first=1..max_level."""
-    if not isinstance(obj, dict):
-        raise ParseError("expected an object", where)
-    dim = _require(obj, "dim", where)
-    max_level = _require(obj, "max_level", where)
-    levels = _require(obj, "levels", where)
+def _levels_from_json(obj: Any, where: str, cls):
+    """A signature lists levels 0..max_level, a log-signature 1..max_level (cls.first)."""
+    dim, max_level, levels = _fields(obj, where, "dim", "max_level", "levels")
     if not _is_int(dim) or not _is_int(max_level):
         raise ParseError("dim and max_level must be integers", where)
-    if not isinstance(levels, list) or len(levels) != max_level + 1 - first:
-        raise ParseError(f"levels must list tensors for {first}..max_level", where)
-    tensors = [tensor_from_json(t, f"{where}.levels[{k}]") for k, t in enumerate(levels, first)]
+    if not isinstance(levels, list) or len(levels) != max_level + 1 - cls.first:
+        raise ParseError(f"levels must list tensors for {cls.first}..max_level", where)
+    tensors = [tensor_from_json(t, f"{where}.levels[{k}]") for k, t in enumerate(levels, cls.first)]
     try:
         return cls(dim, max_level, tuple(tensors))
     except ValueError as exc:
@@ -258,19 +248,15 @@ def _levels_from_json(obj: Any, where: str, first: int, cls):
 
 
 def signature_from_json(obj: Any, where: str = "signature") -> TruncatedSignature:
-    return _levels_from_json(obj, where, 0, TruncatedSignature)
+    return _levels_from_json(obj, where, TruncatedSignature)
 
 
 def log_signature_to_json(l: LogSignature) -> dict:
-    return {
-        "dim": l.dim,
-        "max_level": l.max_level,
-        "levels": [tensor_to_json(l.level(k)) for k in range(1, l.max_level + 1)],
-    }
+    return signature_to_json(l)
 
 
 def log_signature_from_json(obj: Any, where: str = "log-signature") -> LogSignature:
-    return _levels_from_json(obj, where, 1, LogSignature)
+    return _levels_from_json(obj, where, LogSignature)
 
 
 # -- decompositions and certificates ----------------------------------------
@@ -287,11 +273,7 @@ def decomposition_to_json(d: Decomposition) -> dict:
 
 
 def decomposition_from_json(obj: Any, where: str = "decomposition") -> Decomposition:
-    if not isinstance(obj, dict):
-        raise ParseError("expected an object", where)
-    dim = _require(obj, "dim", where)
-    order = _require(obj, "order", where)
-    terms_json = _require(obj, "terms", where)
+    dim, order, terms_json = _fields(obj, where, "dim", "order", "terms")
     if not _is_int(dim) or not _is_int(order):
         raise ParseError("dim and order must be integers", where)
     if not isinstance(terms_json, list):
@@ -299,10 +281,8 @@ def decomposition_from_json(obj: Any, where: str = "decomposition") -> Decomposi
     terms = []
     for i, term in enumerate(terms_json):
         tw = f"{where}.terms[{i}]"
-        if not isinstance(term, dict):
-            raise ParseError("expected an object", tw)
-        coeff = parse_rational(_require(term, "coeff", tw), f"{tw}.coeff")
-        factors_json = _require(term, "factors", tw)
+        coeff = parse_rational(*_fields(term, tw, "coeff"), f"{tw}.coeff")
+        (factors_json,) = _fields(term, tw, "factors")
         if not isinstance(factors_json, list) or len(factors_json) != order:
             raise ParseError(f"expected {order} factors", tw)
         factors = tuple(vector_from_json(v, f"{tw}.factors[{j}]") for j, v in enumerate(factors_json))

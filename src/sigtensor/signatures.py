@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from . import graded
 from .linalg import Vector, as_vector
@@ -48,14 +48,11 @@ class Path:
 
 
 @dataclass(frozen=True)
-class TruncatedSignature:
-    """Levels 0..K of a tensor-algebra element; level k is an order-k tensor.
+class _Graded:
+    """Levels first..K, level k an order-k tensor. Each level's shape, then
+    _check_level, is checked before the next, so the first bad level is reported."""
 
-    Signatures of paths (and exponentials of log-signatures) have constant
-    term 1; the container itself allows any constant so that non-examples
-    can be built in order to exercise the shuffle test.
-    """
-
+    first: ClassVar[int] = 0  # 1 in LogSignature
     dim: int
     max_level: int
     levels: tuple[Tensor, ...]
@@ -63,24 +60,37 @@ class TruncatedSignature:
     def __post_init__(self):
         if self.max_level < 0:
             raise ValueError("max_level must be >= 0")
-        if len(self.levels) != self.max_level + 1:
-            raise ValueError("need one tensor per level 0..K")
-        for k, t in enumerate(self.levels):
+        if len(self.levels) != self.max_level + 1 - self.first:
+            raise ValueError(f"need one tensor per level {self.first}..K")
+        for k, t in enumerate(self.levels, self.first):
             if t.order != k or t.dim != self.dim:
                 raise ValueError(f"level {k} has wrong shape")
+            self._check_level(k, t)
+
+    def _check_level(self, k: int, t: Tensor) -> None:
+        """Validate level k beyond its shape (no check here)."""
 
     def level(self, k: int) -> Tensor:
-        if not 0 <= k <= self.max_level:
-            raise ValueError(f"level {k} outside 0..{self.max_level}")
-        return self.levels[k]
+        if not self.first <= k <= self.max_level:
+            raise ValueError(f"level {k} outside {self.first}..{self.max_level}")
+        return self.levels[k - self.first]
+
+    @classmethod
+    def from_levels(cls, levels: Sequence[Tensor], dim: int):
+        return cls(dim, len(levels) - 1 + cls.first, tuple(levels))
+
+
+class TruncatedSignature(_Graded):
+    """Levels 0..K of a tensor-algebra element; level k is an order-k tensor.
+
+    Signatures of paths (and exponentials of log-signatures) have constant
+    term 1; the container itself allows any constant so that non-examples
+    can be built in order to exercise the shuffle test.
+    """
 
     @property
     def constant_term(self) -> Fraction:
         return self.levels[0].entries[0]
-
-    @staticmethod
-    def from_levels(levels: Sequence[Tensor], dim: int) -> "TruncatedSignature":
-        return TruncatedSignature(dim, len(levels) - 1, tuple(levels))
 
     @staticmethod
     def trivial(dim: int, max_level: int) -> "TruncatedSignature":

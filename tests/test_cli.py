@@ -299,6 +299,36 @@ def test_verify_rejects_non_positive_size(capsys, size):
     assert "must be >= 1" in capsys.readouterr().err
 
 
+def test_verify_over_size_guard_exits_4_at_once(capsys, monkeypatch):
+    # the harness costs about 16 ms per unit of size: size 1000000 would run for hours
+    from sigtensor import cli
+
+    def no_work(seed, size):
+        raise AssertionError("run_harness ran past the guard")
+
+    monkeypatch.setattr(cli, "run_harness", no_work)
+    start = perf_counter()
+    code, out, err = run(capsys, "verify", "--size", "1000001")
+    assert perf_counter() - start < 0.5
+    assert code == 4 and out == ""
+    assert err == "precondition violated: precondition 'size <= 1000' violated (size=1000001); pass --allow-large to override\n"
+
+
+@pytest.mark.parametrize("size, allow_large, runs", [(2, False, True), (3, False, False), (3, True, True)])
+def test_verify_size_guard_bound(capsys, monkeypatch, size, allow_large, runs):
+    from sigtensor import cli
+
+    monkeypatch.setattr(cli, "GUARD_VERIFY_SIZE", 2)
+    argv = ["verify", "--seed", "0", "--size", str(size)] + ["--allow-large"] * allow_large
+    code, out, err = run(capsys, *argv)
+    if runs:
+        assert code == 0, err
+        assert json.loads(out)["inputs"] == {"seed": 0, "size": size}
+    else:
+        assert (code, out) == (4, "")
+        assert "precondition 'size <= 2' violated (size=3)" in err
+
+
 @pytest.mark.parametrize("command", ["symmetry", "certify"])
 def test_tensor_of_huge_order_exits_3(capsys, tmp_path, command):
     tensor_file = tmp_path / "t.json"
