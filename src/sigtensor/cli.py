@@ -217,6 +217,9 @@ def cmd_rank_bound(args):
 def cmd_certify(args):
     tensor = _read(serialize.tensor_from_json, args.tensor)
     witness = _read(serialize.decomposition_from_json, args.witness)
+    # a dim-1 tensor has one entry at any order, and the flattening scan grows like order^2
+    if tensor.order > GUARD_LEVEL and not args.allow_large:
+        raise _too_large(f"order <= {GUARD_LEVEL}", f"order={tensor.order}")
     cert = certify_rank(tensor, witness)
     return {"tensor": args.tensor, "witness": args.witness}, serialize.certificate_to_json(cert)
 
@@ -264,6 +267,7 @@ def cmd_concise(args):
     level = args.level if args.level is not None else sig.max_level
     if not 2 <= level <= sig.max_level:
         raise ValueError(f"precondition '2 <= level <= {sig.max_level}' violated (level={level})")
+    _check_size(sig.dim, level, args.allow_large)
     # each level's mode subspaces are computed once; its symmetric-conciseness
     # span is their sum, and the recovered subspace is the sum of those spans
     per_level, spans = [], []
@@ -315,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(*flags, **options)
         p.add_argument("--out", help="write the report to this file (relative to SIGTENSOR_OUT_DIR if set)")
         p.add_argument("--float", action="store_true", help="add lossy decimal columns next to exact values (null for a value outside the double range)")
-        p.add_argument("--allow-large", action="store_true", help="lift the dim <= 6, level <= 8, decompose alpha <= 8, shuffle-size, decompose term-count and verify size <= 1000 guards")
+        p.add_argument("--allow-large", action="store_true", help="lift the dim <= 6, level <= 8, certify order <= 8, decompose alpha <= 8, shuffle-size, decompose term-count and verify size <= 1000 guards")
     return parser
 
 

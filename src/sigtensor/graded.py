@@ -98,15 +98,6 @@ def product(a: Sequence[Level], b: Sequence[Level], dim: int) -> list[Level]:
     return out
 
 
-def axpy(acc: Level, c: Fraction, x: Level) -> Level:
-    """acc + c * x, reduced."""
-    (na, da), (nx, dx) = acc, x
-    q = c.denominator * dx
-    den = lcm(da, q)
-    sa, sx = den // da, c.numerator * (den // q)
-    return reduced(list(map(add, map(mul, na, repeat(sa)), map(mul, nx, repeat(sx)))), den)
-
-
 def dynkin(nums: Sequence[int], dim: int, order: int) -> list[int]:
     """Left-to-right bracketing on the coefficients of an order-k tensor.
 

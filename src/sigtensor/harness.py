@@ -15,7 +15,7 @@ from typing import Any
 
 from .conciseness import divisor_propagation_check, hyperplane_recovery
 from .lie import LogSignature, exp_log_signature, f_lambda, lie_basis, log_signature, partitions_of
-from .linalg import Subspace
+from .linalg import Subspace, integer_rank
 from .ranks import decompose_s_k_alpha, rank_bound_formula, s_k_alpha
 from .signatures import Path, iterated_integral_entry, pwl_signature
 from .symmetry import (
@@ -69,7 +69,7 @@ def random_hyperplane_path(rng: random.Random, d: int = 4, segments: int = 4, bo
     hyperplane, so its signature determines the hyperplane."""
     while True:
         incs = [[0] + [rng.randint(-bound, bound) for _ in range(d - 1)] for _ in range(segments)]
-        if Subspace.span(_reduced_increments(incs), d).dim == d - 1:
+        if integer_rank(_reduced_increments(incs)) == d - 1:
             return Path.from_increments(incs, dim=d)
 
 

@@ -4,7 +4,7 @@ Everything works over Q and never rounds; inputs and outputs are
 `fractions.Fraction`, while elimination runs on integers. Each row or vector
 is scaled to integers by the lcm of its denominators, which keeps its span.
 Ranks and pivot columns come from _pivot_columns, fraction-free (Bareiss)
-elimination, so intermediate values stay integral and small; the flattening
+elimination, so intermediate values stay integral and small; the rank
 bounds in `ranks` call integer_rank on integer numerators directly.
 Subspaces, inclusion tests and rref come from _echelon, an incremental integer
 echelon form that reads vectors one at a time and stops once the span is full.
@@ -24,7 +24,7 @@ from functools import cache
 from itertools import compress, count
 from math import gcd
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import graded
 
@@ -92,6 +92,15 @@ def integer_rank(rows: list[list[int]]) -> int:
 def _scaled(row: Sequence) -> list[int]:
     """The row times the lcm of its denominators: integers with the same span."""
     return graded.from_fractions(as_vector(row))[0]
+
+
+def _scaled_vectors(vectors: Iterable[Sequence], n: int) -> Iterator[list[int]]:
+    """Each vector scaled by _scaled, read lazily; one whose length is not n is refused."""
+    for v in vectors:
+        w = _scaled(v)
+        if len(w) != n:
+            raise ValueError("vector length does not match ambient dimension")
+        yield w
 
 
 def _scaled_matrix(rows: MatrixRows) -> list[list[int]]:
@@ -171,15 +180,7 @@ class Subspace:
     def span(vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":
         """Each vector is scaled to integers and fed to the integer
         elimination one at a time, so a full-rank span exits early."""
-
-        def scaled():
-            for v in vectors:
-                w = _scaled(v)
-                if len(w) != ambient_dim:
-                    raise ValueError("vector length does not match ambient dimension")
-                yield w
-
-        return Subspace._of_integers(scaled(), ambient_dim)
+        return Subspace._of_integers(_scaled_vectors(vectors, ambient_dim), ambient_dim)
 
     @staticmethod
     def _of_integers(vectors: Iterable[Sequence[int]], ambient_dim: int) -> "Subspace":
@@ -208,11 +209,15 @@ class Subspace:
         return self.dim == self.ambient_dim
 
     def contains(self, vector: Sequence) -> bool:
-        return self.contains_subspace(Subspace.span([vector], self.ambient_dim))
+        return self._absorbs([vector])
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        # other's rows first: span refuses one of another dimension even if self is full
-        return Subspace.span(other.basis + self.basis, self.ambient_dim).dim == self.dim
+        return self._absorbs(other.basis)
+
+    def _absorbs(self, vectors: Sequence[Sequence]) -> bool:
+        # the vectors first: one of another length is refused even if self is full
+        d = self.ambient_dim
+        return len(_echelon(_scaled_vectors([*vectors, *self.basis], d), d)) == self.dim
 
     def __add__(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:

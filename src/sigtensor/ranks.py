@@ -18,10 +18,9 @@ the recursion
 
     S_{k,a} = v_1 (x) S_{k-1,a+1}(v_1..v_m) + S_{k,0}(v_2..v_m) / a!.
 
-The flattening bound builds no Fraction matrix: each flattening is read from
-the tensor's integer numerators (t.nums) through precomputed offsets, and
-its rank comes from the one Bareiss kernel, linalg.integer_rank. The Koszul
-bound reaches the same kernel through matrix_rank.
+No bound builds a Fraction matrix: each flattening and Koszul flattening is
+read from the tensor's integer numerators (t.nums), and its rank comes from
+the one Bareiss kernel, linalg.integer_rank.
 """
 
 from __future__ import annotations
@@ -32,8 +31,9 @@ from math import ceil, comb, factorial
 from typing import Iterable, Sequence
 
 from . import graded
-from .linalg import Vector, as_fraction, as_vector, integer_rank, matrix_rank
-from .tensors import Tensor, flatten, koszul_flatten, mode_offsets
+from .conciseness import mode_subspaces
+from .linalg import Vector, as_fraction, as_vector, integer_rank
+from .tensors import Tensor, _koszul_rows, mode_offsets
 
 TermList = list[tuple[Fraction, list[Vector]]]
 
@@ -308,11 +308,7 @@ def koszul_lower_bound(t: Tensor) -> int:
     d = t.dim
     if d == 1:
         return 0
-    best = 0
-    for pivot in (1, 2, 3):
-        r = matrix_rank(koszul_flatten(t, pivot))
-        best = max(best, -(-r // (d - 1)))
-    return best
+    return max(-(-integer_rank(_koszul_rows(t.nums, d, pivot)) // (d - 1)) for pivot in (1, 2, 3))
 
 
 def certify_rank(t: Tensor, upper_witness: Decomposition) -> RankCertificate:
@@ -358,13 +354,14 @@ def classify_222_complex_rank(t: Tensor) -> int:
     """Complex rank of a 2x2x2 tensor: 0, 1, 2, or 3.
 
     Rank 3 happens exactly when the hyperdeterminant vanishes while all
-    three flattenings have rank 2. Real rank is not computed here.
+    three flattenings have rank 2. Real rank is not computed here. A mode
+    flattening's rank is the dimension of its mode subspace.
     """
     if t.order != 3 or t.dim != 2:
         raise ValueError("classification needs a 2x2x2 tensor")
     if t.is_zero:
         return 0
-    ranks = [flatten(t, (mode,)).rank for mode in (1, 2, 3)]
+    ranks = [w.dim for w in mode_subspaces(t)]
     if all(r <= 1 for r in ranks):
         return 1
     if all(r == 2 for r in ranks) and hyperdet_222(t) == 0:

@@ -29,9 +29,9 @@ def _multi_index(offset: int, order: int, dim: int) -> MultiIndex:
     return tuple(reversed(letters))
 
 
-def _transposition_violation(t: Tensor, positions: range, sign: int) -> tuple[MultiIndex, MultiIndex] | None:
-    """First index pair violating t[swap(I)] == sign * t[I] over adjacent
-    transpositions at the given 0-based positions.
+def _transposition_violation(t: Tensor, positions: range, sign: int) -> tuple[int, tuple[MultiIndex, MultiIndex]] | None:
+    """The first position and index pair violating t[swap(I)] == sign * t[I]
+    over adjacent transpositions at the given 0-based positions.
 
     Positions are scanned in order; at each, the multi-indices I with
     I[pos] < I[pos+1] in lexicographic order, then (for sign -1) those
@@ -56,7 +56,7 @@ def _transposition_violation(t: Tensor, positions: range, sign: int) -> tuple[Mu
                         y = tuple(map(neg, y))
                     if x != y:
                         r = next(r for r in range(lo) if x[r] != y[r])
-                        return (_multi_index(i + r, k, d), _multi_index(j + r, k, d))
+                        return pos, (_multi_index(i + r, k, d), _multi_index(j + r, k, d))
         if sign == -1:
             for outer in prefixes:
                 for a in range(d):
@@ -64,7 +64,7 @@ def _transposition_violation(t: Tensor, positions: range, sign: int) -> tuple[Mu
                     r = next((r for r in range(lo) if e[i + r]), None)
                     if r is not None:
                         index = _multi_index(i + r, k, d)
-                        return (index, index)
+                        return pos, (index, index)
     return None
 
 
@@ -82,32 +82,26 @@ def symmetry_report(t: Tensor) -> SymmetryReport:
 
     The witness is the first violating entry pair of the first failing flag,
     scanning flags in the order symmetric, skew, first block, last block.
+    The full scan holds before its first violation p, so the first block
+    (positions 0..k-3) fails there unless p = k-2 and the last (1..k-2)
+    unless p = 0, the one case where it is scanned.
     """
     if t.order < 2:
         raise ValueError("symmetry needs order >= 2")
     k = t.order
-    sym_w = _transposition_violation(t, range(k - 1), +1)
-    skew_w = _transposition_violation(t, range(k - 1), -1)
-    # the partial blocks use a subset of the positions of the full group
-    first_w = last_w = None
-    if sym_w is not None:
-        first_w = _transposition_violation(t, range(k - 2), +1)
-        last_w = _transposition_violation(t, range(1, k - 1), +1)
+    sym = _transposition_violation(t, range(k - 1), +1)
+    skew = _transposition_violation(t, range(k - 1), -1)
     partial = set()
-    if first_w is None:
+    if sym is None or sym[0] == k - 2:
         partial.add("first_k_minus_1")
-    if last_w is None:
+    if sym is None or (sym[0] == 0 and _transposition_violation(t, range(1, k - 1), +1) is None):
         partial.add("last_k_minus_1")
-    witness = None
-    for w in (sym_w, skew_w, first_w, last_w):
-        if w is not None:
-            witness = w
-            break
+    first_failure = sym or skew  # a block fails only where sym does
     return SymmetryReport(
-        is_symmetric=sym_w is None,
-        is_skew=skew_w is None,
+        is_symmetric=sym is None,
+        is_skew=skew is None,
         partial=frozenset(partial),
-        witness=witness,
+        witness=None if first_failure is None else first_failure[1],
     )
 
 

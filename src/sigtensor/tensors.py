@@ -18,11 +18,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
 from . import graded
-from .linalg import as_fraction, as_vector, matrix_rank
+from .linalg import as_fraction, as_vector, integer_rank, matrix_rank
 
 MultiIndex = tuple[int, ...]
 
@@ -121,12 +122,17 @@ class Tensor:
         return not any(self.nums)
 
     def __add__(self, other: "Tensor") -> "Tensor":
-        self._check_same_shape(other)
-        return Tensor._of_level(self.order, self.dim, graded.axpy((self.nums, self.den), Fraction(1), (other.nums, other.den)))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Tensor") -> "Tensor":
+        return self._combine(other, -1)
+
+    def _combine(self, other: "Tensor", sign: int) -> "Tensor":
+        """self + sign * other, one integer combination over lcm(den, other.den)."""
         self._check_same_shape(other)
-        return Tensor._of_level(self.order, self.dim, graded.axpy((self.nums, self.den), Fraction(-1), (other.nums, other.den)))
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        return Tensor._of_level(self.order, self.dim, ([x * a + y * b for x, y in zip(self.nums, other.nums)], den))
 
     def __neg__(self) -> "Tensor":
         return Tensor._of_level(self.order, self.dim, ([-n for n in self.nums], self.den))
@@ -220,10 +226,10 @@ def gl_act(m: Sequence[Sequence], t: Tensor) -> Tensor:
     rows = [as_vector(r) for r in m]
     if len(rows) != d or any(len(r) != d for r in rows):
         raise ValueError(f"matrix must be {d}x{d}")
-    if matrix_rank(rows) != d:
-        raise ValueError("matrix is singular; the action requires GL")
     # the matrix is ints over one scale: each contraction multiplies den by it
     ints, scale = graded.from_fractions([x for r in rows for x in r])
+    if integer_rank([ints[r * d : (r + 1) * d] for r in range(d)]) != d:
+        raise ValueError("matrix is singular; the action requires GL")
     nums = t.nums
     # Contract one mode at a time; mode 1 is slowest so its stride is d^(k-1).
     for mode in range(t.order):
@@ -251,19 +257,21 @@ def koszul_flatten(t: Tensor, pivot_mode: int) -> tuple[tuple[Fraction, ...], ..
         raise ValueError("Koszul flattening needs an order-3 tensor")
     if pivot_mode not in (1, 2, 3):
         raise ValueError("pivot_mode must be 1, 2, or 3")
-    d = t.dim
-    e = t.entries
+    return tuple(tuple(Fraction(x, t.den) for x in row) for row in _koszul_rows(t.nums, t.dim, pivot_mode))
+
+
+def _koszul_rows(e: Sequence[int], d: int, pivot_mode: int) -> list[list[int]]:
+    """The Koszul matrix over flat entries e: over t.nums, t.den times koszul_flatten(t, pivot_mode)."""
     others = [m for m in (1, 2, 3) if m != pivot_mode]
     s_u, s_v, s_w = (d ** (3 - m) for m in (pivot_mode, *others))
     pairs = list(itertools.combinations(range(d), 2))
-    zero = Fraction(0)
     # skewing sends T[u, v, x] to column (v, {x, w}), signed + if x < w, - if x > w
-    return tuple(
-        tuple(
-            e[u * s_u + v * s_v + a * s_w] if w == b else -e[u * s_u + v * s_v + b * s_w] if w == a else zero
+    return [
+        [
+            e[u * s_u + v * s_v + a * s_w] if w == b else -e[u * s_u + v * s_v + b * s_w] if w == a else 0
             for v in range(d)
             for a, b in pairs
-        )
+        ]
         for u in range(d)
         for w in range(d)
-    )
+    ]

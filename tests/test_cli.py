@@ -536,6 +536,99 @@ def test_allow_large_lifts_the_decompose_alpha_guard(capsys, axis3):
     assert report["inputs"]["alpha"] == 9 and report["result"]["length"] == 7
 
 
+def dim1_zero_files(tmp_path, order):
+    """The order-k zero tensor of dimension 1, one entry at any order, and an empty witness of it."""
+    tensor_file, witness_file = tmp_path / "t.json", tmp_path / "w.json"
+    tensor_file.write_text(json.dumps({"order": order, "dim": 1, "entries": ["0"]}))
+    witness_file.write_text(json.dumps({"dim": 1, "order": order, "terms": []}))
+    return str(tensor_file), str(witness_file)
+
+
+def test_certify_over_order_guard_exits_4_at_once(capsys, monkeypatch, tmp_path):
+    # unguarded, order 20000 ran out of memory in the flattening scan's O(order^2) part list
+    from sigtensor import cli
+
+    def no_work(tensor, witness):
+        raise AssertionError("certify_rank ran past the guard")
+
+    monkeypatch.setattr(cli, "certify_rank", no_work)
+    tensor_file, witness_file = dim1_zero_files(tmp_path, 100_000)
+    start = perf_counter()
+    code, out, err = run(capsys, "certify", "--tensor", tensor_file, "--witness", witness_file)
+    assert perf_counter() - start < 0.5
+    assert code == 4 and out == ""
+    assert err == "precondition violated: precondition 'order <= 8' violated (order=100000); pass --allow-large to override\n"
+
+
+@pytest.mark.parametrize("order, allow_large, runs", [(3, False, True), (4, False, False), (4, True, True)])
+def test_certify_order_guard_bound(capsys, monkeypatch, tmp_path, order, allow_large, runs):
+    from sigtensor import cli
+
+    monkeypatch.setattr(cli, "GUARD_LEVEL", 3)
+    tensor_file, witness_file = dim1_zero_files(tmp_path, order)
+    code, out, err = run(capsys, "certify", "--tensor", tensor_file, "--witness", witness_file, *["--allow-large"] * allow_large)
+    if runs:
+        assert code == 0, err
+        assert json.loads(out)["result"] == {"lower": 0, "status": "exact", "upper": 0}
+    else:
+        assert (code, out) == (4, "")
+        assert err == "precondition violated: precondition 'order <= 3' violated (order=4); pass --allow-large to override\n"
+
+
+def dim1_zero_signature(tmp_path, max_level):
+    sig_file = tmp_path / "sig.json"
+    levels = [{"dim": 1, "entries": ["1" if k == 0 else "0"], "order": k} for k in range(max_level + 1)]
+    sig_file.write_text(json.dumps({"dim": 1, "levels": levels, "max_level": max_level}))
+    return str(sig_file)
+
+
+def test_concise_over_level_guard_exits_4_at_once(capsys, monkeypatch, tmp_path):
+    # unguarded, concise on a dim-1 signature took 8.6 s at max_level 2000 and grew quadratically
+    from sigtensor import cli
+
+    def no_work(t):
+        raise AssertionError("mode_subspaces ran past the guard")
+
+    monkeypatch.setattr(cli, "mode_subspaces", no_work)
+    sig_file = dim1_zero_signature(tmp_path, 2000)
+    start = perf_counter()
+    code, out, err = run(capsys, "concise", "--sig", sig_file)
+    assert perf_counter() - start < 0.5
+    assert code == 4 and out == ""
+    assert err == "precondition violated: precondition 'dim <= 6 and level <= 8' violated (dim=1, level=2000); pass --allow-large to override\n"
+    # the level range is checked first
+    code, _, err = run(capsys, "concise", "--sig", sig_file, "--level", "2001")
+    assert code == 4 and "'2 <= level <= 2000' violated (level=2001)" in err
+
+
+@pytest.mark.parametrize("level, allow_large, runs", [(3, False, True), (4, False, False), (4, True, True)])
+def test_concise_level_guard_bound(capsys, monkeypatch, tmp_path, level, allow_large, runs):
+    from sigtensor import cli
+
+    monkeypatch.setattr(cli, "GUARD_LEVEL", 3)
+    sig_file = dim1_zero_signature(tmp_path, 5)
+    code, out, err = run(capsys, "concise", "--sig", sig_file, "--level", str(level), *["--allow-large"] * allow_large)
+    if runs:
+        assert code == 0, err
+        assert json.loads(out)["inputs"]["level"] == level
+    else:
+        assert (code, out) == (4, "")
+        assert err == "precondition violated: precondition 'dim <= 6 and level <= 3' violated (dim=1, level=4); pass --allow-large to override\n"
+
+
+def test_concise_takes_the_dim_guard(capsys, tmp_path):
+    from sigtensor import segment_signature
+
+    sig_file = tmp_path / "seg7.json"
+    sig_file.write_text(dump_json(signature_to_json(segment_signature([1, 0, 0, 0, 0, 0, 2], 2))))
+    code, out, err = run(capsys, "concise", "--sig", str(sig_file))
+    assert code == 4 and out == ""
+    assert "(dim=7, level=2); pass --allow-large to override" in err
+    code, out, err = run(capsys, "concise", "--sig", str(sig_file), "--allow-large")
+    assert code == 0, err
+    assert json.loads(out)["result"]["recovered_subspace"]["dim"] == 1
+
+
 @pytest.mark.parametrize("allow_large", [False, True])
 def test_pure_volume_takes_the_dim_guard(capsys, tmp_path, allow_large):
     from sigtensor import segment_signature

@@ -105,6 +105,24 @@ def test_hyperplane_round_trip_random():
         assert hyperplane_recovery(sig) == expected
 
 
+def reference_hyperplane_path(rng, d=4, segments=4, bound=3):
+    """The draw loop of random_hyperplane_path with its span test done by Subspace."""
+    from sigtensor.harness import _reduced_increments
+
+    while True:
+        incs = [[0] + [rng.randint(-bound, bound) for _ in range(d - 1)] for _ in range(segments)]
+        if Subspace.span(_reduced_increments(incs), d).dim == d - 1:
+            return Path.from_increments(incs, dim=d)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_random_hyperplane_path_matches_the_subspace_check(seed):
+    rng, ref = random.Random(seed), random.Random(seed)
+    for d, segments, bound in ((4, 4, 3), (3, 2, 1), (5, 5, 1)):
+        assert random_hyperplane_path(rng, d, segments, bound) == reference_hyperplane_path(ref, d, segments, bound)
+    assert rng.getstate() == ref.getstate()
+
+
 def test_divisor_propagation_on_confined_path():
     path = Path.from_increments([[0, 1, 0, 0], [0, 0, 1, 0], [0, 1, 1, 1]], dim=4)
     sig = pwl_signature(path, 6)

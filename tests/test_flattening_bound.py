@@ -1,9 +1,11 @@
-"""Cross-checks of the integer Bareiss kernel and the flattening scan built
-on it. Expected ranks come from the plain Fraction elimination below, never
-from the kernel itself."""
+"""Cross-checks of the integer Bareiss kernel and the rank bounds built on
+it: the flattening scan, the Koszul bound, the 2x2x2 classification, and
+their soundness on sums of elementary tensors. Expected ranks come from the
+plain Fraction elimination below, never from the kernel itself."""
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import ceil
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +14,11 @@ from sigtensor import (
     Decomposition,
     Tensor,
     certify_rank,
+    classify_222_complex_rank,
     flatten,
     flattening_lower_bound,
+    hyperdet_222,
+    koszul_flatten,
     koszul_lower_bound,
     matrix_rank,
 )
@@ -194,3 +199,97 @@ def test_certify_rejects_witness_off_by_its_denominator_only():
         certify_rank(t, Decomposition.of(2, 2, [(Fraction(1, 2), [e1, e2])]))
     with pytest.raises(ValueError, match="invalid witness"):
         certify_rank(t.scale(Fraction(1, 3)), Decomposition.of(2, 2, [(Fraction(1, 6), [e1, e2])]))
+
+
+# -- the Koszul bound and the 2x2x2 classification, against Fraction references
+
+def reference_koszul_bound(t: Tensor) -> int:
+    """max over pivots of ceil(rank / (d - 1)) of the Fraction Koszul flattening."""
+    if t.dim == 1:
+        return 0
+    return max(ceil(reference_rank(koszul_flatten(t, pivot)) / (t.dim - 1)) for pivot in (1, 2, 3))
+
+
+@st.composite
+def order3_tensors(draw, max_dim=4):
+    """Order 3, d <= max_dim: dense rational entries or a short sum of
+    elementary terms with rational factors."""
+    d = draw(st.integers(1, max_dim))
+    if draw(st.booleans()):
+        return Tensor.from_entries(3, d, draw(st.lists(rationals, min_size=d**3, max_size=d**3)))
+    return Decomposition.of(d, 3, draw(terms(d, 3, 4))).realize()
+
+
+@SETTINGS
+@given(order3_tensors())
+def test_koszul_bound_matches_the_fraction_koszul_flattening(t):
+    assert koszul_lower_bound(t) == reference_koszul_bound(t)
+
+
+def test_koszul_bound_reads_the_third_pivot():
+    # pivots 1 and 2 both skew mode 3 and give 3 here; only pivot 3, which skews mode 2, reaches 4
+    entries = [0, 0, 1, 0, 0, 0, 0, 0, 0, -1, 0, 0, -1, -1, 0, -1, 1, 0, 0, 2, 2, 0, 0, 0, 0, 0, 0]
+    t = Tensor.from_entries(3, 3, entries).scale(Fraction(2, 3))
+    assert [ceil(reference_rank(koszul_flatten(t, p)) / 2) for p in (1, 2, 3)] == [3, 3, 4]
+    assert koszul_lower_bound(t) == reference_koszul_bound(t) == 4
+
+
+def reference_classify_222(t: Tensor) -> int:
+    """The classification with its flattening ranks read from Fraction flattenings."""
+    if t.is_zero:
+        return 0
+    ranks_ = [reference_rank(flatten(t, (mode,)).matrix) for mode in (1, 2, 3)]
+    if all(r <= 1 for r in ranks_):
+        return 1
+    if all(r == 2 for r in ranks_) and hyperdet_222(t) == 0:
+        return 3
+    return 2
+
+
+@SETTINGS
+@given(st.data())
+def test_classify_222_matches_the_flattening_reference(data):
+    small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    kind = data.draw(st.sampled_from(["dense", "sparse", "terms"]))
+    if kind == "terms":
+        vector = st.lists(small, min_size=2, max_size=2)
+        t = Decomposition.of(2, 3, data.draw(st.lists(st.tuples(small, st.lists(vector, min_size=3, max_size=3)), max_size=3))).realize()
+    else:
+        values = small if kind == "dense" else st.sampled_from([Fraction(0)] * 3 + [Fraction(1), Fraction(-1, 2)])
+        t = Tensor.from_entries(3, 2, data.draw(st.lists(values, min_size=8, max_size=8)))
+    assert classify_222_complex_rank(t) == reference_classify_222(t)
+
+
+# -- soundness: every lower bound is at most the length of a witness -----------
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_lower_bounds_never_exceed_the_number_of_elementary_terms(data):
+    d, k = data.draw(st.integers(1, 4)), data.draw(st.integers(2, 5))
+    if d == 4 and k == 5:
+        k = 4  # keep each example under a few thousand entries
+    vector = st.lists(rationals, min_size=d, max_size=d)
+    raw = data.draw(st.lists(st.tuples(rationals, st.lists(vector, min_size=k, max_size=k)), min_size=1, max_size=4))
+    witness = Decomposition.of(d, k, raw)
+    t = witness.realize()
+    r = witness.length
+    assert r <= len(raw)
+    assert flattening_lower_bound(t) <= r
+    assert certify_rank(t, witness).lower <= r
+    if k == 3:
+        assert koszul_lower_bound(t) <= r
+
+
+@SETTINGS
+@given(st.integers(1, 4), st.integers(2, 5), st.data())
+def test_a_nonzero_elementary_tensor_has_every_bound_one(d, k, data):
+    nonzero = st.lists(rationals, min_size=d, max_size=d).filter(any)
+    coeff = data.draw(rationals.filter(bool))
+    witness = Decomposition.of(d, k, [(coeff, data.draw(st.lists(nonzero, min_size=k, max_size=k)))])
+    t = witness.realize()
+    assert witness.length == 1 and not t.is_zero
+    assert flattening_lower_bound(t) == 1
+    assert certify_rank(t, witness).lower == 1
+    if k == 3:
+        # the Koszul divisor d - 1 is 0 at d = 1, where the bound is defined as 0
+        assert koszul_lower_bound(t) == (1 if d > 1 else 0)

@@ -119,6 +119,17 @@ def test_gl_act_rejects_singular():
         gl_act([[1, 1], [2, 2]], t)
 
 
+@pytest.mark.parametrize("m", [
+    [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 4), Fraction(1, 2)]],
+    [["2/3", "-1/5"], [0, 0]],
+    [[Fraction(1, 7), 0], [Fraction(-2, 7), 0]],
+])
+def test_gl_act_rejects_singular_matrices_with_fractional_entries(m):
+    for t in (Tensor.zeros(1, 2), Tensor.from_entries(2, 2, ["1/2", 3, "-2/5", 1])):
+        with pytest.raises(ValueError, match="^matrix is singular; the action requires GL$"):
+            gl_act(m, t)
+
+
 def test_gl_act_composition():
     rng = random.Random(3)
     t = Tensor.from_entries(3, 2, [rng.randint(-3, 3) for _ in range(8)])
@@ -306,6 +317,20 @@ def test_arithmetic_matches_fraction_references(pair, c):
     assert list((s - t).entries) == [x - y for x, y in zip(a, b)]
     assert list((-s).entries) == [-x for x in a]
     assert list(s.scale(c).entries) == list((c * s).entries) == [c * x for x in a]
+    assert s - s == Tensor.zeros(k, d) and (s - s).den == 1
+    # b - a added to a cancels every fraction: the sum is b, over b's denominator
+    assert (s + (t - s)).entries == tuple(b) and (s + (t - s)).den == t.den
+    assert (s + (-s)).nums == (0,) * d**k and (s + (-s)).den == 1
+
+
+def test_sums_that_cancel_to_integers_have_denominator_one():
+    half = Tensor.from_entries(1, 2, ["1/2", "-3/2"])
+    whole = half + half
+    assert (whole.nums, whole.den) == ((1, -3), 1)
+    third = Tensor.from_entries(2, 2, ["1/3", "2/3", "-1/6", "5/6"])
+    rest = Tensor.from_entries(2, 2, ["2/3", "1/3", "1/6", "-5/6"])
+    assert ((third + rest).nums, (third + rest).den) == ((1, 1, 0, 0), 1)
+    assert ((third - third).nums, (third - third).den) == ((0, 0, 0, 0), 1)
 
 
 @SETTINGS
