@@ -4,7 +4,8 @@ Every command reads exact rational inputs, runs one library operation, and
 writes a JSON report to stdout (or --out). Exit codes: 0 success (and every
 requested check passed), 1 a requested check failed, 2 unknown command or
 bad arguments, 3 malformed input file or a file that cannot be decoded,
-read or written, 4 violated mathematical precondition.
+read or written, 4 violated mathematical precondition, 5 internal error (any
+other exception, reported on one line without a traceback).
 
 A command is one function registered by @_command(name, help, *arguments),
 each argument an _arg(*flags, **options) for add_argument; path_input adds
@@ -352,6 +353,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 4
+    except Exception as exc:  # a defect, not a bad input: one line, no traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
     return 0 if command.verdict is None or result[command.verdict] else 1
 
 

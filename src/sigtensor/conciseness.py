@@ -16,7 +16,7 @@ the full unfolding.
 from __future__ import annotations
 
 from itertools import chain, compress, count, islice
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from .linalg import Subspace, _pivot_columns
 from .signatures import TruncatedSignature
@@ -26,10 +26,15 @@ from .tensors import Tensor
 def mode_subspaces(t: Tensor) -> list[Subspace]:
     """For each mode, the span of the mode fibers in Q^d (the column space
     of the d x d^(k-1) unfolding). The tensor is concise iff all are full."""
+    return [Subspace._of_integers(fibers, t.dim) for fibers in _mode_fibers(t)]
+
+
+def _mode_fibers(t: Tensor) -> list[Iterator[Sequence[int]]]:
+    """One lazy _spanning_fibers reader per mode, in mode order."""
     if t.order < 1:
         raise ValueError("mode subspaces need order >= 1")
     d = t.dim
-    return [Subspace._of_integers(_spanning_fibers(t.nums, d, d ** (t.order - mode)), d) for mode in range(1, t.order + 1)]
+    return [_spanning_fibers(t.nums, d, d ** (t.order - mode)) for mode in range(1, t.order + 1)]
 
 
 def _spanning_fibers(nums: tuple[int, ...], d: int, stride: int):
@@ -77,8 +82,9 @@ def subspace_sum(spaces: Iterable[Subspace], ambient_dim: int) -> Subspace:
 
 def symmetric_conciseness(t: Tensor) -> Subspace:
     """The minimal W with t in W^(x)k: the span of the union of the mode
-    subspaces. t is symmetrically concise iff this is all of Q^d."""
-    return subspace_sum(mode_subspaces(t), t.dim)
+    subspaces. t is symmetrically concise iff this is all of Q^d. Every
+    mode's fibers feed one lazy echelon, which stops once the sum is full."""
+    return Subspace._of_integers(chain.from_iterable(_mode_fibers(t)), t.dim)
 
 
 def tensor_in_power(t: Tensor, w: Subspace) -> bool:

@@ -20,7 +20,8 @@ the recursion
 
 No bound builds a Fraction matrix: each flattening and Koszul flattening is
 read from the tensor's integer numerators (t.nums), and its rank comes from
-the one Bareiss kernel, linalg.integer_rank.
+the one Bareiss kernel, linalg.integer_rank. Flattenings are read from the
+concise core (_core), a slice of t.nums; the Koszul bound reads all of t.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from math import ceil, comb, factorial
 from typing import Iterable, Sequence
 
 from . import graded
-from .conciseness import mode_subspaces
+from .conciseness import mode_subspaces, symmetric_conciseness
 from .linalg import Vector, as_fraction, as_vector, integer_rank
 from .tensors import Tensor, _koszul_rows, mode_offsets
 
@@ -290,14 +291,30 @@ def _flattening_bound(nums: Sequence[int], k: int, d: int, stop: int) -> int:
     return best
 
 
+def _core(t: Tensor) -> tuple[Sequence[int], int]:
+    """The numerators and dim to scan flattenings on: t's own if the sum U of
+    its mode subspaces is full, else the subtensor at J^k and |J|, J the pivot
+    columns of U's RREF basis (of a zero tensor, none). t lies in U^(x)k and
+    the projection onto J is injective on U, so no flattening rank changes."""
+    pivots = [row.index(1) for row in symmetric_conciseness(t).basis]  # 0 before the pivot, 1 at it
+    if len(pivots) == t.dim:
+        return t.nums, t.dim
+    offsets = [0]
+    for _ in range(t.order):
+        offsets = [o * t.dim + j for o in offsets for j in pivots]
+    return [t.nums[o] for o in offsets], len(pivots)
+
+
 def flattening_lower_bound(t: Tensor) -> int:
     """Max matrix rank over index bipartitions; a lower bound for the rank.
-    The ranks come from linalg.integer_rank (see _flattening_bound)."""
+    Flattenings are read from the concise core (_core), their ranks from
+    linalg.integer_rank (see _flattening_bound)."""
     if t.order < 2:
         raise ValueError("flattening needs order >= 2")
+    nums, d = _core(t)
     # no flattening rank exceeds the entry count, so stopping there never
     # changes the maximum
-    return _flattening_bound(t.nums, t.order, t.dim, len(t.nums))
+    return _flattening_bound(nums, t.order, d, len(nums))
 
 
 def koszul_lower_bound(t: Tensor) -> int:
@@ -313,7 +330,8 @@ def koszul_lower_bound(t: Tensor) -> int:
 
 def certify_rank(t: Tensor, upper_witness: Decomposition) -> RankCertificate:
     """Combine the flattening (and, at order 3, Koszul) lower bound with the
-    witness length. Status "exact" means the two meet.
+    witness length. Status "exact" means the two meet. Flattenings are read
+    from the concise core (_core); Koszul from t, as its divisor d - 1 is ambient.
 
     Every bound is at most the rank, hence at most the witness length, so the
     scan stops once the lower bound reaches that length: the result is the
@@ -323,7 +341,8 @@ def certify_rank(t: Tensor, upper_witness: Decomposition) -> RankCertificate:
         raise ValueError("invalid witness: decomposition does not realize the tensor")
     upper = upper_witness.length
     if t.order >= 2:
-        lower = _flattening_bound(t.nums, t.order, t.dim, upper)
+        nums, d = _core(t)
+        lower = _flattening_bound(nums, t.order, d, upper)
         if t.order == 3 and lower < upper:
             lower = max(lower, koszul_lower_bound(t))
     else:

@@ -1,0 +1,141 @@
+"""Mutants that the tests must kill, with a standard-library runner.
+
+    python tests/mutants.py          # run every mutant
+    python tests/mutants.py --list   # name them
+
+Each mutant is one exact-text edit of a file under src/sigtensor and the
+tests that must fail once it is applied. For each mutant the runner copies
+src/ and tests/ to a temporary directory, applies the edit to the copy and
+runs those tests there with pytest (hypothesis seeded, so runs repeat). The
+named tests first run once on an unmutated copy and must pass, so a kill is
+never an environment failure. The runner exits 1 if a mutant survives, and
+at once if a mutant's old text is not found exactly once in its file: the
+code moved, and the mutant must be re-targeted.
+
+pytest collects only test_*.py files, so Tier-1 never runs this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+FLAT = "tests/test_flattening_bound.py::"
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/sigtensor
+    old: str
+    new: str
+    tests: tuple[str, ...]  # a pinned test first: a failing hypothesis test can shrink for minutes
+
+
+MUTANTS = [
+    Mutant(
+        "certify_rank does not realize the witness",
+        "ranks.py",
+        "if (upper_witness.dim, upper_witness.order) != (t.dim, t.order) or upper_witness.realize() != t:",
+        "if (upper_witness.dim, upper_witness.order) != (t.dim, t.order):",
+        (FLAT + "test_certify_rejects_witness_off_by_its_denominator_only",),
+    ),
+    Mutant(
+        "_flattening_bound stops one rank early",
+        "ranks.py",
+        "        if best >= stop:\n            break",
+        "        if best >= stop - 1:\n            break",
+        (FLAT + "test_certify_scans_past_a_flattening_below_the_witness_length", FLAT + "test_core_scan_matches_the_ambient_scan"),
+    ),
+    Mutant(
+        "the Koszul divisor is d, not d - 1",
+        "ranks.py",
+        "// (d - 1)) for pivot in (1, 2, 3))",
+        "// d) for pivot in (1, 2, 3))",
+        (FLAT + "test_axis_path_in_q4_keeps_the_ambient_koszul_bound", FLAT + "test_koszul_bound_matches_the_fraction_koszul_flattening"),
+    ),
+    Mutant(
+        "the core drops one pivot of U",
+        "ranks.py",
+        "for row in symmetric_conciseness(t).basis]",
+        "for row in symmetric_conciseness(t).basis[1:]]",
+        (FLAT + "test_core_is_the_slice_at_the_pivot_coordinates", FLAT + "test_core_scan_matches_the_ambient_scan"),
+    ),
+    Mutant(
+        "U is the first mode subspace, not the sum of all of them",
+        "conciseness.py",
+        "chain.from_iterable(_mode_fibers(t))",
+        "chain.from_iterable(_mode_fibers(t)[:1])",
+        (FLAT + "test_core_spans_every_mode_subspace_not_only_the_first", FLAT + "test_core_scan_matches_the_ambient_scan"),
+    ),
+    Mutant(
+        "the core keeps the ambient dimension (a zero tensor's empty core is read at d)",
+        "ranks.py",
+        "return [t.nums[o] for o in offsets], len(pivots)",
+        "return [t.nums[o] for o in offsets], t.dim",
+        (FLAT + "test_core_of_the_zero_tensor_is_empty_and_scans_nothing", FLAT + "test_core_scan_matches_the_ambient_scan"),
+    ),
+]
+
+
+def copy_tree(target: Path) -> None:
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, target / part, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+
+
+def run_tests(workdir: Path, tests) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(workdir / "src"))
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", *tests]
+    return subprocess.run(command, cwd=workdir, env=env, capture_output=True, text=True, timeout=600)
+
+
+def apply(mutant: Mutant, workdir: Path) -> None:
+    path = workdir / "src" / "sigtensor" / mutant.file
+    text = path.read_text()
+    found = text.count(mutant.old)
+    if found != 1:
+        sys.exit(f"mutant '{mutant.name}': its old text occurs {found} times in src/sigtensor/{mutant.file}, expected once; re-target it")
+    path.write_text(text.replace(mutant.old, mutant.new))
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--list"]:
+        for m in MUTANTS:
+            print(f"{m.file}: {m.name}")
+        return 0
+    start = time.monotonic()
+    with tempfile.TemporaryDirectory(prefix="sigtensor-mutants-") as tmp:
+        tmp = Path(tmp)
+        for i, mutant in enumerate(MUTANTS):  # every old text is checked before any test runs
+            copy_tree(tmp / str(i))
+            apply(mutant, tmp / str(i))
+        copy_tree(tmp / "clean")
+        named = sorted({t for m in MUTANTS for t in m.tests})
+        clean = run_tests(tmp / "clean", named)
+        if clean.returncode != 0:
+            print(clean.stdout[-3000:], clean.stderr[-3000:], sep="\n")
+            print("the named tests fail without any mutant; nothing was measured")
+            return 1
+        survivors = []
+        for i, mutant in enumerate(MUTANTS):
+            result = run_tests(tmp / str(i), mutant.tests)
+            if result.returncode not in (0, 1):  # pytest's own error (2-5), not a failing test
+                print(result.stdout[-3000:], result.stderr[-3000:], sep="\n")
+                print(f"mutant '{mutant.name}': pytest exited {result.returncode}, not with failing tests")
+                return 1
+            killed = result.returncode == 1
+            print(f"{'killed' if killed else 'SURVIVED'}: {mutant.name} ({mutant.file})", flush=True)
+            if not killed:
+                survivors.append(mutant.name)
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed in {time.monotonic() - start:.1f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -199,6 +199,19 @@ def test_unknown_command_exits_2(capsys):
     assert exc.value.code == 2
 
 
+def test_unexpected_exception_exits_5_with_one_line(capsys, monkeypatch):
+    from sigtensor import cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "rank-bound", cli._COMMANDS["rank-bound"]._replace(run=broken))
+    code, out, err = run(capsys, "rank-bound", "--k", "5", "--m", "4")
+    assert code == 5 and out == ""
+    assert err == "internal error: RuntimeError: boom\n"
+    assert "Traceback" not in err
+
+
 def test_malformed_input_exits_3(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")

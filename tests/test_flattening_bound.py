@@ -1,7 +1,8 @@
 """Cross-checks of the integer Bareiss kernel and the rank bounds built on
 it: the flattening scan, the Koszul bound, the 2x2x2 classification, and
 their soundness on sums of elementary tensors. Expected ranks come from the
-plain Fraction elimination below, never from the kernel itself."""
+plain Fraction elimination below, never from the kernel itself; the scan on
+the concise core is checked against the ambient scan it replaced."""
 
 from fractions import Fraction
 from itertools import combinations, product
@@ -15,15 +16,18 @@ from sigtensor import (
     Tensor,
     certify_rank,
     classify_222_complex_rank,
+    decompose_s_k_alpha,
     flatten,
     flattening_lower_bound,
     hyperdet_222,
     koszul_flatten,
     koszul_lower_bound,
     matrix_rank,
+    s_k_alpha,
 )
 from sigtensor import ranks
 from sigtensor.linalg import integer_rank
+from sigtensor.tensors import mode_offsets
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -293,3 +297,128 @@ def test_a_nonzero_elementary_tensor_has_every_bound_one(d, k, data):
     if k == 3:
         # the Koszul divisor d - 1 is 0 at d = 1, where the bound is defined as 0
         assert koszul_lower_bound(t) == (1 if d > 1 else 0)
+
+
+# -- the concise core: flattenings scanned on the tensor restricted to the
+# span U of its mode subspaces, against the ambient scan
+
+def ambient_flattening_bound(nums, k: int, d: int, stop: int) -> int:
+    """The scan over all of Q^d, as ranks._flattening_bound ran on t.nums and
+    t.dim before the core: the same part list, cap skip and early stop."""
+    if k <= 7:
+        tail = range(2, k + 1)
+        parts = [(1,) + tuple(p for i, p in enumerate(tail) if mask >> i & 1) for mask in range(2 ** (k - 1) - 1)]
+    else:
+        parts = list({tuple(range(1, k + 1, 2)), *(tuple(range(1, j + 1)) for j in range(1, k))})
+    parts.sort(key=lambda s: (-min(len(s), k - len(s)), s))
+    best = 0
+    for part in parts:
+        rest = [p for p in range(1, k + 1) if p not in part]
+        small, large = (part, rest) if len(part) <= len(rest) else (rest, part)
+        if d ** len(small) <= best:
+            continue
+        cols = mode_offsets(large, k, d)
+        best = max(best, integer_rank([[nums[r + c] for c in cols] for r in mode_offsets(small, k, d)]))
+        if best >= stop:
+            break
+    return best
+
+
+@st.composite
+def in_mode_subspaces(draw, dims, orders):
+    """A witness and the sum of its elementary tensors, which lies in
+    W_1 (x) ... (x) W_k: U is spanned by vectors with no zero entry (so a
+    proper U is not a coordinate subspace), each W_i by its own integer
+    combinations of U's basis, and each factor at mode i is a rational
+    combination of W_i's basis."""
+    d, k = draw(st.integers(*dims)), draw(st.integers(*orders))
+    u = draw(st.integers(1, d))
+    basis_u = draw(st.lists(st.lists(rationals.filter(bool), min_size=d, max_size=d), min_size=u, max_size=u))
+
+    def combination(basis, coeffs):
+        cs = draw(st.lists(coeffs, min_size=len(basis), max_size=len(basis)).filter(any))
+        return [sum(c * x for c, x in zip(cs, column)) for column in zip(*basis)]
+
+    w = [[combination(basis_u, st.integers(-2, 2)) for _ in range(draw(st.sampled_from(range(1, u + 1))))] for _ in range(k)]
+    raw = [(draw(rationals.filter(bool)), [combination(w[i], rationals) for i in range(k)]) for _ in range(draw(st.integers(1, 3)))]
+    witness = Decomposition.of(d, k, raw)
+    return witness.realize(), witness
+
+
+def check_core_against_ambient(t: Tensor, witness: Decomposition):
+    k, d = t.order, t.dim
+    full = ambient_flattening_bound(t.nums, k, d, len(t.nums))
+    assert flattening_lower_bound(t) == full
+    nums, core_dim = ranks._core(t)
+    for stop in range(full + 1):  # stops below the maximum end the scan early
+        assert ranks._flattening_bound(nums, k, core_dim, stop) == ambient_flattening_bound(t.nums, k, d, stop)
+    upper = witness.length
+    lower = ambient_flattening_bound(t.nums, k, d, upper)
+    if k == 3 and lower < upper:
+        lower = max(lower, koszul_lower_bound(t))
+    cert = certify_rank(t, witness)
+    assert (cert.lower, cert.upper, cert.status) == (lower, upper, "exact" if lower == upper else "bounded")
+
+
+@SETTINGS
+@given(in_mode_subspaces(dims=(1, 4), orders=(2, 5)))
+def test_core_scan_matches_the_ambient_scan(case):
+    check_core_against_ambient(*case)
+
+
+@settings(max_examples=25, deadline=None)
+@given(in_mode_subspaces(dims=(2, 3), orders=(6, 7)))
+def test_core_scan_matches_the_ambient_scan_at_orders_6_and_7(case):
+    check_core_against_ambient(*case)
+
+
+@settings(max_examples=12, deadline=None)
+@given(in_mode_subspaces(dims=(2, 3), orders=(8, 9)))
+def test_core_scan_matches_the_ambient_scan_on_the_reduced_part_list(case):
+    # from order 8 on the scan takes the odd/even split and the prefixes only
+    check_core_against_ambient(*case)
+
+
+@pytest.mark.parametrize("k", range(2, 10))
+@pytest.mark.parametrize("d", [1, 2])
+def test_core_of_the_zero_tensor_is_empty_and_scans_nothing(k, d):
+    t = Tensor.zeros(k, d)
+    assert ranks._core(t) == ([], 0)
+    assert flattening_lower_bound(t) == 0
+    cert = certify_rank(t, Decomposition(d, k, ()))
+    assert (cert.lower, cert.upper, cert.status) == (0, 0, "exact")
+
+
+def test_core_of_a_concise_tensor_is_the_tensor_itself():
+    t = s_k_alpha([[1, 2, 0], [0, -1, 3], [2, 0, 1]], 4, 0)
+    assert ranks._core(t) == (t.nums, 3)
+
+
+def test_core_is_the_slice_at_the_pivot_coordinates():
+    # v (x) v (x) v with v = (1, 2, 3): U is the line through v, its RREF row (1, 2, 3) pivots at coordinate 1
+    t = Tensor.elementary([[1, 2, 3]] * 3)
+    assert ranks._core(t) == ([1], 1)
+    assert flattening_lower_bound(t) == 1
+
+
+def test_core_spans_every_mode_subspace_not_only_the_first():
+    # a (x) b (x) c + a (x) b' (x) c' with a, b, b', c, c' in the non-coordinate
+    # plane U = span{(1, 1, 1, 1), (1, 2, 3, 4)}: mode 1 spans the line through a,
+    # modes 2 and 3 span U, and the flattening {2} | {1, 3} has rank 2
+    a, b, b2, c, c2 = [1, 1, 1, 1], [1, 2, 3, 4], [2, 3, 4, 5], [0, 1, 2, 3], [3, 5, 7, 9]
+    witness = Decomposition.of(4, 3, [(1, [a, b, c]), (1, [a, b2, c2])])
+    t = witness.realize()
+    assert ranks._core(t)[1] == 2
+    assert flattening_lower_bound(t) == reference_flattening_bound(t) == 2
+    assert certify_rank(t, witness).lower == 2
+
+
+def test_axis_path_in_q4_keeps_the_ambient_koszul_bound():
+    # level 3 of e1, e2, e3 embedded in Q^4: the flattenings give 3 and only
+    # the Koszul bound at the ambient divisor d - 1 = 3 reaches the rank 4
+    vs = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+    t, witness = s_k_alpha(vs, 3, 0), decompose_s_k_alpha(vs, 3, 0)
+    assert ranks._core(t)[1] == 3
+    assert flattening_lower_bound(t) == 3
+    cert = certify_rank(t, witness)
+    assert (cert.lower, cert.upper, cert.status) == (4, 4, "exact")
