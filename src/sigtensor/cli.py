@@ -66,6 +66,13 @@ def _check_size(dim: int, level: int, allow_large: bool):
         raise _too_large(f"dim <= {GUARD_DIM} and level <= {GUARD_LEVEL}", f"dim={dim}, level={level}")
 
 
+def _check_order(order: int, allow_large: bool):
+    """A dim-1 tensor has one entry at any order, while the flattening scan
+    grows like order^2 and a symmetry witness like the order."""
+    if order > GUARD_LEVEL and not allow_large:
+        raise _too_large(f"order <= {GUARD_LEVEL}", f"order={order}")
+
+
 def _add_float_columns(obj: Any) -> Any:
     """Attach lossy float companions next to rational payloads."""
     if isinstance(obj, dict):
@@ -218,9 +225,7 @@ def cmd_rank_bound(args):
 def cmd_certify(args):
     tensor = _read(serialize.tensor_from_json, args.tensor)
     witness = _read(serialize.decomposition_from_json, args.witness)
-    # a dim-1 tensor has one entry at any order, and the flattening scan grows like order^2
-    if tensor.order > GUARD_LEVEL and not args.allow_large:
-        raise _too_large(f"order <= {GUARD_LEVEL}", f"order={tensor.order}")
+    _check_order(tensor.order, args.allow_large)
     cert = certify_rank(tensor, witness)
     return {"tensor": args.tensor, "witness": args.witness}, serialize.certificate_to_json(cert)
 
@@ -238,6 +243,7 @@ def cmd_classify222(args):
 @_command("symmetry", "symmetry report for a tensor", _arg("--tensor", required=True))
 def cmd_symmetry(args):
     tensor = _read(serialize.tensor_from_json, args.tensor)
+    _check_order(tensor.order, args.allow_large)
     return {"tensor": args.tensor}, serialize.symmetry_report_to_json(symmetry_report(tensor))
 
 
@@ -320,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(*flags, **options)
         p.add_argument("--out", help="write the report to this file (relative to SIGTENSOR_OUT_DIR if set)")
         p.add_argument("--float", action="store_true", help="add lossy decimal columns next to exact values (null for a value outside the double range)")
-        p.add_argument("--allow-large", action="store_true", help="lift the dim <= 6, level <= 8, certify order <= 8, decompose alpha <= 8, shuffle-size, decompose term-count and verify size <= 1000 guards")
+        p.add_argument("--allow-large", action="store_true", help="lift the dim <= 6, level <= 8, certify and symmetry order <= 8, decompose alpha <= 8, shuffle-size, decompose term-count and verify size <= 1000 guards")
     return parser
 
 

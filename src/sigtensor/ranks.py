@@ -18,18 +18,20 @@ the recursion
 
     S_{k,a} = v_1 (x) S_{k-1,a+1}(v_1..v_m) + S_{k,0}(v_2..v_m) / a!.
 
-No bound builds a Fraction matrix: each flattening and Koszul flattening is
-read from the tensor's integer numerators (t.nums), and its rank comes from
-the one Bareiss kernel, linalg.integer_rank. Flattenings are read from the
-concise core (_core), a slice of t.nums; the Koszul bound reads all of t.
+Every lower bound is one scan (_scan) of integer matrices, never Fraction
+ones, each ranked by the one Bareiss kernel, linalg.integer_rank: the
+flattenings of the concise core (_core), a slice of t.nums, then at order 3
+the Koszul flattenings of the ambient t.nums, as their divisor d - 1 is ambient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import chain
 from math import ceil, comb, factorial
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import graded
 from .conciseness import mode_subspaces, symmetric_conciseness
@@ -260,35 +262,48 @@ def rank_bound_formula(k: int, m: int) -> int:
     return total
 
 
-def _flattening_bound(nums: Sequence[int], k: int, d: int, stop: int) -> int:
-    """Max flattening rank over index bipartitions (S, S^c) up to complement:
-    all of them through order 7; beyond that the odd/even split and the
-    contiguous prefixes, which keeps the scan linear in the order.
+def _scan(candidates: Iterable[tuple[int, int, Callable[[], list[list[int]]]]], stop: int) -> int:
+    """The best ceil(rank / divisor) over (cap, divisor, rows) candidates:
+    rows() builds an integer matrix of rank at most cap, and is not called if
+    ceil(cap / divisor) cannot beat the best. The scan ends once the best reaches `stop`."""
+    best = 0
+    for cap, divisor, rows in candidates:
+        if -(-cap // divisor) <= best:
+            continue
+        best = max(best, -(-integer_rank(rows()) // divisor))
+        if best >= stop:
+            break
+    return best
 
-    Each flattening is built from nums, the integer numerators of the
-    order-k tensor over its one denominator (rank does not change under
-    scaling), with the shorter side as rows.
-    Bipartitions are scanned by decreasing shape cap min(d^|S|, d^|S^c|);
-    one whose cap is at most the best rank so far is skipped, and the scan
-    ends once the best rank reaches `stop`.
-    """
+
+def _flattenings(nums: Sequence[int], k: int, d: int):
+    """Flattening candidates (divisor 1) over index bipartitions (S, S^c) up
+    to complement, by decreasing shape cap min(d^|S|, d^|S^c|): all of them
+    through order 7; beyond that the odd/even split and the contiguous
+    prefixes, which keeps the scan linear in the order. Each is read from
+    nums, the order-k tensor's integer numerators over its one denominator
+    (rank does not change under scaling), with the shorter side as rows."""
     if k <= 7:
         tail = range(2, k + 1)
         parts = [(1,) + tuple(p for i, p in enumerate(tail) if mask >> i & 1) for mask in range(2 ** (k - 1) - 1)]
     else:
         parts = list({tuple(range(1, k + 1, 2)), *(tuple(range(1, j + 1)) for j in range(1, k))})
     parts.sort(key=lambda s: (-min(len(s), k - len(s)), s))
-    best = 0
     for part in parts:
         rest = [p for p in range(1, k + 1) if p not in part]
         small, large = (part, rest) if len(part) <= len(rest) else (rest, part)
-        if d ** len(small) <= best:
-            continue
-        cols = mode_offsets(large, k, d)
-        best = max(best, integer_rank([[nums[r + c] for c in cols] for r in mode_offsets(small, k, d)]))
-        if best >= stop:
-            break
-    return best
+        yield d ** len(small), 1, lambda small=small, large=large: [
+            [nums[r + c] for c in cols] for cols in [mode_offsets(large, k, d)] for r in mode_offsets(small, k, d)]
+
+
+def _koszul_flattenings(t: Tensor):
+    """At order 3 with d >= 2, the Koszul flattening at each pivot mode,
+    d^2 x d C(d, 2) on the ambient numerators, with divisor d - 1, the rank
+    it gives an elementary tensor; otherwise none."""
+    d = t.dim
+    if t.order == 3 and d >= 2:
+        for pivot in (1, 2, 3):
+            yield min(d * d, d * comb(d, 2)), d - 1, partial(_koszul_rows, t.nums, d, pivot)
 
 
 def _core(t: Tensor) -> tuple[Sequence[int], int]:
@@ -307,31 +322,27 @@ def _core(t: Tensor) -> tuple[Sequence[int], int]:
 
 def flattening_lower_bound(t: Tensor) -> int:
     """Max matrix rank over index bipartitions; a lower bound for the rank.
-    Flattenings are read from the concise core (_core), their ranks from
-    linalg.integer_rank (see _flattening_bound)."""
+    One scan (_scan) of the flattenings of the concise core (_core)."""
     if t.order < 2:
         raise ValueError("flattening needs order >= 2")
     nums, d = _core(t)
     # no flattening rank exceeds the entry count, so stopping there never
     # changes the maximum
-    return _flattening_bound(nums, t.order, d, len(nums))
+    return _scan(_flattenings(nums, t.order, d), len(nums))
 
 
 def koszul_lower_bound(t: Tensor) -> int:
-    """Koszul bound for order-3 tensors: max over pivots of
-    ceil(rank(F) / (d - 1))."""
+    """Koszul bound for order-3 tensors: one scan (_scan) of ceil(rank(F) /
+    (d - 1)) over the Koszul flattenings F of the ambient tensor; 0 at d = 1."""
     if t.order != 3:
         raise ValueError("the Koszul bound needs an order-3 tensor")
-    d = t.dim
-    if d == 1:
-        return 0
-    return max(-(-integer_rank(_koszul_rows(t.nums, d, pivot)) // (d - 1)) for pivot in (1, 2, 3))
+    return _scan(_koszul_flattenings(t), len(t.nums))
 
 
 def certify_rank(t: Tensor, upper_witness: Decomposition) -> RankCertificate:
-    """Combine the flattening (and, at order 3, Koszul) lower bound with the
-    witness length. Status "exact" means the two meet. Flattenings are read
-    from the concise core (_core); Koszul from t, as its divisor d - 1 is ambient.
+    """Combine one scan's (_scan) lower bound with the witness length; status
+    "exact" means the two meet. The scan reads the flattenings of the concise
+    core (_core), then at order 3 the Koszul flattenings of t (divisor d - 1).
 
     Every bound is at most the rank, hence at most the witness length, so the
     scan stops once the lower bound reaches that length: the result is the
@@ -342,9 +353,7 @@ def certify_rank(t: Tensor, upper_witness: Decomposition) -> RankCertificate:
     upper = upper_witness.length
     if t.order >= 2:
         nums, d = _core(t)
-        lower = _flattening_bound(nums, t.order, d, upper)
-        if t.order == 3 and lower < upper:
-            lower = max(lower, koszul_lower_bound(t))
+        lower = _scan(chain(_flattenings(nums, t.order, d), _koszul_flattenings(t)), upper)
     else:
         lower = 0 if t.is_zero else 1
     status = "exact" if lower == upper else "bounded"

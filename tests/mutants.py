@@ -47,7 +47,7 @@ MUTANTS = [
         (FLAT + "test_certify_rejects_witness_off_by_its_denominator_only",),
     ),
     Mutant(
-        "_flattening_bound stops one rank early",
+        "_scan stops one rank early",
         "ranks.py",
         "        if best >= stop:\n            break",
         "        if best >= stop - 1:\n            break",
@@ -56,8 +56,8 @@ MUTANTS = [
     Mutant(
         "the Koszul divisor is d, not d - 1",
         "ranks.py",
-        "// (d - 1)) for pivot in (1, 2, 3))",
-        "// d) for pivot in (1, 2, 3))",
+        "yield min(d * d, d * comb(d, 2)), d - 1, partial(",
+        "yield min(d * d, d * comb(d, 2)), d, partial(",
         (FLAT + "test_axis_path_in_q4_keeps_the_ambient_koszul_bound", FLAT + "test_koszul_bound_matches_the_fraction_koszul_flattening"),
     ),
     Mutant(
@@ -80,6 +80,55 @@ MUTANTS = [
         "return [t.nums[o] for o in offsets], len(pivots)",
         "return [t.nums[o] for o in offsets], t.dim",
         (FLAT + "test_core_of_the_zero_tensor_is_empty_and_scans_nothing", FLAT + "test_core_scan_matches_the_ambient_scan"),
+    ),
+    Mutant(
+        "_scan skips a candidate whose cap is one above the best",
+        "ranks.py",
+        "if -(-cap // divisor) <= best:",
+        "if -(-cap // divisor) <= best + 1:",
+        (FLAT + "test_the_scan_ranks_a_candidate_whose_cap_is_one_above_the_best", FLAT + "test_the_one_scan_matches_the_two_scans_it_replaced"),
+    ),
+    Mutant(
+        "_scan rounds rank / divisor down",
+        "ranks.py",
+        "best = max(best, -(-integer_rank(rows()) // divisor))",
+        "best = max(best, integer_rank(rows()) // divisor)",
+        (FLAT + "test_axis_path_in_q4_keeps_the_ambient_koszul_bound", FLAT + "test_the_one_scan_matches_the_two_scans_it_replaced"),
+    ),
+    Mutant(
+        "the third Koszul pivot is dropped",
+        "ranks.py",
+        "for pivot in (1, 2, 3):",
+        "for pivot in (1, 2):",
+        (FLAT + "test_koszul_bound_reads_the_third_pivot",),
+    ),
+    Mutant(
+        "symmetry runs past the order guard",
+        "cli.py",
+        "    _check_order(tensor.order, args.allow_large)\n    return {\"tensor\": args.tensor}, serialize.symmetry_report_to_json",
+        "    return {\"tensor\": args.tensor}, serialize.symmetry_report_to_json",
+        ("tests/test_cli.py::test_symmetry_over_order_guard_exits_4_at_once",),
+    ),
+    Mutant(
+        "mul_exp weights level i by C(k, i), not C(k + alpha, k - i)",
+        "graded.py",
+        "c = comb(k + alpha, k - i)",
+        "c = comb(k, i)",
+        ("tests/test_ranks.py::test_two_segments_alpha_weighted", "tests/test_series_kernel.py::test_s_k_alpha_matches_composition_sum"),
+    ),
+    Mutant(
+        "Tensor._combine drops the sign of the second term",
+        "tensors.py",
+        "a, b = den // self.den, sign * (den // other.den)",
+        "a, b = den // self.den, den // other.den",
+        ("tests/test_tensors.py::test_sums_that_cancel_to_integers_have_denominator_one", "tests/test_tensors.py::test_arithmetic_matches_fraction_references"),
+    ),
+    Mutant(
+        "_spanning_fibers trusts a window short of the rank",
+        "conciseness.py",
+        "if len(pivots) < len(live):",
+        "if len(live) == d:",
+        ("tests/test_elimination.py::test_a_window_short_of_the_rank_falls_back_to_the_unfolding",),
     ),
 ]
 

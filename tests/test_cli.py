@@ -588,6 +588,27 @@ def test_certify_order_guard_bound(capsys, monkeypatch, tmp_path, order, allow_l
         assert err == "precondition violated: precondition 'order <= 3' violated (order=4); pass --allow-large to override\n"
 
 
+def test_symmetry_over_order_guard_exits_4_at_once(capsys, tmp_path):
+    # unguarded, this 47-byte file ran 9 s and printed a witness of two 3000000-letter multi-indices
+    tensor_file = tmp_path / "t.json"
+    tensor_file.write_text('{"order": 3000000, "dim": 1, "entries": ["1"]}')
+    start = perf_counter()
+    code, out, err = run(capsys, "symmetry", "--tensor", str(tensor_file))
+    assert perf_counter() - start < 1
+    assert code == 4 and out == ""
+    assert err == "precondition violated: precondition 'order <= 8' violated (order=3000000); pass --allow-large to override\n"
+
+
+def test_allow_large_lifts_the_symmetry_order_guard(capsys, monkeypatch, tmp_path):
+    from sigtensor import cli
+
+    monkeypatch.setattr(cli, "GUARD_LEVEL", 3)
+    tensor_file, _ = dim1_zero_files(tmp_path, 4)
+    code, out, err = run(capsys, "symmetry", "--tensor", tensor_file, "--allow-large")
+    assert code == 0, err
+    assert json.loads(out)["result"]["is_symmetric"] is True
+
+
 def dim1_zero_signature(tmp_path, max_level):
     sig_file = tmp_path / "sig.json"
     levels = [{"dim": 1, "entries": ["1" if k == 0 else "0"], "order": k} for k in range(max_level + 1)]

@@ -2,7 +2,8 @@
 it: the flattening scan, the Koszul bound, the 2x2x2 classification, and
 their soundness on sums of elementary tensors. Expected ranks come from the
 plain Fraction elimination below, never from the kernel itself; the scan on
-the concise core is checked against the ambient scan it replaced."""
+the concise core is checked against the ambient scan it replaced, and the one
+scan (ranks._scan) against the flattening and Koszul scans it replaced."""
 
 from fractions import Fraction
 from itertools import combinations, product
@@ -27,7 +28,7 @@ from sigtensor import (
 )
 from sigtensor import ranks
 from sigtensor.linalg import integer_rank
-from sigtensor.tensors import mode_offsets
+from sigtensor.tensors import _koszul_rows, mode_offsets
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -303,8 +304,9 @@ def test_a_nonzero_elementary_tensor_has_every_bound_one(d, k, data):
 # span U of its mode subspaces, against the ambient scan
 
 def ambient_flattening_bound(nums, k: int, d: int, stop: int) -> int:
-    """The scan over all of Q^d, as ranks._flattening_bound ran on t.nums and
-    t.dim before the core: the same part list, cap skip and early stop."""
+    """The flattening scan as it was before the one scan (ranks._scan)
+    replaced it, body verbatim: its part list, cap skip and early stop. On
+    t.nums and t.dim it is also the scan over all of Q^d, before the core."""
     if k <= 7:
         tail = range(2, k + 1)
         parts = [(1,) + tuple(p for i, p in enumerate(tail) if mask >> i & 1) for mask in range(2 ** (k - 1) - 1)]
@@ -351,7 +353,7 @@ def check_core_against_ambient(t: Tensor, witness: Decomposition):
     assert flattening_lower_bound(t) == full
     nums, core_dim = ranks._core(t)
     for stop in range(full + 1):  # stops below the maximum end the scan early
-        assert ranks._flattening_bound(nums, k, core_dim, stop) == ambient_flattening_bound(t.nums, k, d, stop)
+        assert ranks._scan(ranks._flattenings(nums, k, core_dim), stop) == ambient_flattening_bound(t.nums, k, d, stop)
     upper = witness.length
     lower = ambient_flattening_bound(t.nums, k, d, upper)
     if k == 3 and lower < upper:
@@ -422,3 +424,83 @@ def test_axis_path_in_q4_keeps_the_ambient_koszul_bound():
     assert flattening_lower_bound(t) == 3
     cert = certify_rank(t, witness)
     assert (cert.lower, cert.upper, cert.status) == (4, 4, "exact")
+
+
+# -- the one scan (ranks._scan) against the two scans it replaced
+
+def reference_koszul_scan(t: Tensor) -> int:
+    """ranks.koszul_lower_bound as it was before the one scan, body verbatim:
+    every pivot ranked, no cap skip and no early stop."""
+    if t.order != 3:
+        raise ValueError("the Koszul bound needs an order-3 tensor")
+    d = t.dim
+    if d == 1:
+        return 0
+    return max(-(-integer_rank(_koszul_rows(t.nums, d, pivot)) // (d - 1)) for pivot in (1, 2, 3))
+
+
+@st.composite
+def scan_cases(draw):
+    """Order 2..6 and a witness: dense rational entries with the witness of
+    one axis term per nonzero entry, or a short sum of elementary terms
+    (low rank) with those terms."""
+    k = draw(st.integers(2, 6))
+    d = draw(st.integers(1, {2: 4, 3: 4, 4: 3, 5: 3, 6: 2}[k]))
+    if draw(st.booleans()):
+        witness = Decomposition.of(d, k, draw(terms(d, k)))
+        return witness.realize(), witness
+    t = Tensor.from_entries(k, d, draw(st.lists(rationals, min_size=d**k, max_size=d**k)))
+    axes = [[int(i == j) for j in range(d)] for i in range(d)]
+    indices = product(range(d), repeat=k)  # the storage order of t.entries
+    return t, Decomposition.of(d, k, [(x, [axes[i] for i in index]) for index, x in zip(indices, t.entries)])
+
+
+@SETTINGS
+@given(scan_cases())
+def test_the_one_scan_matches_the_two_scans_it_replaced(case):
+    t, witness = case
+    k, d = t.order, t.dim
+    full = ambient_flattening_bound(t.nums, k, d, len(t.nums))
+    for stop in range(full + 1):  # stops below the maximum end the scan early
+        assert ranks._scan(ranks._flattenings(t.nums, k, d), stop) == ambient_flattening_bound(t.nums, k, d, stop)
+    nums, core_dim = ranks._core(t)
+    assert flattening_lower_bound(t) == ambient_flattening_bound(nums, k, core_dim, len(nums)) == full
+    if k == 3:
+        assert koszul_lower_bound(t) == reference_koszul_scan(t)
+    # certify_rank before the one scan: flattenings of the core up to the
+    # witness length, then at order 3 the Koszul bound if still below it
+    upper = witness.length
+    lower = ambient_flattening_bound(nums, k, core_dim, upper)
+    if k == 3 and lower < upper:
+        lower = max(lower, reference_koszul_scan(t))
+    cert = certify_rank(t, witness)
+    assert (cert.lower, cert.upper, cert.status) == (lower, upper, "exact" if lower == upper else "bounded")
+
+
+def test_the_scan_ranks_a_candidate_whose_cap_is_one_above_the_best():
+    # e1 (x) (e1 (x) e1 + e2 (x) e2): the first bipartition scanned, {1} | {2, 3},
+    # has rank 1; the next, of cap 2, shows rank 2
+    e1, e2 = [1, 0], [0, 1]
+    witness = Decomposition.of(2, 3, [(1, [e1, e1, e1]), (1, [e1, e2, e2])])
+    t = witness.realize()
+    assert flatten(t, (1,)).rank == 1
+    assert flattening_lower_bound(t) == reference_flattening_bound(t) == 2
+    cert = certify_rank(t, witness)
+    assert (cert.lower, cert.upper, cert.status) == (2, 2, "exact")
+
+
+def test_certify_ranks_no_koszul_flattening_once_the_flattenings_reach_the_witness_length(monkeypatch):
+    # e1^(x)3 + e2^(x)3 + e3^(x)3 in Q^3: the first flattening shows rank 3
+    eye = [[int(i == j) for j in range(3)] for i in range(3)]
+    witness = Decomposition.of(3, 3, [(1, [e] * 3) for e in eye])
+    t = witness.realize()
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return integer_rank(rows)
+
+    monkeypatch.setattr(ranks, "integer_rank", counted)
+    cert = certify_rank(t, witness)
+    assert (cert.lower, cert.upper, cert.status) == (3, 3, "exact")
+    assert calls == [3]  # one 3 x 9 flattening; a Koszul matrix has 9 rows
