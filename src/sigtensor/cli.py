@@ -56,12 +56,15 @@ def _too_large(condition: str, values: str) -> ValueError:
 
 
 def _check_size(dim: int, level: int, allow_large: bool):
-    entries = sum(dim**k for k in range(level + 1))
-    if entries > COST_WARN_ENTRIES:
-        print(
-            f"warning: about {entries} exact entries across levels 0..{level} in dimension {dim}",
-            file=sys.stderr,
-        )
+    # the entries are counted only while the count stays below 2^64, so a huge
+    # level meets the guard at once rather than a sum of huge powers
+    if (level + 1) * dim.bit_length() <= 64:
+        entries = sum(dim**k for k in range(level + 1))
+        if entries > COST_WARN_ENTRIES:
+            print(
+                f"warning: about {entries} exact entries across levels 0..{level} in dimension {dim}",
+                file=sys.stderr,
+            )
     if (dim > GUARD_DIM or level > GUARD_LEVEL) and not allow_large:
         raise _too_large(f"dim <= {GUARD_DIM} and level <= {GUARD_LEVEL}", f"dim={dim}, level={level}")
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import chain, compress, count, islice
 from typing import Iterable, Iterator, Sequence
 
-from .linalg import Subspace, _pivot_columns
+from .linalg import Subspace, _echelon
 from .signatures import TruncatedSignature
 from .tensors import Tensor
 
@@ -45,8 +45,8 @@ def _spanning_fibers(nums: tuple[int, ...], d: int, stride: int):
     fibers come first, so a full mode stops there. Only if the echelon reads
     on, and there are more fibers, are the d unfolding rows built, each
     joined from the fewer slices (d^(mode-1) contiguous blocks or d^(k-mode)
-    strided runs, one column order for all rows); the fibers at their pivot
-    columns, the first linearly independent ones, follow.
+    strided runs, one column order for all rows); the fibers at the pivot
+    columns of their _echelon, the first linearly independent ones, follow.
 
     With n < d nonzero rows the rank is at most n, and the pivots among the
     n columns from the first nonzero one are the unfolding's pivots there.
@@ -64,9 +64,9 @@ def _spanning_fibers(nums: tuple[int, ...], d: int, stride: int):
     pivots = []
     if len(live) < d:
         start = min((next(compress(count(), r)) for r in live), default=0)
-        pivots = [start + c for c in _pivot_columns([r[start : start + len(live)] for r in live])]
+        pivots = [start + pc for pc, _ in _echelon([r[start : start + len(live)] for r in live], len(live))]
     if len(pivots) < len(live):
-        pivots = _pivot_columns(live)
+        pivots = [pc for pc, _ in _echelon(live, len(rows[0]))]
     for c in pivots:
         yield [r[c] for r in rows]
 

@@ -3,15 +3,14 @@
 Everything works over Q and never rounds; inputs and outputs are
 `fractions.Fraction`, while elimination runs on integers. Each row or vector
 is scaled to integers by the lcm of its denominators, which keeps its span.
-Ranks and pivot columns come from _pivot_columns, fraction-free (Bareiss)
-elimination, so intermediate values stay integral and small; the rank
-bounds in `ranks` call integer_rank on integer numerators directly.
-Subspaces, inclusion tests and rref come from _echelon, an incremental integer
-echelon form that reads vectors one at a time and stops once the span is full.
-mode_subspaces feeds it a tensor's first d integer fibers and, when they do
-not span, the fibers at the pivot columns of the unfolding (or of a window
-of it, which conciseness cuts before calling _pivot_columns; the rank
-callers always pass whole matrices). Fractions appear only when the
+One kernel, _echelon, does every elimination: incremental fraction-free
+(Bareiss) elimination that reads vectors one at a time, stops once the span
+is full, and keeps every entry a minor of the input, so integers stay
+small. integer_rank counts its rows (the rank bounds in `ranks` call it on
+integer numerators directly); subspaces, inclusion tests and rref read its
+rows; mode_subspaces feeds it a tensor's first d integer fibers and, when
+they do not span, the fibers at the pivot columns of the unfolding (or of a
+window of it), which come from _echelon too. Fractions appear only when the
 echelon's at most d rows become the canonical RREF basis; Subspace.full(d)
 is built once per d and shared.
 """
@@ -22,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import compress, count
-from math import gcd
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -47,46 +45,9 @@ def as_vector(entries: Iterable) -> Vector:
     return tuple(as_fraction(x) for x in entries)
 
 
-def _pivot_columns(rows: list[list[int]]) -> list[int]:
-    """Pivot columns of an integer matrix by fraction-free (Bareiss)
-    elimination: column c is a pivot iff it is not in the span of columns
-    0..c-1, so the pivot columns are the first linearly independent ones.
-
-    The rows must share one length; the list and its rows are not modified.
-    Each step takes the first row with a nonzero leading entry as pivot p and
-    replaces every other row r by the tail of (p * r - r[0] * pivot) divided
-    by the previous pivot, which Sylvester's identity keeps exact. Rows that
-    become zero are dropped: a zero row stays zero, and no other row's
-    update reads it. When no row has a nonzero leading entry, every row is
-    cut at the first column where any row is nonzero, in one slice.
-    """
-    pivots, col, prev = [], 0, 1
-    rows = [r for r in rows if any(r)]
-    while rows:
-        lead = next((i for i, r in enumerate(rows) if r[0]), None)
-        if lead is None:
-            # every kept row is nonzero, so each has a first nonzero column
-            skip = min(next(compress(count(), r)) for r in rows)
-            rows = [r[skip:] for r in rows]
-            col += skip
-            continue
-        pivot = rows.pop(lead)
-        p, tail = pivot[0], pivot[1:]
-        kept = []
-        for r in rows:
-            f = r[0]
-            row = [(a * p - f * b) // prev for a, b in zip(r[1:], tail)]
-            if any(row):
-                kept.append(row)
-        rows, prev = kept, p
-        pivots.append(col)
-        col += 1
-    return pivots
-
-
 def integer_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix: the number of its pivot columns."""
-    return len(_pivot_columns(rows))
+    """Rank of an integer matrix whose rows share one length: its echelon row count."""
+    return len(_echelon(rows, len(rows[0]) if rows else 0))
 
 
 def _scaled(row: Sequence) -> list[int]:
@@ -117,31 +78,35 @@ def matrix_rank(rows: MatrixRows) -> int:
 
 
 def _echelon(vectors: Iterable[Sequence[int]], n: int) -> list[tuple[int, list[int]]]:
-    """Integer row echelon form of the span of integer vectors of length n.
+    """Integer row echelon form of the span of integer vectors of length n,
+    by incremental fraction-free (Bareiss) elimination.
 
     Returns (pivot column, row) pairs sorted by pivot column; each row is
-    zero left of its pivot and its entries have gcd 1. Each vector v is
-    reduced against the rows in pivot order as v <- p * v - v[pc] * row (p
-    the row's pivot entry), which clears v[pc] without fractions; if
-    anything is left, v divided by its gcd becomes a new row. Vectors are
-    read one at a time and the scan stops once there are n rows.
+    zero left of its pivot, and the pivot columns are the leftmost linearly
+    independent columns. Vectors are read one at a time; each v is reduced
+    against the rows in the order found, v <- (p * v - v[pc] * row) // q with
+    p the row's pivot entry and q the previous row's (1 at first), even when
+    v[pc] is 0. Sylvester's identity makes each division exact and each entry
+    a minor of the input. A v that becomes zero is dropped; any other becomes
+    a new row, pivoted at its first nonzero column. The scan stops once there
+    are n rows.
     """
-    rows: list[tuple[int, list[int]]] = []
+    found: list[tuple[int, list[int]]] = []
     for v in vectors:
-        for pc, row in rows:
-            f = v[pc]
-            if f:
-                p = row[pc]
-                v = [p * a - f * b for a, b in zip(v, row)]
-        pivot = next((j for j, x in enumerate(v) if x), None)
+        q = 1
+        for pc, row in found:
+            if not any(v):
+                break
+            p, f = row[pc], v[pc]
+            v = [(p * a - f * b) // q for a, b in zip(v, row)] if f else [p * a // q for a in v]
+            q = p
+        pivot = next(compress(count(), v), None)
         if pivot is None:
             continue
-        g = gcd(*v)
-        rows.append((pivot, [x // g for x in v] if g != 1 else v))
-        rows.sort(key=itemgetter(0))
-        if len(rows) == n:
+        found.append((pivot, v))
+        if len(found) == n:
             break
-    return rows
+    return sorted(found, key=itemgetter(0))
 
 
 def _unit_rows(rows: list[tuple[int, list[int]]]) -> list[list[Fraction]]:

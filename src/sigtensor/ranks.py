@@ -19,7 +19,8 @@ the recursion
     S_{k,a} = v_1 (x) S_{k-1,a+1}(v_1..v_m) + S_{k,0}(v_2..v_m) / a!.
 
 Every lower bound is one scan (_scan) of integer matrices, never Fraction
-ones, each ranked by the one Bareiss kernel, linalg.integer_rank: the
+ones, each ranked by linalg.integer_rank, which counts the rows of the one
+integer elimination kernel, linalg._echelon (fraction-free, Bareiss): the
 flattenings of the concise core (_core), a slice of t.nums, then at order 3
 the Koszul flattenings of the ambient t.nums, as their divisor d - 1 is ambient.
 """

@@ -6,7 +6,8 @@
 Each mutant is one exact-text edit of a file under src/sigtensor and the
 tests that must fail once it is applied. For each mutant the runner copies
 src/ and tests/ to a temporary directory, applies the edit to the copy and
-runs those tests there with pytest (hypothesis seeded, so runs repeat). The
+runs those tests there with pytest (hypothesis seeded, so runs repeat, and
+under the "mutants" profile of tests/conftest.py, which does not shrink). The
 named tests first run once on an unmutated copy and must pass, so a kill is
 never an environment failure. The runner exits 1 if a mutant survives, and
 at once if a mutant's old text is not found exactly once in its file: the
@@ -28,6 +29,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 FLAT = "tests/test_flattening_bound.py::"
+ELIM = "tests/test_elimination.py::"
 
 
 class Mutant(NamedTuple):
@@ -35,7 +37,7 @@ class Mutant(NamedTuple):
     file: str  # relative to src/sigtensor
     old: str
     new: str
-    tests: tuple[str, ...]  # a pinned test first: a failing hypothesis test can shrink for minutes
+    tests: tuple[str, ...]  # a pinned test first: it names the fault, and -x stops there
 
 
 MUTANTS = [
@@ -128,7 +130,35 @@ MUTANTS = [
         "conciseness.py",
         "if len(pivots) < len(live):",
         "if len(live) == d:",
-        ("tests/test_elimination.py::test_a_window_short_of_the_rank_falls_back_to_the_unfolding",),
+        (ELIM + "test_a_window_short_of_the_rank_falls_back_to_the_unfolding",),
+    ),
+    Mutant(
+        "_echelon drops Bareiss's exact division by the previous pivot",
+        "linalg.py",
+        "v = [(p * a - f * b) // q for a, b in zip(v, row)] if f else [p * a // q for a in v]",
+        "v = [p * a - f * b for a, b in zip(v, row)] if f else [p * a for a in v]",
+        (ELIM + "test_echelon_pivots_are_the_leading_minors", ELIM + "test_echelon_pivot_entries_equal_leading_minors"),
+    ),
+    Mutant(
+        "_echelon never advances the divisor q past 1",
+        "linalg.py",
+        "            q = p\n",
+        "",
+        (ELIM + "test_echelon_pivots_are_the_leading_minors", ELIM + "test_echelon_pivot_entries_equal_leading_minors"),
+    ),
+    Mutant(
+        "_echelon does not rescale a vector whose entry at the pivot column is 0",
+        "linalg.py",
+        "if f else [p * a // q for a in v]",
+        "if f else v",
+        (ELIM + "test_echelon_pivots_are_the_leading_minors", ELIM + "test_echelon_pivot_entries_equal_leading_minors"),
+    ),
+    Mutant(
+        "_absorbs reads the basis before the vectors",
+        "linalg.py",
+        "_scaled_vectors([*vectors, *self.basis], d)",
+        "_scaled_vectors([*self.basis, *vectors], d)",
+        ("tests/test_subspace_reference.py::test_bad_vectors_raise_as_the_reference[vector0-ValueError-full]",),
     ),
 ]
 
@@ -140,7 +170,7 @@ def copy_tree(target: Path) -> None:
 
 def run_tests(workdir: Path, tests) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(workdir / "src"))
-    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", *tests]
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", "--hypothesis-profile=mutants", *tests]
     return subprocess.run(command, cwd=workdir, env=env, capture_output=True, text=True, timeout=600)
 
 

@@ -519,6 +519,30 @@ def test_decompose_over_term_guard_exits_4_at_once(capsys, tmp_path):
     )
 
 
+@pytest.mark.parametrize("command", ["signature", "exp", "decompose"])
+def test_level_over_size_guard_exits_4_at_once(capsys, tmp_path, command):
+    # when the entry count was summed before the guard, signature --level 100000 on a
+    # 2-dim path ran 15.6 s and exited 4 on a failed integer-to-string conversion
+    from sigtensor import log_signature, segment_signature
+
+    if command == "exp":
+        source = tmp_path / "l.json"
+        source.write_text(dump_json(log_signature_to_json(log_signature(segment_signature([1, 2], 3)))))
+        argv = ["exp", "--logsig", str(source)]
+    else:
+        source = tmp_path / "p.json"
+        source.write_text(json.dumps({"dim": 2, "increments": [["1", "0"], ["0", "1"]]}))
+        argv = [command, "--path", str(source)]
+    start = perf_counter()
+    code, out, err = run(capsys, *argv, "--level", "1000000")
+    assert perf_counter() - start < 1
+    assert code == 4 and out == ""
+    assert err == (
+        "precondition violated: precondition 'dim <= 6 and level <= 8' violated "
+        "(dim=2, level=1000000); pass --allow-large to override\n"
+    )
+
+
 @pytest.mark.parametrize("allow_large", [False, True])
 def test_allow_large_lifts_the_decompose_term_guard(capsys, monkeypatch, axis3, allow_large):
     from sigtensor import cli

@@ -1,18 +1,18 @@
-"""Cross-checks of the integer echelon kernel behind Subspace.span, rref and
-mode_subspaces, of the pivot columns of the Bareiss kernel, and of the
-offset scan behind symmetry_report. Expected values come from the plain
-Fraction elimination, the one-fiber-at-a-time echelon scan and the
-Tensor-indexing scan below, never from the code under test."""
+"""Cross-checks of the one integer elimination kernel, _echelon, behind
+integer_rank, Subspace.span, rref and mode_subspaces (its rows, pivot
+columns and pivot entries), and of the offset scan behind symmetry_report.
+Expected values come from the plain Fraction elimination, the Fraction
+determinant, the one-fiber-at-a-time echelon scan and the Tensor-indexing
+scan below, never from the code under test."""
 
 from fractions import Fraction
 from itertools import product
-from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sigtensor import Path, Subspace, Tensor, conciseness, mode_subspaces, pwl_signature, rref, symmetry_report
-from sigtensor.linalg import _echelon, _pivot_columns, integer_rank
+from sigtensor.linalg import _echelon, integer_rank
 
 SETTINGS = settings(max_examples=80, deadline=None)
 
@@ -91,14 +91,54 @@ def test_rref_matches_fraction_reference(case):
 
 @SETTINGS
 @given(st.lists(st.lists(st.integers(-6, 6), min_size=4, max_size=4), max_size=7))
-def test_echelon_rows_are_primitive_with_rising_pivots(vectors):
+def test_echelon_rows_have_rising_pivots(vectors):
     rows = _echelon(vectors, 4)
     pivots = [pc for pc, _ in rows]
     assert pivots == sorted(set(pivots))
     for pc, row in rows:
         assert all(x == 0 for x in row[:pc]) and row[pc] != 0
-        assert gcd(*row) == 1
     assert len(rows) == len(reference_rref(vectors))
+
+
+def reference_det(rows) -> Fraction:
+    """Determinant of a square matrix by Gaussian elimination over Fraction."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for col in range(len(m)):
+        pivot = next((i for i in range(col, len(m)) if m[i][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for i in range(col + 1, len(m)):
+            f = m[i][col] / m[col][col]
+            m[i] = [a - f * b for a, b in zip(m[i], m[col])]
+    return det
+
+
+def leading_minors(rows) -> list[Fraction]:
+    return [reference_det([row[:i] for row in rows[:i]]) for i in range(1, len(rows) + 1)]
+
+
+def test_echelon_pivots_are_the_leading_minors():
+    # row 2 has a zero in column 1, so it is rescaled by 3 with nothing subtracted
+    rows = [[3, 1, 4, 1], [0, 5, 9, 2], [6, 5, 3, 5], [8, 9, 7, 9]]
+    assert leading_minors(rows) == [3, 15, -156, -186]
+    assert [row[pc] for pc, row in _echelon(rows, 4)] == [3, 15, -156, -186]
+
+
+@SETTINGS
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(st.lists(st.integers(-6, 6), min_size=n + 1, max_size=n + 1), min_size=n, max_size=n)))
+def test_echelon_pivot_entries_equal_leading_minors(rows):
+    # n x (n + 1) with every leading principal minor nonzero: the i-th row read
+    # becomes the i-th row, and Bareiss's exact division keeps its pivot at the minor
+    minors = leading_minors(rows)
+    assume(all(minors))
+    echelon = _echelon(rows, len(rows[0]))
+    assert [pc for pc, _ in echelon] == list(range(len(rows)))
+    assert [row[pc] for pc, row in echelon] == minors
 
 
 def test_span_stops_reading_once_full():
@@ -190,13 +230,13 @@ def integer_matrices(draw):
 @given(integer_matrices())
 def test_pivot_columns_match_fraction_reference_and_keep_input(rows):
     before = [list(r) for r in rows]
-    assert _pivot_columns(rows) == reference_pivot_columns(rows)
+    assert [pc for pc, _ in _echelon(rows, len(rows[0]) if rows else 0)] == reference_pivot_columns(rows)
     assert rows == before
 
 
 def test_pivot_column_after_a_long_zero_run():
     rows = [[0] * 1999 + [x] for x in (0, 3, -2, 5)]
-    assert _pivot_columns(rows) == [1999]
+    assert [pc for pc, _ in _echelon(rows, 2000)] == [1999]
     assert integer_rank(rows) == 1
 
 
@@ -255,10 +295,10 @@ def test_mode_subspaces_match_one_fiber_at_a_time_scan(t):
 
 
 def test_full_modes_are_settled_by_their_first_fibers(monkeypatch):
-    def no_unfolding(rows):
+    def no_unfolding(rows, n):
         raise AssertionError("the unfolding of a full mode was eliminated")
 
-    monkeypatch.setattr(conciseness, "_pivot_columns", no_unfolding)
+    monkeypatch.setattr(conciseness, "_echelon", no_unfolding)
     t = Tensor.from_entries(3, 3, [(7 * i * i + 3 * i + 1) % 11 - 5 for i in range(27)])
     assert all(w.is_full for w in mode_subspaces(t))
 
@@ -267,11 +307,11 @@ def eliminated_widths(monkeypatch) -> list[int]:
     """The column counts of the matrices mode_subspaces eliminates, in order."""
     widths = []
 
-    def recorded(rows):
+    def recorded(rows, n):
         widths.append(len(rows[0]))
-        return _pivot_columns(rows)
+        return _echelon(rows, n)
 
-    monkeypatch.setattr(conciseness, "_pivot_columns", recorded)
+    monkeypatch.setattr(conciseness, "_echelon", recorded)
     return widths
 
 
