@@ -29,12 +29,12 @@ from .conciseness import mode_subspaces, subspace_sum
 from .harness import run_harness
 from .lie import exp_log_signature, log_signature, pure_volume_check
 from .ranks import (
+    _certify_s_k_alpha,
     certify_rank,
     classify_222_complex_rank,
     decompose_s_k_alpha,
     hyperdet_222,
     rank_bound_formula,
-    s_k_alpha,
 )
 from .serialize import ParseError, dump_json
 from .signatures import Path, pwl_signature, time_series_to_path
@@ -206,7 +206,7 @@ def cmd_decompose(args):
         raise _too_large(f"rank_bound_formula(level, segments) <= {GUARD_TERMS}", f"level={args.level}, segments={path.segments}")
     dec = decompose_s_k_alpha(path.increments, args.level, args.alpha)
     # the witness is certified against a tensor computed without it
-    cert = certify_rank(s_k_alpha(path.increments, args.level, args.alpha), dec)
+    cert = _certify_s_k_alpha(path.increments, args.level, args.alpha, dec)
     return (
         {"path": serialize.path_to_json(path), "level": args.level, "alpha": args.alpha},
         {"decomposition": serialize.decomposition_to_json(dec), "length": dec.length},

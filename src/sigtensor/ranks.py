@@ -23,6 +23,8 @@ ones, each ranked by linalg.integer_rank, which counts the rows of the one
 integer elimination kernel, linalg._echelon (fraction-free, Bareiss): the
 flattenings of the concise core (_core), a slice of t.nums, then at order 3
 the Koszul flattenings of the ambient t.nums, as their divisor d - 1 is ambient.
+A certificate reads the core within its witness's span (_witness_core), or for
+m independent v_i the axis path's S_{k,a}(e_1..e_m): each keeps t's flattening ranks.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import graded
 from .conciseness import mode_subspaces, symmetric_conciseness
-from .linalg import Vector, as_fraction, as_vector, integer_rank
+from .linalg import Vector, _echelon, _scaled_vectors, as_fraction, as_vector, integer_rank
 from .tensors import Tensor, _koszul_rows, mode_offsets
 
 TermList = list[tuple[Fraction, list[Vector]]]
@@ -307,6 +309,20 @@ def _koszul_flattenings(t: Tensor):
             yield min(d * d, d * comb(d, 2)), d - 1, partial(_koszul_rows, t.nums, d, pivot)
 
 
+def _slice(t: Tensor, coords: Sequence[int]) -> list[int]:
+    """t's numerators at the indices in coords^k, in storage order."""
+    offsets = [0]
+    for _ in range(t.order):
+        offsets = [o * t.dim + j for o in offsets for j in coords]
+    return [t.nums[o] for o in offsets]
+
+
+def _pivots(vectors: Iterable[Sequence], d: int) -> list[int]:
+    """The pivot columns of the span of vectors in Q^d, as many as its
+    dimension: the projection onto them is injective on the span."""
+    return [pc for pc, _ in _echelon(_scaled_vectors(vectors, d), d)]
+
+
 def _core(t: Tensor) -> tuple[Sequence[int], int]:
     """The numerators and dim to scan flattenings on: t's own if the sum U of
     its mode subspaces is full, else the subtensor at J^k and |J|, J the pivot
@@ -315,10 +331,15 @@ def _core(t: Tensor) -> tuple[Sequence[int], int]:
     pivots = [row.index(1) for row in symmetric_conciseness(t).basis]  # 0 before the pivot, 1 at it
     if len(pivots) == t.dim:
         return t.nums, t.dim
-    offsets = [0]
-    for _ in range(t.order):
-        offsets = [o * t.dim + j for o in offsets for j in pivots]
-    return [t.nums[o] for o in offsets], len(pivots)
+    return _slice(t, pivots), len(pivots)
+
+
+def _witness_core(t: Tensor, witness: Decomposition) -> tuple[Sequence[int], int]:
+    """_core of t's slice at the pivots J_W of the span W of the witness's
+    factors (of t itself if W is Q^d, or {0}: t is then zero). A witness that
+    realizes t puts t in W^(x)k, so the slice keeps every flattening rank, and its U is cheaper to find."""
+    span = _pivots({v for _, factors in witness.terms for v in factors}, t.dim)
+    return _core(t if len(span) in (0, t.dim) else Tensor._of_level(t.order, len(span), (_slice(t, span), 1)))
 
 
 def flattening_lower_bound(t: Tensor) -> int:
@@ -342,18 +363,37 @@ def koszul_lower_bound(t: Tensor) -> int:
 
 def certify_rank(t: Tensor, upper_witness: Decomposition) -> RankCertificate:
     """Combine one scan's (_scan) lower bound with the witness length; status
-    "exact" means the two meet. The scan reads the flattenings of the concise
-    core (_core), then at order 3 the Koszul flattenings of t (divisor d - 1).
+    "exact" means the two meet. The scan reads the flattenings of _witness_core,
+    then at order 3 the Koszul flattenings of t (divisor d - 1).
 
     Every bound is at most the rank, hence at most the witness length, so the
     scan stops once the lower bound reaches that length: the result is the
     same as the full scan's."""
+    return _certify(t, upper_witness, lambda: _witness_core(t, upper_witness))
+
+
+def _certify_s_k_alpha(vs: Sequence[Sequence], k: int, alpha: int, witness: Decomposition) -> RankCertificate:
+    """certify_rank of t = s_k_alpha(vs, k, alpha), the flattenings read from
+    C = s_k_alpha(e_1..e_m, k, alpha) when the m vectors are independent: t is
+    V^(x)k C (the sum is multilinear), C is L^(x)k t for a left inverse L of V,
+    so all flattening ranks agree. The witness check and the Koszul flattenings
+    (ambient divisor) read t."""
+    vecs = _vectors(vs)
+    t, m = s_k_alpha(vecs, k, alpha), len(vecs)
+    if len(_pivots(vecs, t.dim)) < m:
+        return certify_rank(t, witness)
+    return _certify(t, witness, lambda: (s_k_alpha([[int(i == j) for j in range(m)] for i in range(m)], k, alpha).nums, m))
+
+
+def _certify(t: Tensor, upper_witness: Decomposition, flattened: Callable[[], tuple[Sequence[int], int]]) -> RankCertificate:
+    """certify_rank, its flattenings read from flattened(): the numerators and
+    dim of a tensor with t's flattening ranks, asked for once the witness passed."""
     # the shape test first: a witness of a huge order could not be realized
     if (upper_witness.dim, upper_witness.order) != (t.dim, t.order) or upper_witness.realize() != t:
         raise ValueError("invalid witness: decomposition does not realize the tensor")
     upper = upper_witness.length
     if t.order >= 2:
-        nums, d = _core(t)
+        nums, d = flattened()
         lower = _scan(chain(_flattenings(nums, t.order, d), _koszul_flattenings(t)), upper)
     else:
         lower = 0 if t.is_zero else 1

@@ -79,9 +79,30 @@ MUTANTS = [
     Mutant(
         "the core keeps the ambient dimension (a zero tensor's empty core is read at d)",
         "ranks.py",
-        "return [t.nums[o] for o in offsets], len(pivots)",
-        "return [t.nums[o] for o in offsets], t.dim",
+        "return _slice(t, pivots), len(pivots)",
+        "return _slice(t, pivots), t.dim",
         (FLAT + "test_core_of_the_zero_tensor_is_empty_and_scans_nothing", FLAT + "test_core_scan_matches_the_ambient_scan"),
+    ),
+    Mutant(
+        "the witness slice drops the last pivot of the witness's span",
+        "ranks.py",
+        "span = _pivots({v for _, factors in witness.terms for v in factors}, t.dim)",
+        "span = _pivots({v for _, factors in witness.terms for v in factors}, t.dim)[:-1]",
+        (FLAT + "test_the_witness_core_reads_every_pivot_of_the_witness_span", FLAT + "test_certify_matches_the_ambient_scan_whatever_the_witness_spans"),
+    ),
+    Mutant(
+        "decompose reads the axis path without the rank test on the increments",
+        "ranks.py",
+        "    if len(_pivots(vecs, t.dim)) < m:\n        return certify_rank(t, witness)\n",
+        "",
+        ("tests/test_cli.py::test_decompose_of_dependent_increments_reads_no_axis_path", FLAT + "test_dependent_increments_fall_back_to_the_witness_span"),
+    ),
+    Mutant(
+        "the axis path is built at alpha = 0",
+        "ranks.py",
+        "k, alpha).nums, m))",
+        "k, 0).nums, m))",
+        (FLAT + "test_independent_increments_scan_the_axis_path_at_their_alpha",),
     ),
     Mutant(
         "_scan skips a candidate whose cap is one above the best",
@@ -112,11 +133,61 @@ MUTANTS = [
         ("tests/test_cli.py::test_symmetry_over_order_guard_exits_4_at_once",),
     ),
     Mutant(
+        "decompose runs past the alpha guard",
+        "cli.py",
+        "    if args.alpha > GUARD_LEVEL and not args.allow_large:\n        raise _too_large(f\"alpha <= {GUARD_LEVEL}\", f\"alpha={args.alpha}\")\n",
+        "",
+        # not test_decompose_over_alpha_guard_exits_4_at_once: unguarded, it runs for minutes
+        ("tests/test_cli.py::test_decompose_alpha_guard_builds_no_decomposition",),
+    ),
+    Mutant(
+        "pure-volume runs past the dim/level guard",
+        "cli.py",
+        "    _check_size(sig.dim, sig.max_level, args.allow_large)\n    return {\"sig\": args.sig, \"n\": args.n",
+        "    return {\"sig\": args.sig, \"n\": args.n",
+        ("tests/test_cli.py::test_pure_volume_takes_the_dim_guard[False]",),
+    ),
+    Mutant(
+        "concise runs past the dim/level guard",
+        "cli.py",
+        "    _check_size(sig.dim, level, args.allow_large)\n",
+        "",
+        ("tests/test_cli.py::test_concise_over_level_guard_exits_4_at_once", "tests/test_cli.py::test_concise_takes_the_dim_guard"),
+    ),
+    Mutant(
         "mul_exp weights level i by C(k, i), not C(k + alpha, k - i)",
         "graded.py",
         "c = comb(k + alpha, k - i)",
         "c = comb(k, i)",
         ("tests/test_ranks.py::test_two_segments_alpha_weighted", "tests/test_series_kernel.py::test_s_k_alpha_matches_composition_sum"),
+    ),
+    Mutant(
+        "the log/exp Horner step truncates x one level short",
+        "lie.py",
+        "return graded.product([([0], 1)] + x[:n], ",
+        "return graded.product([([0], 1)] + x[:n - 1], ",
+        ("tests/test_lie.py::test_log_of_segment_is_pure_level_one", "tests/test_series_kernel.py::test_exp_matches_power_series"),
+    ),
+    Mutant(
+        "the Lie check runs in a second loop, after every level's shape",
+        "signatures.py",
+        "                raise ValueError(f\"level {k} has wrong shape\")\n            self._check_level(k, t)\n",
+        "                raise ValueError(f\"level {k} has wrong shape\")\n        for k, t in enumerate(self.levels, self.first):\n            self._check_level(k, t)\n",
+        ("tests/test_containers.py::test_levels_are_checked_in_level_order[levels0-level 2 is not a Lie element]",),
+    ),
+    Mutant(
+        "the v^b loop of three segments starts at 1 for odd k",
+        "ranks.py",
+        "for b in range(1 + k % 2, k, 2):",
+        "for b in range(1, k, 2):",
+        ("tests/test_ranks.py::test_three_segments_length_and_realization[5]", "tests/test_decompose_reference.py::test_three_segments_cover_both_parities"),
+    ),
+    Mutant(
+        "symmetry_report does not rescan the last block when the first violation is at p = 0",
+        "symmetry.py",
+        "(sym[0] == 0 and _transposition_violation(t, range(1, k - 1), +1) is None)",
+        "sym[0] == 0",
+        ("tests/test_symmetry_reference.py::test_first_violation_at_each_position[3-0]", "tests/test_symmetry_reference.py::test_report_matches_the_four_scan_reference"),
     ),
     Mutant(
         "Tensor._combine drops the sign of the second term",

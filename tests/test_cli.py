@@ -566,6 +566,18 @@ def test_decompose_over_alpha_guard_exits_4_at_once(capsys, axis3):
     assert err == "precondition violated: precondition 'alpha <= 8' violated (alpha=1000000); pass --allow-large to override\n"
 
 
+def test_decompose_alpha_guard_builds_no_decomposition(capsys, axis3, monkeypatch):
+    from sigtensor import cli
+
+    def no_work(vs, k, alpha):
+        raise AssertionError("decompose_s_k_alpha ran past the alpha guard")
+
+    monkeypatch.setattr(cli, "decompose_s_k_alpha", no_work)
+    code, out, err = run(capsys, "decompose", "--path", axis3, "--level", "4", "--alpha", "9")
+    assert (code, out) == (4, "")
+    assert err == "precondition violated: precondition 'alpha <= 8' violated (alpha=9); pass --allow-large to override\n"
+
+
 def test_allow_large_lifts_the_decompose_alpha_guard(capsys, axis3):
     code, out, err = run(capsys, "decompose", "--path", axis3, "--level", "4", "--alpha", "9", "--allow-large")
     assert code == 0, err
@@ -760,3 +772,19 @@ def test_float_column_is_null_outside_the_double_range(capsys):
     for exact, lossy in zip(tensor["entries"], tensor["entries_float_lossy"]):
         assert (lossy is None) == (abs(Fraction(exact)) > sys.float_info.max)
     assert result["hyperdeterminant_float_lossy"] is None
+
+
+@pytest.mark.parametrize("increments, expected", [
+    # level 4 of a path and its way back is zero; read on the axis path e1, e2 it would show 3/3 "exact"
+    ([["1"], ["-1"]], (0, 3, "bounded")),
+    # a backtracking pair inside: on the axis path e1..e4 it would show 10/13
+    ([["1", "0", "0"], ["0", "1", "0"], ["0", "-1", "0"], ["0", "0", "1"]], (3, 13, "bounded")),
+])
+def test_decompose_of_dependent_increments_reads_no_axis_path(capsys, tmp_path, increments, expected):
+    # dependent increments: the axis path's bound is no bound for the path's own tensor
+    path_file = tmp_path / "path.json"
+    path_file.write_text(json.dumps({"dim": len(increments[0]), "increments": increments}))
+    code, out, err = run(capsys, "decompose", "--path", str(path_file), "--level", "4")
+    assert code == 0, err
+    rank = json.loads(out)["certificates"]["rank"]
+    assert (rank["lower"], rank["upper"], rank["status"]) == expected

@@ -1,9 +1,11 @@
-"""The CLI's exit-code contract on malformed JSON inputs.
+"""The CLI's exit-code contract on malformed JSON inputs and integer flags.
 
 Pins the exit-3 line for an input that is not a JSON object or misses a
 required key, for each object the CLI reads, and fuzzes the commands that
 read JSON files with mutated fixtures: every run exits 0, 2, 3 or 4 and
-raises nothing out of main, so no traceback reaches stderr.
+raises nothing out of main, so no traceback reaches stderr. The integer
+flags are mutated the same way (negative, zero, huge, not an integer, or
+left out); there exit 1 is allowed too, for a command whose check failed.
 """
 
 import contextlib
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sigtensor import Path, decompose_s_k_alpha, log_signature, pwl_signature
-from sigtensor.cli import main
+from sigtensor.cli import _COMMANDS, main
 from sigtensor.serialize import decomposition_to_json, log_signature_to_json, signature_to_json, tensor_to_json
 
 
@@ -191,3 +193,61 @@ def test_mutated_inputs_keep_the_exit_code_contract(tmp_path, mutation):
     assert code in (0, 2, 3, 4), (code, err)
     assert "Traceback" not in err
     assert (out == "") == (code != 0)
+
+
+# -- argv mutation: the integer flags ------------------------------------------------
+
+# each command with an integer flag, every such flag set to a value that runs
+INT_FLAG_COMMANDS = [
+    ("signature", "--path", "{path.json}", "--level", "3"),
+    ("exp", "--logsig", "{logsig.json}", "--level", "2"),
+    ("decompose", "--path", "{path.json}", "--level", "3", "--alpha", "1"),
+    ("rank-bound", "--k", "5", "--m", "4"),
+    ("concise", "--sig", "{sig.json}", "--level", "2"),
+    ("pure-volume", "--sig", "{sig.json}", "--n", "1", "--k0", "2"),
+    ("verify", "--seed", "0", "--size", "1"),
+]
+INT_FLAGS = {"--level", "--alpha", "--k", "--m", "--n", "--k0", "--size", "--seed"}
+# negative, zero, huge, not an integer; None leaves the flag out
+FLAG_VALUES = ["-1", "0", "1" + "0" * 30, "2.5", "x", None]
+
+
+def _with_flags(command, values):
+    """The command with each flag in values set to its value, or left out for None."""
+    argv, i = [command[0]], 1
+    while i < len(command):
+        flag, value = command[i], command[i + 1]
+        value = values.get(flag, value)
+        if value is not None:
+            argv += [flag, value]
+        i += 2
+    return tuple(argv)
+
+
+def check_exit_contract(tmp_path, argv):
+    code, out, err = _run(_argv(argv, tmp_path))
+    verdict = _COMMANDS[argv[0]].verdict is not None
+    assert code in (0, 2, 3, 4) or (code == 1 and verdict), (argv, code, err)
+    assert "Traceback" not in err
+    assert (out == "") == (code not in (0, 1)), (argv, code, err)
+
+
+def test_int_flag_commands_run_cleanly_as_given(tmp_path):
+    assert {a for c in INT_FLAG_COMMANDS for a in c if a.startswith("--")} >= INT_FLAGS
+    for command in INT_FLAG_COMMANDS:
+        code, out, err = _run(_argv(command, tmp_path))
+        assert code in (0, 1) and err == "", (command, code, err)
+
+
+@pytest.mark.parametrize("command, flag", [(c, a) for c in INT_FLAG_COMMANDS for a in c if a in INT_FLAGS], ids=lambda x: x if isinstance(x, str) else x[0])
+@pytest.mark.parametrize("value", FLAG_VALUES, ids=["negative", "zero", "huge", "fraction", "word", "left-out"])
+def test_each_integer_flag_keeps_the_exit_code_contract(tmp_path, command, flag, value):
+    check_exit_contract(tmp_path, _with_flags(command, {flag: value}))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(INT_FLAG_COMMANDS).flatmap(
+    lambda c: st.tuples(st.just(c), st.fixed_dictionaries({a: st.sampled_from(FLAG_VALUES + [v]) for a, v in zip(c, c[1:]) if a in INT_FLAGS}))))
+def test_integer_flags_mutated_together_keep_the_exit_code_contract(tmp_path, case):
+    command, values = case
+    check_exit_contract(tmp_path, _with_flags(command, values))

@@ -504,3 +504,103 @@ def test_certify_ranks_no_koszul_flattening_once_the_flattenings_reach_the_witne
     cert = certify_rank(t, witness)
     assert (cert.lower, cert.upper, cert.status) == (3, 3, "exact")
     assert calls == [3]  # one 3 x 9 flattening; a Koszul matrix has 9 rows
+
+
+# -- the certificate's own sources of the core: the span of the witness's
+# factors in certify_rank, the axis-path tensor for independent increments
+
+def ambient_certificate(t: Tensor, upper: int) -> int:
+    """certify_rank's lower bound from the ambient scan: the flattenings of
+    t up to the witness length, then at order 3 the Koszul bound if still below it."""
+    lower = ambient_flattening_bound(t.nums, t.order, t.dim, upper)
+    if t.order == 3 and lower < upper:
+        lower = max(lower, koszul_lower_bound(t))
+    return lower
+
+
+@SETTINGS
+@given(in_mode_subspaces(dims=(1, 4), orders=(2, 5)), st.sampled_from(["as drawn", "wider", "zero"]), st.data())
+def test_certify_matches_the_ambient_scan_whatever_the_witness_spans(case, span, data):
+    # the witness's factors span U ("as drawn"), more than U (+x (x) y and
+    # -x (x) y appended, x drawn from all of Q^d), or {0} (zero factors)
+    t, witness = case
+    d, k = t.dim, t.order
+    vector = st.lists(rationals, min_size=d, max_size=d)
+    if span == "wider":
+        c, factors = data.draw(rationals.filter(bool)), data.draw(st.lists(vector.filter(any), min_size=k, max_size=k))
+        witness = Decomposition(d, k, witness.terms + ((c, tuple(map(tuple, factors))), (-c, tuple(map(tuple, factors)))))
+    elif span == "zero":
+        zero = (Fraction(0),) * d
+        witness = Decomposition(d, k, ((Fraction(1), (zero,) * k),) * data.draw(st.integers(0, 2)))
+        t = Tensor.zeros(k, d)
+    upper = witness.length
+    lower = ambient_certificate(t, upper)
+    cert = certify_rank(t, witness)
+    assert (cert.lower, cert.upper, cert.status) == (lower, upper, "exact" if lower == upper else "bounded")
+    assert ranks._witness_core(t, witness)[1] == ranks._core(t)[1]  # the dimension of U, however wide W is
+
+
+def test_the_witness_core_reads_every_pivot_of_the_witness_span():
+    # a^(x)3 + b^(x)3 with a = (1, 1, 1), b = (1, 2, 3): W is the plane they
+    # span, with pivots at coordinates 1 and 2; the slice at coordinate 1 alone has rank 1
+    a, b = [1, 1, 1], [1, 2, 3]
+    witness = Decomposition.of(3, 3, [(1, [a] * 3), (1, [b] * 3)])
+    t = witness.realize()
+    nums, dim = ranks._witness_core(t, witness)
+    assert dim == 2 and reference_flattening_bound(Tensor.from_entries(3, 2, nums)) == 2
+    cert = certify_rank(t, witness)
+    assert (cert.lower, cert.upper, cert.status) == (2, 2, "exact")
+
+
+@st.composite
+def independent_increments(draw):
+    """m <= d linearly independent rational increments in Q^d and a level k,
+    sized so that the ambient reference scan stays small."""
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(2, {1: 6, 2: 6, 3: 5, 4: 4}[d]))
+    m = draw(st.integers(1, d))
+    vector = st.lists(rationals, min_size=d, max_size=d)
+    return draw(st.lists(vector, min_size=m, max_size=m).filter(lambda vs: reference_rank(vs) == m)), k
+
+
+@SETTINGS
+@pytest.mark.parametrize("alpha", [0, 1, 2])
+@given(independent_increments())
+def test_independent_increments_have_the_flattening_bound_of_the_axis_path(alpha, case):
+    vs, k = case
+    m = len(vs)
+    t = s_k_alpha(vs, k, alpha)
+    axis = s_k_alpha([[int(i == j) for j in range(m)] for i in range(m)], k, alpha)
+    assert flattening_lower_bound(t) == flattening_lower_bound(axis) == ambient_flattening_bound(t.nums, k, t.dim, len(t.nums))
+    witness = decompose_s_k_alpha(vs, k, alpha)
+    lower = ambient_certificate(t, witness.length)
+    cert = ranks._certify_s_k_alpha(vs, k, alpha, witness)
+    assert (cert.lower, cert.upper, cert.status) == (lower, witness.length, "exact" if lower == witness.length else "bounded")
+    assert cert == certify_rank(t, witness)
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 2])
+def test_independent_increments_scan_the_axis_path_at_their_alpha(alpha, monkeypatch):
+    # two increments in Q^3 at level 4: the flattenings read S_{4,alpha}(e_1, e_2) in Q^2
+    scanned, flattenings = [], ranks._flattenings
+
+    def recorded(nums, k, d):
+        scanned.append((list(nums), k, d))
+        return flattenings(nums, k, d)
+
+    monkeypatch.setattr(ranks, "_flattenings", recorded)
+    vs = [[1, 2, 0], [0, -1, 3]]
+    cert = ranks._certify_s_k_alpha(vs, 4, alpha, decompose_s_k_alpha(vs, 4, alpha))
+    assert scanned == [(list(s_k_alpha([[1, 0], [0, 1]], 4, alpha).nums), 4, 2)]
+    assert (cert.lower, cert.upper) == (3, 3)
+
+
+@pytest.mark.parametrize("vs, k, expected", [
+    ([[1], [-1]], 4, (0, 3, "bounded")),  # the axis path e1, e2 would give 3/3 exact
+    ([[1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1]], 4, (3, 13, "bounded")),  # the axis path would give 10/13
+])
+def test_dependent_increments_fall_back_to_the_witness_span(vs, k, expected):
+    t, witness = s_k_alpha(vs, k, 0), decompose_s_k_alpha(vs, k, 0)
+    cert = ranks._certify_s_k_alpha(vs, k, 0, witness)
+    assert (cert.lower, cert.upper, cert.status) == expected
+    assert cert == certify_rank(t, witness) and cert.lower == ambient_certificate(t, witness.length)
