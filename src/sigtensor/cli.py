@@ -201,7 +201,7 @@ def cmd_decompose(args):
     # the weights (level + alpha)! grow with alpha as they do with the level
     if args.alpha > GUARD_LEVEL and not args.allow_large:
         raise _too_large(f"alpha <= {GUARD_LEVEL}", f"alpha={args.alpha}")
-    # the witness has this many terms, and realizing each costs dim^level
+    # the witness has this many terms; realize costs one outer product per node of their prefix trie
     if not args.allow_large and rank_bound_formula(args.level, path.segments) > GUARD_TERMS:
         raise _too_large(f"rank_bound_formula(level, segments) <= {GUARD_TERMS}", f"level={args.level}, segments={path.segments}")
     dec = decompose_s_k_alpha(path.increments, args.level, args.alpha)

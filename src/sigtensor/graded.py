@@ -11,7 +11,9 @@ the increment denominators, level k is stored over (k + alpha)! * D^k, and a
 segment v enters through w = D * v, an integer vector (see mul_exp). The
 weight alpha turns the first segment's exp(v) into sum_j v^(x)j / (j+alpha)!,
 which gives the sums S_{k,alpha} of `ranks`; alpha = 0 is the signature.
-Log and exp in `lie` are series evaluated by Horner steps of `product`.
+Log and exp in `lie` are series evaluated by Horner steps of `product`. A sum
+of weighted elementary tensors (a rank witness) is also evaluated by Horner's
+rule, on the prefix trie of its factor lists (see accumulate).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, repeat
 from math import comb, factorial, gcd, lcm
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 from typing import Iterable, Sequence
 
 Level = tuple[Sequence[int], int]
@@ -119,25 +121,52 @@ def dynkin(nums: Sequence[int], dim: int, order: int) -> list[int]:
 
 
 def accumulate(terms: Iterable[tuple[Fraction, Sequence[Sequence[Fraction]]]], dim: int, order: int) -> Level:
-    """sum of c * v_1 (x) ... (x) v_k over (c, (v_1, ..., v_k)) terms.
+    """sum of c * v_1 (x) ... (x) v_k over (c, (v_1, ..., v_k)) terms, by
+    Horner's rule on the prefix trie of the factor lists: sum_a a (x) (the
+    sum below a), one outer product per trie node instead of one per term.
 
-    Each term becomes an integer scalar times an outer product of integer
-    vectors over the lcm of all term denominators.
+    Each factor becomes an integer vector over its denominator, which moves
+    into the coefficient. Sorting the factor lists makes the terms below a
+    node consecutive. acc[j] is the sum below the current node at depth j
+    ([] for none yet); a loop, not recursion, folds it into acc[j - 1] when
+    the node is left, so the order is unbounded and one partial sum per
+    depth is alive at a time.
     """
-    scaled = []
+    leaves = []
     for coeff, factors in terms:
-        ints, scale = [], 1
+        key, den = [], coeff.denominator
         for v in factors:
-            nums, den = from_fractions(v)
-            ints.append(nums)
-            scale *= den
-        scaled.append((Fraction(coeff, scale), ints))
-    den = lcm(*(q.denominator for q, _ in scaled))
-    acc = [0] * dim**order
-    for q, ints in scaled:
-        t = [q.numerator * (den // q.denominator)]
-        for w in ints:
-            t = outer(t, w)
-        acc = list(map(add, acc, t))
-    return reduced(acc, den)
+            nums, scale = from_fractions(v)
+            key.append(tuple(nums))
+            den *= scale
+        leaves.append((key, Fraction(coeff.numerator, den)))
+    if not leaves:
+        return [0] * dim**order, 1
+    leaves.sort(key=itemgetter(0))
+    den = lcm(*(q.denominator for _, q in leaves))
+    acc: list[list[int]] = [[] for _ in range(order + 1)]
 
+    def fold(depth: int) -> None:
+        """Leave prev's nodes below depth, deepest first."""
+        for j in range(order, depth, -1):
+            v, below, above = prev[j - 1], acc[j], acc[j - 1]
+            if not above:
+                acc[j - 1] = outer(v, below)
+            else:
+                n = len(below)
+                for i, x in enumerate(v):
+                    if x:
+                        above[i * n : (i + 1) * n] = [a + x * y for a, y in zip(above[i * n : (i + 1) * n], below)]
+            acc[j] = []
+
+    prev = leaves[0][0]
+    for key, q in leaves:
+        p = 0
+        while p < order and key[p] == prev[p]:
+            p += 1
+        fold(p)
+        leaf = q.numerator * (den // q.denominator)
+        acc[order] = [acc[order][0] + leaf] if acc[order] else [leaf]
+        prev = key
+    fold(0)
+    return reduced(acc[0], den)

@@ -30,6 +30,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 FLAT = "tests/test_flattening_bound.py::"
 ELIM = "tests/test_elimination.py::"
+GRADED = "tests/test_graded.py::"
 
 
 class Mutant(NamedTuple):
@@ -160,6 +161,34 @@ MUTANTS = [
         "c = comb(k + alpha, k - i)",
         "c = comb(k, i)",
         ("tests/test_ranks.py::test_two_segments_alpha_weighted", "tests/test_series_kernel.py::test_s_k_alpha_matches_composition_sum"),
+    ),
+    Mutant(
+        "accumulate keeps only the last coefficient of a repeated factor list",
+        "graded.py",
+        "acc[order] = [acc[order][0] + leaf] if acc[order] else [leaf]",
+        "acc[order] = [leaf]",
+        (GRADED + "test_repeated_factor_lists_add_their_coefficients", GRADED + "test_accumulate_matches_the_flat_sum_in_any_term_order"),
+    ),
+    Mutant(
+        "accumulate drops the denominator of a factor",
+        "graded.py",
+        "            den *= scale\n",
+        "",
+        (GRADED + "test_factor_denominators_move_into_the_coefficient", GRADED + "test_accumulate_matches_the_flat_sum_in_any_term_order"),
+    ),
+    Mutant(
+        "accumulate's common prefix skips the first depth, merging nodes that differ",
+        "graded.py",
+        "        p = 0\n        while p < order and key[p] == prev[p]:",
+        "        p = 1\n        while p < order and key[p] == prev[p]:",
+        (GRADED + "test_terms_that_differ_only_in_their_first_factor_stay_apart", GRADED + "test_accumulate_matches_the_flat_sum_in_any_term_order"),
+    ),
+    Mutant(
+        "accumulate drops the final fold to depth 0",
+        "graded.py",
+        "    fold(0)\n    return reduced(acc[0], den)",
+        "    return reduced(acc[0], den)",
+        (GRADED + "test_every_leading_factor_reaches_the_root", GRADED + "test_accumulate_matches_the_flat_sum_in_any_term_order"),
     ),
     Mutant(
         "the log/exp Horner step truncates x one level short",

@@ -1,12 +1,16 @@
 """Cross-checks of the scaled-integer kernel behind signatures, log/exp, the
 Dynkin check and realize. Every expected value comes from a plain Fraction
-reference kept in this file (or from the iterated-integral oracle), never
-from the kernel itself."""
+reference kept in this file, the flat accumulation that realize used before
+its prefix trie, a value worked out by hand or the iterated-integral oracle,
+never from the kernel itself."""
 
 from fractions import Fraction
+from math import lcm
+from operator import add
 
 from hypothesis import given, settings, strategies as st
 
+from sigtensor import graded
 from sigtensor import (
     Decomposition,
     Path,
@@ -55,6 +59,29 @@ def ref_product(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[F
                     acc[p * len(right) + q] += x * y
         out.append(acc)
     return out
+
+
+def flat_accumulate(terms, dim: int, order: int) -> graded.Level:
+    """sum of c * v_1 (x) ... (x) v_k with every term expanded over all
+    dim^order entries: the accumulation that graded.accumulate replaced by
+    its prefix trie. Each term is an integer scalar times an outer product of
+    integer vectors over the lcm of all term denominators."""
+    scaled = []
+    for coeff, factors in terms:
+        ints, scale = [], 1
+        for v in factors:
+            nums, den = graded.from_fractions(v)
+            ints.append(nums)
+            scale *= den
+        scaled.append((Fraction(coeff, scale), ints))
+    den = lcm(*(q.denominator for q, _ in scaled))
+    acc = [0] * dim**order
+    for q, ints in scaled:
+        t = [q.numerator * (den // q.denominator)]
+        for w in ints:
+            t = graded.outer(t, w)
+        acc = list(map(add, acc, t))
+    return graded.reduced(acc, den)
 
 
 def ref_dynkin(t: Tensor) -> Tensor:
@@ -129,6 +156,70 @@ def test_realize_matches_sum_of_elementary_tensors(case):
     for c, factors in terms:
         want = want + Tensor.elementary(factors, d).scale(c)
     assert dec.realize() == want
+
+
+def level_of(terms, dim, order):
+    nums, den = graded.accumulate(terms, dim, order)
+    return list(nums), den
+
+
+E1, E2 = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))
+
+
+def test_repeated_factor_lists_add_their_coefficients():
+    # e1 (x) e2 twice is one trie leaf; with (2e1) (x) e2 / 2, 3 e1 (x) e2 in all
+    two_e1 = (Fraction(2), Fraction(0))
+    assert level_of([(Fraction(1), [E1, E2]), (Fraction(1, 2), [two_e1, E2]), (Fraction(1), [E1, E2])], 2, 2) == ([0, 3, 0, 0], 1)
+
+
+def test_factor_denominators_move_into_the_coefficient():
+    # (-2, 4) (x) (3/2, 0) / 3: the second factor enters as (3, 0) over 2
+    assert level_of([(Fraction(1, 3), [(Fraction(-2), Fraction(4)), (Fraction(3, 2), Fraction(0))])], 2, 2) == ([-1, 0, 2, 0], 1)
+
+
+def test_terms_that_differ_only_in_their_first_factor_stay_apart():
+    # e1 (x) e2 + 2 e2 (x) e2
+    assert level_of([(Fraction(1), [E1, E2]), (Fraction(2), [E2, E2])], 2, 2) == ([0, 1, 0, 2], 1)
+
+
+def test_every_leading_factor_reaches_the_root():
+    # (1, 2) (x) (3, -1) + (-1, 0) (x) (1/2, 1/2), over the denominator 2
+    u, w = (Fraction(1), Fraction(2)), (Fraction(3), Fraction(-1))
+    minus_e1, half = (Fraction(-1), Fraction(0)), (Fraction(1, 2), Fraction(1, 2))
+    assert level_of([(Fraction(1), [u, w]), (Fraction(1), [minus_e1, half])], 2, 2) == ([5, -3, 12, -4], 2)
+
+
+@st.composite
+def term_lists(draw):
+    """Terms whose factors come from a small pool, so factor lists share
+    prefixes, with parallel copies (some negative), zero vectors and zero
+    coefficients; entries are rationals with mixed denominators."""
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(0, 5))
+    pool = draw(st.lists(vectors(d), min_size=1, max_size=3))
+    scales = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-3, 2), Fraction(0)])
+    factor = st.tuples(st.sampled_from(pool), scales).map(lambda vs: tuple(vs[1] * x for x in vs[0]))
+    coeff = st.one_of(st.just(Fraction(0)), rationals)
+    terms = draw(st.lists(st.tuples(coeff, st.lists(factor, min_size=k, max_size=k)), max_size=8))
+    return d, k, terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(term_lists(), st.data())
+def test_accumulate_matches_the_flat_sum_in_any_term_order(case, data):
+    d, k, terms = case
+    want = flat_accumulate(terms, d, k)
+    assert level_of(terms, d, k) == (list(want[0]), want[1])
+    shuffled = data.draw(st.permutations(terms))
+    assert level_of(shuffled, d, k) == (list(want[0]), want[1])
+
+
+def test_realize_at_order_3000_folds_without_recursion():
+    # dim 1: the factor lists share their first 1500 nodes; 2^2999 + 2^1500 3^1499
+    k, half = 3000, 1500
+    terms = ((Fraction(1, 2), ((Fraction(2),),) * k), (Fraction(1, 3), ((Fraction(2),),) * half + ((Fraction(-3),),) * half))
+    t = Decomposition(1, k, terms).realize()
+    assert (list(t.nums), t.den) == flat_accumulate(terms, 1, k) == ([2 ** (k - 1) + 2**half * 3 ** (half - 1)], 1)
 
 
 def test_dynkin_map_matches_bracket_recursion_on_lie_basis():
