@@ -3,20 +3,26 @@
 Everything works over Q and never rounds; inputs and outputs are
 `fractions.Fraction`, while elimination runs on integers. Each row or vector
 is scaled to integers by the lcm of its denominators, which keeps its span.
-One kernel, _echelon, does every elimination: incremental fraction-free
+One kernel, _echelon, does every exact elimination: incremental fraction-free
 (Bareiss) elimination that reads vectors one at a time, stops once the span
 is full, and keeps every entry a minor of the input, so integers stay
-small. integer_rank counts its rows (the rank bounds in `ranks` call it on
-integer numerators directly); subspaces, inclusion tests and rref read its
+small. integer_rank counts its rows; subspaces, inclusion tests and rref read its
 rows; mode_subspaces feeds it a tensor's first d integer fibers and, when
 they do not span, the fibers at the pivot columns of the unfolding (or of a
 window of it), which come from _echelon too. Fractions appear only when the
 echelon's at most d rows become the canonical RREF basis; Subspace.full(d)
 is built once per d and shared.
+
+The rank bounds in `ranks` take their ranks from _rank_mod_p instead: the rank
+mod the prime P = 1048573, each row one packed int of 64-bit residue fields.
+It never exceeds the rank over Q, so a bound it proves is a lower bound: a
+matrix whose rank mod P reaches it has a nonzero minor of that size.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -107,6 +113,55 @@ def _echelon(vectors: Iterable[Sequence[int]], n: int) -> list[tuple[int, list[i
         if len(found) == n:
             break
     return sorted(found, key=itemgetter(0))
+
+
+P = 1048573  # the largest prime below 2^20: r steps keep a field below r * P^2 + P < 2^64 for r < 2^24
+_MASK = (1 << 64) - 1
+
+
+def _pack(residues: Sequence[int]) -> int:
+    """Residues mod P as one int, entry j in the 64-bit field at bit 64 j."""
+    fields = array("Q", residues)
+    if sys.byteorder == "big":
+        fields.byteswap()
+    return int.from_bytes(fields.tobytes(), "little")
+
+
+def _unpack(v: int, n: int) -> array:
+    """The n 64-bit fields of a packed int, entry j from bit 64 j."""
+    fields = array("Q", v.to_bytes(8 * n, "little"))
+    if sys.byteorder == "big":
+        fields.byteswap()
+    return fields
+
+
+def _rank_mod_p(rows: Sequence[Sequence[int]], n: int) -> int:
+    """Rank mod P of integer rows of length n: at most their rank r over Q, as
+    a minor that is nonzero mod P is a nonzero integer, and equal unless P
+    divides every r x r minor.
+
+    Each row is reduced mod P and packed into one int (_pack). Each found row
+    is kept reduced, with the inverse of its pivot entry; a step against it
+    reads the vector's field at the pivot column, f = field / pivot mod P, and
+    adds (P - f) times the row to the whole int, which clears that field mod P.
+    Fields grow without carries (see P), so a vector is unpacked and reduced
+    once, after its last step, and pivoted at its first nonzero residue. The
+    scan stops at min(len(rows), n) found rows."""
+    found: list[tuple[int, int, int]] = []  # (shift of the pivot field, inverse of the pivot, row)
+    for row in rows:
+        v = _pack([x % P for x in row])
+        for shift, inv, r in found:
+            f = (v >> shift & _MASK) * inv % P
+            if f:
+                v += (P - f) * r
+        residues = [x % P for x in _unpack(v, n)]
+        pivot = next(compress(count(), residues), None)
+        if pivot is None:
+            continue
+        found.append((64 * pivot, pow(residues[pivot], -1, P), _pack(residues)))
+        if len(found) == n:
+            break
+    return len(found)
 
 
 def _unit_rows(rows: list[tuple[int, list[int]]]) -> list[list[Fraction]]:

@@ -19,10 +19,11 @@ the recursion
     S_{k,a} = v_1 (x) S_{k-1,a+1}(v_1..v_m) + S_{k,0}(v_2..v_m) / a!.
 
 Every lower bound is one scan (_scan) of integer matrices, never Fraction
-ones, each ranked by linalg.integer_rank, which counts the rows of the one
-integer elimination kernel, linalg._echelon (fraction-free, Bareiss): the
+ones, each ranked mod the prime P = 1048573 by linalg._rank_mod_p: the
 flattenings of the concise core (_core), a slice of t.nums, then at order 3
 the Koszul flattenings of the ambient t.nums, as their divisor d - 1 is ambient.
+A rank mod P is at most the rank r over Q, and equal unless P divides every
+r x r minor, so `lower` is a bound proved by a matrix whose rank mod P reaches it.
 A certificate reads the core within its witness's span (_witness_core), or for
 m independent v_i the axis path's S_{k,a}(e_1..e_m): each keeps t's flattening ranks.
 """
@@ -38,7 +39,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import graded
 from .conciseness import mode_subspaces, symmetric_conciseness
-from .linalg import Vector, _echelon, _scaled_vectors, as_fraction, as_vector, integer_rank
+from .linalg import Vector, _echelon, _rank_mod_p, _scaled_vectors, as_fraction, as_vector
 from .tensors import Tensor, _koszul_rows, mode_offsets
 
 TermList = list[tuple[Fraction, list[Vector]]]
@@ -266,14 +267,20 @@ def rank_bound_formula(k: int, m: int) -> int:
 
 
 def _scan(candidates: Iterable[tuple[int, int, Callable[[], list[list[int]]]]], stop: int) -> int:
-    """The best ceil(rank / divisor) over (cap, divisor, rows) candidates:
+    """The best ceil(rank / divisor) over (cap, divisor, rows) candidates, each
+    rank taken mod P (linalg._rank_mod_p), a lower bound for the rank over Q:
     rows() builds an integer matrix of rank at most cap, and is not called if
-    ceil(cap / divisor) cannot beat the best. The scan ends once the best reaches `stop`."""
+    ceil(cap / divisor) cannot beat the best; its zero rows are dropped, and it
+    is not ranked if its nonzero rows, a bound on its rank, cannot beat the
+    best either. The scan ends once the best reaches `stop`."""
     best = 0
     for cap, divisor, rows in candidates:
         if -(-cap // divisor) <= best:
             continue
-        best = max(best, -(-integer_rank(rows()) // divisor))
+        nonzero = [row for row in rows() if any(row)]
+        if -(-len(nonzero) // divisor) <= best:
+            continue
+        best = max(best, -(-_rank_mod_p(nonzero, len(nonzero[0])) // divisor))
         if best >= stop:
             break
     return best
@@ -343,8 +350,9 @@ def _witness_core(t: Tensor, witness: Decomposition) -> tuple[Sequence[int], int
 
 
 def flattening_lower_bound(t: Tensor) -> int:
-    """Max matrix rank over index bipartitions; a lower bound for the rank.
-    One scan (_scan) of the flattenings of the concise core (_core)."""
+    """Max matrix rank mod P = 1048573 over index bipartitions; a lower bound
+    for the rank, proved by a flattening whose rank mod P reaches it. One scan
+    (_scan) of the flattenings of the concise core (_core)."""
     if t.order < 2:
         raise ValueError("flattening needs order >= 2")
     nums, d = _core(t)
@@ -355,7 +363,9 @@ def flattening_lower_bound(t: Tensor) -> int:
 
 def koszul_lower_bound(t: Tensor) -> int:
     """Koszul bound for order-3 tensors: one scan (_scan) of ceil(rank(F) /
-    (d - 1)) over the Koszul flattenings F of the ambient tensor; 0 at d = 1."""
+    (d - 1)) over the Koszul flattenings F of the ambient tensor, each rank
+    taken mod P = 1048573, at most the rank over Q: the bound is proved by an
+    F whose rank mod P gives it. 0 at d = 1."""
     if t.order != 3:
         raise ValueError("the Koszul bound needs an order-3 tensor")
     return _scan(_koszul_flattenings(t), len(t.nums))

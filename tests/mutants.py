@@ -31,6 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 FLAT = "tests/test_flattening_bound.py::"
 ELIM = "tests/test_elimination.py::"
 GRADED = "tests/test_graded.py::"
+MODP = "tests/test_rank_mod_p.py::"
 
 
 class Mutant(NamedTuple):
@@ -113,10 +114,24 @@ MUTANTS = [
         (FLAT + "test_the_scan_ranks_a_candidate_whose_cap_is_one_above_the_best", FLAT + "test_the_one_scan_matches_the_two_scans_it_replaced"),
     ),
     Mutant(
+        "_scan ranks a candidate whose nonzero rows only equal the best",
+        "ranks.py",
+        "if -(-len(nonzero) // divisor) <= best:",
+        "if -(-len(nonzero) // divisor) < best:",
+        (FLAT + "test_the_scan_ranks_a_candidate_only_if_its_nonzero_rows_can_beat_the_best",),
+    ),
+    Mutant(
+        "_scan skips a candidate whose nonzero rows are one above the best",
+        "ranks.py",
+        "if -(-len(nonzero) // divisor) <= best:",
+        "if -(-len(nonzero) // divisor) <= best + 1:",
+        (FLAT + "test_the_scan_ranks_a_candidate_only_if_its_nonzero_rows_can_beat_the_best", FLAT + "test_the_one_scan_matches_the_two_scans_it_replaced"),
+    ),
+    Mutant(
         "_scan rounds rank / divisor down",
         "ranks.py",
-        "best = max(best, -(-integer_rank(rows()) // divisor))",
-        "best = max(best, integer_rank(rows()) // divisor)",
+        "best = max(best, -(-_rank_mod_p(nonzero, len(nonzero[0])) // divisor))",
+        "best = max(best, _rank_mod_p(nonzero, len(nonzero[0])) // divisor)",
         (FLAT + "test_axis_path_in_q4_keeps_the_ambient_koszul_bound", FLAT + "test_the_one_scan_matches_the_two_scans_it_replaced"),
     ),
     Mutant(
@@ -252,6 +267,27 @@ MUTANTS = [
         "if f else [p * a // q for a in v]",
         "if f else v",
         (ELIM + "test_echelon_pivots_are_the_leading_minors", ELIM + "test_echelon_pivot_entries_equal_leading_minors"),
+    ),
+    Mutant(
+        "_rank_mod_p reads the field one column right of the pivot",
+        "linalg.py",
+        "f = (v >> shift & _MASK) * inv % P",
+        "f = (v >> shift + 64 & _MASK) * inv % P",
+        (MODP + "test_each_step_reads_the_field_at_the_pivot_column", MODP + "test_rank_matches_integer_rank_on_low_rank_products"),
+    ),
+    Mutant(
+        "_rank_mod_p searches the pivot among unreduced fields",
+        "linalg.py",
+        "residues = [x % P for x in _unpack(v, n)]",
+        "residues = list(_unpack(v, n))",
+        (MODP + "test_residues_are_reduced_before_the_pivot_search", MODP + "test_rank_matches_integer_rank_on_low_rank_products"),
+    ),
+    Mutant(
+        "_rank_mod_p leaves the pivot inverse out of f",
+        "linalg.py",
+        "f = (v >> shift & _MASK) * inv % P",
+        "f = (v >> shift & _MASK) % P",
+        (MODP + "test_each_step_scales_by_the_inverse_of_the_pivot", MODP + "test_rank_matches_integer_rank_on_random_matrices"),
     ),
     Mutant(
         "_absorbs reads the basis before the vectors",

@@ -152,18 +152,25 @@ def test_certify_with_early_stop_matches_full_scan(case):
     assert cert.status == ("exact" if lower == witness.length else "bounded")
 
 
+def recorded_ranks(monkeypatch) -> list:
+    """The (rows, n) of each matrix the scan ranks from now on."""
+    ranked, rank = [], ranks._rank_mod_p
+
+    def recorded(rows, n):
+        ranked.append((rows, n))
+        return rank(rows, n)
+
+    monkeypatch.setattr(ranks, "_rank_mod_p", recorded)
+    return ranked
+
+
 def test_certify_stops_once_the_bound_reaches_the_witness_length(monkeypatch):
-    # e_1^(x)4 + e_2^(x)4 + e_3^(x)4 has rank 3; every flattening of cap 9 shows it
-    eye = [[int(i == j) for j in range(3)] for i in range(3)]
-    witness = Decomposition.of(3, 4, [(1, [e] * 4) for e in eye])
+    # a^(x)4 + b^(x)4 + c^(x)4 for independent a, b, c with no zero entry has
+    # rank 3; every flattening of cap 9 shows it, and has 9 nonzero rows
+    vectors = [[1, 1, 1], [1, 2, 3], [1, -1, 2]]
+    witness = Decomposition.of(3, 4, [(1, [v] * 4) for v in vectors])
     t = witness.realize()
-    calls = []
-
-    def counted(rows):
-        calls.append(len(rows))
-        return integer_rank(rows)
-
-    monkeypatch.setattr(ranks, "integer_rank", counted)
+    calls = recorded_ranks(monkeypatch)
     assert flattening_lower_bound(t) == 3
     full_calls, calls[:] = len(calls), []
     cert = certify_rank(t, witness)
@@ -489,21 +496,36 @@ def test_the_scan_ranks_a_candidate_whose_cap_is_one_above_the_best():
     assert (cert.lower, cert.upper, cert.status) == (2, 2, "exact")
 
 
+def test_the_scan_ranks_a_candidate_only_if_its_nonzero_rows_can_beat_the_best(monkeypatch):
+    ranked = recorded_ranks(monkeypatch)
+    first = [[1, 0, 0], [0, 0, 0], [0, 1, 0]]  # rank 2 over 2 nonzero rows
+    equal = [[1, 1, 1], [0, 0, 0], [1, 2, 3], [0, 0, 0]]  # 2 nonzero rows: cannot beat 2
+    above = [[1, 0, 0], [0, 0, 0], [0, 1, 0], [0, 0, 1]]  # 3 nonzero rows, rank 3
+    halves = [[1, 0, 0, 0]] * 5 + [[0, 0, 0, 0]]  # divisor 2: ceil(5 / 2) cannot beat 3
+    candidates = [(3, 1, lambda: first), (4, 1, lambda: equal), (4, 1, lambda: above), (6, 2, lambda: halves)]
+    assert ranks._scan(candidates, 10) == 3
+    assert ranked == [([[1, 0, 0], [0, 1, 0]], 3), ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3)]
+
+
+def test_the_axis_path_of_three_increments_at_level_5_ranks_3_of_its_10_flattenings(monkeypatch):
+    # the 10 flattenings of cap 9 have 6 nonzero rows (the nondecreasing index
+    # pairs); the first two have rank 4, the third 6, and no later one can beat it
+    ranked = recorded_ranks(monkeypatch)
+    vs = [[1, 2, 0], [0, -1, 3], [2, 1, 1]]
+    cert = ranks._certify_s_k_alpha(vs, 5, 0, decompose_s_k_alpha(vs, 5, 0))
+    assert (cert.lower, cert.upper, cert.status) == (6, 9, "bounded")
+    assert [(len(rows), n) for rows, n in ranked] == [(6, 27)] * 3
+
+
 def test_certify_ranks_no_koszul_flattening_once_the_flattenings_reach_the_witness_length(monkeypatch):
     # e1^(x)3 + e2^(x)3 + e3^(x)3 in Q^3: the first flattening shows rank 3
     eye = [[int(i == j) for j in range(3)] for i in range(3)]
     witness = Decomposition.of(3, 3, [(1, [e] * 3) for e in eye])
     t = witness.realize()
-    calls = []
-
-    def counted(rows):
-        calls.append(len(rows))
-        return integer_rank(rows)
-
-    monkeypatch.setattr(ranks, "integer_rank", counted)
+    calls = recorded_ranks(monkeypatch)
     cert = certify_rank(t, witness)
     assert (cert.lower, cert.upper, cert.status) == (3, 3, "exact")
-    assert calls == [3]  # one 3 x 9 flattening; a Koszul matrix has 9 rows
+    assert [(len(rows), n) for rows, n in calls] == [(3, 9)]  # one 3 x 9 flattening, no Koszul matrix
 
 
 # -- the certificate's own sources of the core: the span of the witness's
