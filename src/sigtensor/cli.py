@@ -25,9 +25,10 @@ from fractions import Fraction
 from typing import Any, Callable, NamedTuple
 
 from . import serialize
-from .conciseness import mode_subspaces, subspace_sum
+from .conciseness import echelon_sum, mode_echelons
 from .harness import run_harness
 from .lie import exp_log_signature, log_signature, pure_volume_check
+from .linalg import Subspace
 from .ranks import (
     _certify_s_k_alpha,
     certify_rank,
@@ -278,18 +279,19 @@ def cmd_concise(args):
     if not 2 <= level <= sig.max_level:
         raise ValueError(f"precondition '2 <= level <= {sig.max_level}' violated (level={level})")
     _check_size(sig.dim, level, args.allow_large)
-    # each level's mode subspaces are computed once; its symmetric-conciseness
-    # span is their sum, and the recovered subspace is the sum of those spans
-    per_level, spans = [], []
+    # each level's modes are eliminated once, in integers; its symmetric-conciseness
+    # span is their sum, and the recovered subspace is the sum of those spans.
+    # Only the spans the report prints become RREF Fractions.
+    d, per_level, spans = sig.dim, [], []
     for k in range(1, level + 1):
-        spaces = mode_subspaces(sig.level(k))
-        spans.append(subspace_sum(spaces, sig.dim))
+        modes = mode_echelons(sig.level(k))
+        spans.append(echelon_sum(modes, d))
         per_level.append({
             "level": k,
-            "mode_dims": [w.dim for w in spaces],
-            "symmetric_conciseness": serialize.subspace_to_json(spans[-1]),
+            "mode_dims": [len(rows) for rows in modes],
+            "symmetric_conciseness": serialize.subspace_to_json(Subspace._of_echelon(spans[-1], d)),
         })
-    w = subspace_sum(spans, sig.dim)
+    w = Subspace._of_echelon(echelon_sum(spans, d), d)
     return {"sig": args.sig, "level": level}, {
         "levels": per_level,
         "recovered_subspace": None if w.is_full else serialize.subspace_to_json(w),

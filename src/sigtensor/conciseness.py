@@ -10,7 +10,10 @@ A mode subspace is settled by the first d fibers when they span Q^d, else
 by the pivot columns of the d x d^(k-1) unfolding. When n < d of its rows
 are nonzero (a path in a coordinate hyperplane), the n columns from the
 first nonzero one are eliminated first, and reaching n pivots there skips
-the full unfolding.
+the full unfolding. mode_echelons keeps each mode's integer echelon rows and
+echelon_sum sums such spans by the same elimination, so a caller that sums
+modes and levels (the concise command) builds Fraction RREF bases only for
+the spans it reports.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from itertools import chain, compress, count, islice
 from typing import Iterable, Iterator, Sequence
 
-from .linalg import Subspace, _echelon
+from .linalg import Echelon, Subspace, _echelon
 from .signatures import TruncatedSignature
 from .tensors import Tensor
 
@@ -27,6 +30,17 @@ def mode_subspaces(t: Tensor) -> list[Subspace]:
     """For each mode, the span of the mode fibers in Q^d (the column space
     of the d x d^(k-1) unfolding). The tensor is concise iff all are full."""
     return [Subspace._of_integers(fibers, t.dim) for fibers in _mode_fibers(t)]
+
+
+def mode_echelons(t: Tensor) -> list[Echelon]:
+    """For each mode, the _echelon rows of its mode fibers: integer rows,
+    one per dimension of the mode subspace, that span it."""
+    return [_echelon(fibers, t.dim) for fibers in _mode_fibers(t)]
+
+
+def echelon_sum(echelons: Iterable[Echelon], d: int) -> Echelon:
+    """The _echelon rows of the sum of the spans of the given echelons."""
+    return _echelon((row for rows in echelons for _, row in rows), d)
 
 
 def _mode_fibers(t: Tensor) -> list[Iterator[Sequence[int]]]:

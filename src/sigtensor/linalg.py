@@ -34,6 +34,7 @@ from . import graded
 
 Vector = tuple[Fraction, ...]
 MatrixRows = Sequence[Sequence[Fraction]]
+Echelon = list[tuple[int, list[int]]]  # (pivot column, row) pairs from _echelon
 
 
 def as_fraction(x) -> Fraction:
@@ -205,7 +206,11 @@ class Subspace:
     @staticmethod
     def _of_integers(vectors: Iterable[Sequence[int]], ambient_dim: int) -> "Subspace":
         """The span of integer vectors of length ambient_dim (unchecked)."""
-        rows = _echelon(vectors, ambient_dim)
+        return Subspace._of_echelon(_echelon(vectors, ambient_dim), ambient_dim)
+
+    @staticmethod
+    def _of_echelon(rows: Echelon, ambient_dim: int) -> "Subspace":
+        """The span of echelon rows from _echelon, in RREF."""
         if len(rows) == ambient_dim:
             return Subspace.full(ambient_dim)
         return Subspace(ambient_dim, tuple(map(tuple, _unit_rows(rows))))

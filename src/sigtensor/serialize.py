@@ -9,10 +9,16 @@ denominator and emitted from them with one gcd per entry, so neither
 direction builds a Fraction per entry. A level of plain "p"/"p/q" ASCII
 strings is checked and parsed in a few C-level passes over the whole level
 (a join, one character-class match, str.partition, int and a table of
-scales per distinct denominator), with no Python loop per entry. Only a
-level with an entry outside that form (a JSON int, other Fraction syntax,
-a zero denominator, a malformed string) is parsed through Fraction, which
-keeps every accepted syntax and every error message of parse_rational.
+scales per distinct denominator), with no Python loop per entry. A
+level's parse cost follows its distinct entries: when a sample of one entry
+in eight is at most half distinct, those passes read each distinct string
+once and every entry takes its value from a dict. Paths confined to a
+subspace (their levels are zero wherever a letter leaves it) and collinear
+paths (a multiple of v^(x)k, with a few values up to sign) give such levels.
+Only a level with an entry outside the plain form (a JSON int, other
+Fraction syntax, a zero denominator, a malformed string) is parsed through
+Fraction, which keeps every accepted syntax and every error message of
+parse_rational, and names a bad entry by its index in the full level.
 parse_rational takes every syntax Fraction takes, except an exponent above
 4300 in magnitude ("1e9999999"), which it refuses before building the value.
 """
@@ -116,36 +122,62 @@ def _parse_rationals(items: list, where: Callable[[int], str]) -> list[Fraction]
 _PLAIN_LEVEL_CHARS = re.compile(r"[-0-9,/]*")
 
 
+def _parse_plain(items: list) -> graded.Level:
+    """A level (nums, den) of plain "p" and "p/q" strings, not yet reduced,
+    in a few passes over the whole level.
+
+    The level joined by commas must hold only ASCII digits, "-", "/" and
+    ",", and no entry may end in "/". Over those characters int() accepts
+    exactly -?[0-9]+, so int(p) checks every p and a positive int(q) checks
+    each distinct q; an entry holding a comma fails int(). Entries are put
+    over L, the lcm of the q's: L * x is an integer for every entry x, so
+    the reduced denominator divides L, and reducing the pair gives the
+    canonical one even for unreduced input such as "2/4". A non-string
+    entry raises TypeError; any other entry outside that form (other
+    Fraction syntax, a q that is not positive, digits past int's limit)
+    raises ValueError.
+    """
+    joined = ",".join(items)
+    if not _PLAIN_LEVEL_CHARS.fullmatch(joined) or "/," in joined or joined.endswith("/"):
+        raise ValueError("not a plain level")
+    if "/" not in joined:
+        return list(map(int, items)), 1
+    q_texts = set(map(itemgetter(2), map(str.partition, items, repeat("/"))))
+    q_ints = {q: int(q) if q else 1 for q in q_texts}
+    if min(q_ints.values()) <= 0:
+        raise ValueError("a q that is not positive")
+    den = lcm(*q_ints.values())
+    scale = {q: den // v for q, v in q_ints.items()}
+    # tee buffers one partition at a time: the two maps below advance together
+    ps, qs = tee(map(str.partition, items, repeat("/")))
+    nums = map(int, map(itemgetter(0), ps))
+    return list(map(mul, nums, map(scale.__getitem__, map(itemgetter(2), qs)))), den
+
+
+# one entry in this many is sampled to decide whether a level repeats enough
+# to be parsed through its distinct entries
+_SAMPLE_STEP = 8
+
+
 def _parse_level(items: list, where: Callable[[int], str]) -> graded.Level:
     """A level (nums, den) of rationals, not yet reduced.
 
-    Plain "p" and "p/q" strings are parsed in a few passes over the whole
-    level. The level joined by commas must hold only ASCII digits, "-", "/"
-    and ",", and no entry may end in "/". Over those characters int()
-    accepts exactly -?[0-9]+, so int(p) checks every p and a positive int(q)
-    checks each distinct q; an entry holding a comma fails int(). Entries
-    are put over L, the lcm of the q's: L * x is an integer for every entry
-    x, so the reduced denominator divides L, and reducing the pair gives the
-    canonical one even for unreduced input such as "2/4". Any other entry (a
-    non-string, other Fraction syntax, a zero q, digits past int's limit)
-    sends the whole level through _parse_rationals.
+    When at most half of the sampled entries are distinct, _parse_plain
+    reads each distinct entry once and every entry takes its value from a
+    dict; the lcm of the distinct q's is that of all q's, so (nums, den) is
+    the one the whole level gives. Otherwise _parse_plain reads the whole
+    level. A level it refuses, or with an unhashable entry, goes through
+    _parse_rationals, whose errors name an entry's index in the full level.
     """
     try:
-        joined = ",".join(items)
-        if _PLAIN_LEVEL_CHARS.fullmatch(joined):
-            if "/" not in joined:
-                return list(map(int, items)), 1
-            if "/," not in joined and not joined.endswith("/"):
-                q_texts = set(map(itemgetter(2), map(str.partition, items, repeat("/"))))
-                q_ints = {q: int(q) if q else 1 for q in q_texts}
-                if min(q_ints.values()) > 0:
-                    den = lcm(*q_ints.values())
-                    scale = {q: den // v for q, v in q_ints.items()}
-                    # tee buffers one partition at a time: the two maps below advance together
-                    ps, qs = tee(map(str.partition, items, repeat("/")))
-                    nums = map(int, map(itemgetter(0), ps))
-                    return list(map(mul, nums, map(scale.__getitem__, map(itemgetter(2), qs)))), den
-    except (TypeError, ValueError):  # a non-string entry; a bad p or q, or digits past int's limit
+        sample = items[::_SAMPLE_STEP]
+        if 2 * len(set(sample)) > len(sample):
+            return _parse_plain(items)
+        distinct = list(dict.fromkeys(items))
+        nums, den = _parse_plain(distinct)
+        value = dict(zip(distinct, nums))
+        return list(map(value.__getitem__, items)), den
+    except (TypeError, ValueError):  # a non-string or unhashable entry, or one outside the plain form
         pass
     return graded.from_fractions(_parse_rationals(items, where))
 

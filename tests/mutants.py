@@ -32,6 +32,8 @@ FLAT = "tests/test_flattening_bound.py::"
 ELIM = "tests/test_elimination.py::"
 GRADED = "tests/test_graded.py::"
 MODP = "tests/test_rank_mod_p.py::"
+SER = "tests/test_serialize.py::"
+CONC = "tests/test_conciseness.py::"
 
 
 class Mutant(NamedTuple):
@@ -295,6 +297,34 @@ MUTANTS = [
         "_scaled_vectors([*vectors, *self.basis], d)",
         "_scaled_vectors([*self.basis, *vectors], d)",
         ("tests/test_subspace_reference.py::test_bad_vectors_raise_as_the_reference[vector0-ValueError-full]",),
+    ),
+    Mutant(
+        "the distinct route maps entries by position rather than by value",
+        "serialize.py",
+        "return list(map(value.__getitem__, items)), den",
+        "return (nums * len(items))[: len(items)], den",
+        (SER + "test_distinct_route_maps_each_entry_by_its_value", SER + "test_tensor_from_json_agrees_with_fraction_tensor"),
+    ),
+    Mutant(
+        "the distinct route takes den from the sampled entries only",
+        "serialize.py",
+        "return list(map(value.__getitem__, items)), den",
+        "return list(map(value.__getitem__, items)), _parse_plain(sample)[1]",
+        (SER + "test_distinct_route_takes_den_from_every_entry_not_the_sample", SER + "test_tensor_from_json_agrees_with_fraction_tensor"),
+    ),
+    Mutant(
+        "concise sums only the first mode's rows into a level's span",
+        "cli.py",
+        "spans.append(echelon_sum(modes, d))",
+        "spans.append(echelon_sum(modes[:1], d))",
+        (CONC + "test_concise_level_span_sums_every_mode", CONC + "test_concise_agrees_with_the_fraction_path"),
+    ),
+    Mutant(
+        "concise reads mode_dims from the level's span",
+        "cli.py",
+        '"mode_dims": [len(rows) for rows in modes],',
+        '"mode_dims": [len(spans[-1])] * len(modes),',
+        (CONC + "test_concise_mode_dims_count_each_mode_not_the_level_sum", CONC + "test_concise_agrees_with_the_fraction_path"),
     ),
 ]
 

@@ -1,7 +1,12 @@
+import itertools
+import json
+import os
 import random
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sigtensor import (
     LogSignature,
@@ -15,11 +20,15 @@ from sigtensor import (
     mode_subspaces,
     pwl_signature,
     segment_signature,
+    TruncatedSignature,
+    cli,
     symmetric_conciseness,
     tensor_in_power,
     tensor_product,
 )
+from sigtensor.conciseness import subspace_sum
 from sigtensor.harness import random_hyperplane_path
+from sigtensor.serialize import dump_json, signature_to_json, subspace_to_json
 
 
 def example_64_tensor():
@@ -204,3 +213,104 @@ def test_symmetric_conciseness_is_minimal():
             # dropping any basis row leaves some mode fiber outside
             smaller = Subspace.span(w.basis[:-1], 3)
             assert not tensor_in_power(t, smaller)
+
+
+# the concise command eliminates each mode in integers and prints RREF only
+# for the spans in its report; the reference is the Fraction path it replaced,
+# each mode subspace the Subspace.span of its Fraction fibers, summed by
+# subspace_sum, per level and then over the levels
+
+def fraction_fibers(t, mode):
+    """The mode fibers of t, read from its Fraction entries by index."""
+    d, k = t.dim, t.order
+    for rest in itertools.product(range(d), repeat=k - 1):
+        yield [t.entries[sum(x * d ** (k - 1 - j) for j, x in enumerate(rest[:mode] + (i,) + rest[mode:]))] for i in range(d)]
+
+
+def fraction_concise(sig):
+    d, per_level, spans = sig.dim, [], []
+    for k in range(1, sig.max_level + 1):
+        t = sig.level(k)
+        spaces = [Subspace.span(fraction_fibers(t, mode), d) for mode in range(k)]
+        assert mode_subspaces(t) == spaces
+        spans.append(subspace_sum(spaces, d))
+        per_level.append({"level": k, "mode_dims": [w.dim for w in spaces], "symmetric_conciseness": subspace_to_json(spans[-1])})
+    w = subspace_sum(spans, d)
+    return {
+        "levels": per_level,
+        "recovered_subspace": None if w.is_full else subspace_to_json(w),
+        "symmetrically_concise": w.is_full,
+        "certified_up_to_level": sig.max_level,
+    }
+
+
+def concise_result(sig):
+    with tempfile.TemporaryDirectory() as tmp:
+        sig_file, out = os.path.join(tmp, "sig.json"), os.path.join(tmp, "report.json")
+        with open(sig_file, "w") as fh:
+            fh.write(dump_json(signature_to_json(sig)))
+        assert cli.main(["concise", "--sig", sig_file, "--out", out]) == 0
+        with open(out) as fh:
+            return json.load(fh)["result"]
+
+
+def _rational(rng):
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+
+
+def level_tensor(family, k, d, rng):
+    """An order-k tensor: a sum of up to three elementary tensors whose mode-m
+    factors lie in a subspace W_m, the family choosing the W_m."""
+    if family == "zero":
+        return Tensor.zeros(k, d)
+    if family == "collinear":
+        v = [_rational(rng) for _ in range(d)]
+        return Tensor.elementary([v] * k, d)
+    if family == "generic":
+        return Tensor(k, d, [_rational(rng) for _ in range(d**k)])
+    if family == "confined":  # zero wherever a letter leaves J
+        letters = rng.sample(range(d), rng.randint(1, d))
+        spans = [[[Fraction(int(j == i)) for j in range(d)] for i in letters]] * k
+    else:  # "tilted": each mode in its own span of one or two random vectors
+        spans = [[[_rational(rng) for _ in range(d)] for _ in range(rng.randint(1, 2))] for _ in range(k)]
+    total = Tensor.zeros(k, d)
+    for _ in range(rng.randint(1, 3)):
+        factors = [[sum((_rational(rng) * x for x in col), Fraction(0)) for col in zip(*basis)] for basis in spans]
+        total = total + Tensor.elementary(factors, d)
+    return total
+
+
+FAMILIES = ("generic", "confined", "tilted", "collinear", "zero")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(2, 5), st.lists(st.sampled_from(FAMILIES), min_size=5, max_size=5), st.randoms(use_true_random=False))
+def test_concise_agrees_with_the_fraction_path(d, max_level, families, rng):
+    check_concise_agrees_with_the_fraction_path(d, max_level, families, rng)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_concise_agrees_with_the_fraction_path_at_d5_level5(family):
+    check_concise_agrees_with_the_fraction_path(5, 5, [family] * 5, random.Random(family))
+
+
+def check_concise_agrees_with_the_fraction_path(d, max_level, families, rng):
+    levels = [Tensor.scalar(1, d)] + [level_tensor(families[k - 1], k, d, rng) for k in range(1, max_level + 1)]
+    sig = TruncatedSignature(d, max_level, tuple(levels))
+    assert concise_result(sig) == fraction_concise(sig)
+
+
+def e1_e2_signature():
+    """Level 2 is e1 (x) e2: each mode subspace is a line, and their sum a plane."""
+    e1, e2 = [1, 0, 0], [0, 1, 0]
+    return TruncatedSignature(3, 2, (Tensor.scalar(1, 3), Tensor.zeros(1, 3), Tensor.elementary([e1, e2], 3)))
+
+
+def test_concise_level_span_sums_every_mode():
+    result = concise_result(e1_e2_signature())
+    assert result["levels"][1]["symmetric_conciseness"]["dim"] == 2
+    assert result["recovered_subspace"]["basis"] == [["1", "0", "0"], ["0", "1", "0"]]
+
+
+def test_concise_mode_dims_count_each_mode_not_the_level_sum():
+    assert [level["mode_dims"] for level in concise_result(e1_e2_signature())["levels"]] == [[0], [1, 1]]

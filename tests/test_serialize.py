@@ -343,8 +343,24 @@ def fraction_reference(x, where):
     return fraction_or_message(x, where)
 
 
+# a level that repeats a few values, as the levels of confined and collinear
+# paths do, is parsed through its distinct entries; one drawn from a larger
+# pool is not
+REPEATED_VALUES = st.sampled_from(["0", "-0", "1/3", "-1/3", "2/4", "-6/4", "5", "-5", "7/6", "0/9"])
+
+
+@st.composite
+def level_from_a_pool(draw):
+    order, dim = draw(st.integers(2, 5)), draw(st.integers(2, 3))
+    pool = draw(st.lists(st.one_of(REPEATED_VALUES, PLAIN_LEVEL_ENTRY), min_size=1, max_size=draw(st.sampled_from([2, 4, 60]))))
+    entries = draw(st.lists(st.sampled_from(pool), min_size=dim**order, max_size=dim**order))
+    if draw(st.integers(0, 3)) == 0:
+        entries[draw(st.integers(0, len(entries) - 1))] = draw(st.one_of(NON_PLAIN_ENTRY, st.just([1])))
+    return {"order": order, "dim": dim, "entries": entries}
+
+
 @settings(max_examples=500, deadline=None)
-@given(st.one_of(level_json(), level_json(PLAIN_ENTRY), plain_level_with_one_injected()))
+@given(st.one_of(level_json(), level_json(PLAIN_ENTRY), plain_level_with_one_injected(), level_from_a_pool()))
 def test_tensor_from_json_agrees_with_fraction_tensor(blob):
     # Fraction's syntax varies by Python version ("3_0" needs 3.11), so an
     # entry Fraction rejects must make tensor_from_json raise its message at
@@ -360,6 +376,53 @@ def test_tensor_from_json_agrees_with_fraction_tensor(blob):
     got = tensor_from_json(blob)
     assert (got.nums, got.den) == (tuple(int(v * den) for v in values), den)
     assert type(got.nums) is tuple and all(type(n) is int for n in got.nums)
+
+
+def test_distinct_route_maps_each_entry_by_its_value():
+    entries = ["0"] * 32
+    entries[5], entries[20] = "1/2", "-3"
+    t = tensor_from_json({"order": 5, "dim": 2, "entries": entries})
+    assert t.entries == tuple(Fraction(x) for x in entries)
+
+
+def test_distinct_route_takes_den_from_every_entry_not_the_sample():
+    # the sampled entries 0, 8, 16 and 24 are all "0"; only entry 31 has a q
+    entries = ["0"] * 31 + ["1/3"]
+    t = tensor_from_json({"order": 5, "dim": 2, "entries": entries})
+    assert (t.nums[-1], t.den) == (1, 3) and t.entries[-1] == Fraction(1, 3)
+
+
+@pytest.mark.parametrize("position", [0, 7, 8, 31])
+@pytest.mark.parametrize("bad", ["1/0", "1/", "1//2", [1], 3.5])
+def test_bad_entry_among_repeats_names_its_index_in_the_full_level(bad, position):
+    entries = ["1/2", "0", "0", "-1/2"] * 8
+    entries[position] = bad
+    where = f"tensor.entries[{position}]"
+    expected = fraction_reference(bad, where)
+    with pytest.raises(ParseError) as exc:
+        tensor_from_json({"order": 5, "dim": 2, "entries": entries})
+    assert (str(exc.value), exc.value.where) == (expected, where)
+
+
+def test_a_repeated_bad_entry_is_named_at_its_first_index():
+    entries = ["1/2", "0"] * 16
+    entries[9] = entries[30] = "1/0"
+    with pytest.raises(ParseError) as exc:
+        tensor_from_json({"order": 5, "dim": 2, "entries": entries})
+    assert (str(exc.value), exc.value.where) == (fraction_reference("1/0", "tensor.entries[9]"), "tensor.entries[9]")
+
+
+def test_collinear_level_takes_the_distinct_route_and_a_generic_one_does_not(monkeypatch):
+    from sigtensor import serialize
+
+    parsed = []
+    plain = serialize._parse_plain
+    monkeypatch.setattr(serialize, "_parse_plain", lambda items: parsed.append(len(items)) or plain(items))
+    collinear = pwl_signature(Path.from_increments([[2, -1, 3, 1, -3], [4, -2, 6, 2, -6]]), 5).level(5)
+    generic = pwl_signature(Path.from_increments([[1, -2, 3, 0, 2], [-3, 1, 0, 2, -1], [2, 2, -1, -3, 1]]), 5).level(5)
+    for t in (collinear, generic):
+        assert tensor_from_json(tensor_to_json(t)) == t
+    assert parsed[0] < 5**5 // 10 and parsed[1] == 5**5
 
 
 # the edge strings of test_parse_rational_agrees_with_fraction_on_edge_strings, and
