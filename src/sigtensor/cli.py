@@ -284,7 +284,7 @@ def cmd_concise(args):
     # Only the spans the report prints become RREF Fractions.
     d, per_level, spans = sig.dim, [], []
     for k in range(1, level + 1):
-        modes = mode_echelons(sig.level(k))
+        modes = list(mode_echelons(sig.level(k)))
         spans.append(echelon_sum(modes, d))
         per_level.append({
             "level": k,

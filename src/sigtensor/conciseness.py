@@ -6,20 +6,23 @@ mode subspaces. For signatures this detects whether the underlying path is
 confined to an affine subspace: the recovered direction space is certified
 up to the truncation level only.
 
+mode_echelons is the one reader of a tensor's spans: lazily, each mode's
+integer _echelon rows, one per dimension of its mode subspace. echelon_sum
+sums spans by the same elimination and reads no echelon once the sum is Q^d.
+The rest count or sum those rows (over modes, then levels), and only the
+spans they return become Fraction RREF Subspaces.
+
 A mode subspace is settled by the first d fibers when they span Q^d, else
 by the pivot columns of the d x d^(k-1) unfolding. When n < d of its rows
 are nonzero (a path in a coordinate hyperplane), the n columns from the
 first nonzero one are eliminated first, and reaching n pivots there skips
-the full unfolding. mode_echelons keeps each mode's integer echelon rows and
-echelon_sum sums such spans by the same elimination, so a caller that sums
-modes and levels (the concise command) builds Fraction RREF bases only for
-the spans it reports.
+the full unfolding.
 """
 
 from __future__ import annotations
 
 from itertools import chain, compress, count, islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .linalg import Echelon, Subspace, _echelon
 from .signatures import TruncatedSignature
@@ -29,26 +32,23 @@ from .tensors import Tensor
 def mode_subspaces(t: Tensor) -> list[Subspace]:
     """For each mode, the span of the mode fibers in Q^d (the column space
     of the d x d^(k-1) unfolding). The tensor is concise iff all are full."""
-    return [Subspace._of_integers(fibers, t.dim) for fibers in _mode_fibers(t)]
+    return [Subspace._of_echelon(rows, t.dim) for rows in mode_echelons(t)]
 
 
-def mode_echelons(t: Tensor) -> list[Echelon]:
-    """For each mode, the _echelon rows of its mode fibers: integer rows,
-    one per dimension of the mode subspace, that span it."""
-    return [_echelon(fibers, t.dim) for fibers in _mode_fibers(t)]
-
-
-def echelon_sum(echelons: Iterable[Echelon], d: int) -> Echelon:
-    """The _echelon rows of the sum of the spans of the given echelons."""
-    return _echelon((row for rows in echelons for _, row in rows), d)
-
-
-def _mode_fibers(t: Tensor) -> list[Iterator[Sequence[int]]]:
-    """One lazy _spanning_fibers reader per mode, in mode order."""
+def mode_echelons(t: Tensor) -> Iterator[Echelon]:
+    """For each mode, in mode order and read lazily, the _echelon rows of its
+    mode fibers: integer rows, one per dimension of the mode subspace, that
+    span it. Order 0 is refused at the call."""
     if t.order < 1:
         raise ValueError("mode subspaces need order >= 1")
     d = t.dim
-    return [_spanning_fibers(t.nums, d, d ** (t.order - mode)) for mode in range(1, t.order + 1)]
+    return (_echelon(_spanning_fibers(t.nums, d, d ** (t.order - mode)), d) for mode in range(1, t.order + 1))
+
+
+def echelon_sum(echelons: Iterable[Echelon], d: int) -> Echelon:
+    """The _echelon rows of the sum of the spans of the given echelons; no
+    echelon is read once the sum is Q^d."""
+    return _echelon((row for rows in echelons for _, row in rows), d)
 
 
 def _spanning_fibers(nums: tuple[int, ...], d: int, stride: int):
@@ -86,19 +86,14 @@ def _spanning_fibers(nums: tuple[int, ...], d: int, stride: int):
 
 
 def is_concise(t: Tensor) -> bool:
-    return all(w.is_full for w in mode_subspaces(t))
-
-
-def subspace_sum(spaces: Iterable[Subspace], ambient_dim: int) -> Subspace:
-    """The span of the union of the given subspaces of Q^ambient_dim."""
-    return Subspace.span((v for w in spaces for v in w.basis), ambient_dim)
+    """Whether every mode subspace is Q^d; no mode after a deficient one is read."""
+    return all(len(rows) == t.dim for rows in mode_echelons(t))
 
 
 def symmetric_conciseness(t: Tensor) -> Subspace:
     """The minimal W with t in W^(x)k: the span of the union of the mode
-    subspaces. t is symmetrically concise iff this is all of Q^d. Every
-    mode's fibers feed one lazy echelon, which stops once the sum is full."""
-    return Subspace._of_integers(chain.from_iterable(_mode_fibers(t)), t.dim)
+    subspaces. t is symmetrically concise iff this is all of Q^d."""
+    return Subspace._of_echelon(echelon_sum(mode_echelons(t), t.dim), t.dim)
 
 
 def tensor_in_power(t: Tensor, w: Subspace) -> bool:
@@ -120,8 +115,9 @@ def hyperplane_recovery(s: TruncatedSignature) -> Subspace | None:
     """
     if s.max_level < 2:
         raise ValueError("recovery needs truncation level >= 2")
-    total = subspace_sum((symmetric_conciseness(s.level(k)) for k in range(1, s.max_level + 1)), s.dim)
-    return None if total.is_full else total
+    # one sum over every mode of every level: no level after a full sum is read
+    total = echelon_sum(chain.from_iterable(mode_echelons(s.level(k)) for k in range(1, s.max_level + 1)), s.dim)
+    return None if len(total) == s.dim else Subspace._of_echelon(total, s.dim)
 
 
 def divisor_propagation_check(s: TruncatedSignature, k: int, w: Subspace) -> bool:

@@ -7,11 +7,12 @@ One kernel, _echelon, does every exact elimination: incremental fraction-free
 (Bareiss) elimination that reads vectors one at a time, stops once the span
 is full, and keeps every entry a minor of the input, so integers stay
 small. integer_rank counts its rows; subspaces, inclusion tests and rref read its
-rows; mode_subspaces feeds it a tensor's first d integer fibers and, when
-they do not span, the fibers at the pivot columns of the unfolding (or of a
-window of it), which come from _echelon too. Fractions appear only when the
-echelon's at most d rows become the canonical RREF basis; Subspace.full(d)
-is built once per d and shared.
+rows; conciseness.mode_echelons feeds it a tensor's first d integer fibers
+and, when they do not span, the fibers at the pivot columns of the unfolding
+(or of a window of it), which come from _echelon too, and sums the modes'
+rows with it again. Fractions appear only when the echelon's at most d rows
+become the canonical RREF basis (Subspace._of_echelon); Subspace.full(d) is
+built once per d and shared.
 
 The rank bounds in `ranks` take their ranks from _rank_mod_p instead: the rank
 mod the prime P = 1048573, each row one packed int of 64-bit residue fields.
@@ -201,12 +202,7 @@ class Subspace:
     def span(vectors: Iterable[Sequence], ambient_dim: int) -> "Subspace":
         """Each vector is scaled to integers and fed to the integer
         elimination one at a time, so a full-rank span exits early."""
-        return Subspace._of_integers(_scaled_vectors(vectors, ambient_dim), ambient_dim)
-
-    @staticmethod
-    def _of_integers(vectors: Iterable[Sequence[int]], ambient_dim: int) -> "Subspace":
-        """The span of integer vectors of length ambient_dim (unchecked)."""
-        return Subspace._of_echelon(_echelon(vectors, ambient_dim), ambient_dim)
+        return Subspace._of_echelon(_echelon(_scaled_vectors(vectors, ambient_dim), ambient_dim), ambient_dim)
 
     @staticmethod
     def _of_echelon(rows: Echelon, ambient_dim: int) -> "Subspace":

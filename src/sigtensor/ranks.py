@@ -38,7 +38,7 @@ from math import ceil, comb, factorial
 from typing import Callable, Iterable, Sequence
 
 from . import graded
-from .conciseness import mode_subspaces, symmetric_conciseness
+from .conciseness import echelon_sum, mode_echelons
 from .linalg import Vector, _echelon, _rank_mod_p, _scaled_vectors, as_fraction, as_vector
 from .tensors import Tensor, _koszul_rows, mode_offsets
 
@@ -333,9 +333,9 @@ def _pivots(vectors: Iterable[Sequence], d: int) -> list[int]:
 def _core(t: Tensor) -> tuple[Sequence[int], int]:
     """The numerators and dim to scan flattenings on: t's own if the sum U of
     its mode subspaces is full, else the subtensor at J^k and |J|, J the pivot
-    columns of U's RREF basis (of a zero tensor, none). t lies in U^(x)k and
+    columns of U's echelon rows (of a zero tensor, none). t lies in U^(x)k and
     the projection onto J is injective on U, so no flattening rank changes."""
-    pivots = [row.index(1) for row in symmetric_conciseness(t).basis]  # 0 before the pivot, 1 at it
+    pivots = [pc for pc, _ in echelon_sum(mode_echelons(t), t.dim)]
     if len(pivots) == t.dim:
         return t.nums, t.dim
     return _slice(t, pivots), len(pivots)
@@ -440,7 +440,7 @@ def classify_222_complex_rank(t: Tensor) -> int:
         raise ValueError("classification needs a 2x2x2 tensor")
     if t.is_zero:
         return 0
-    ranks = [w.dim for w in mode_subspaces(t)]
+    ranks = [len(rows) for rows in mode_echelons(t)]
     if all(r <= 1 for r in ranks):
         return 1
     if all(r == 2 for r in ranks) and hyperdet_222(t) == 0:

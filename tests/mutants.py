@@ -69,15 +69,15 @@ MUTANTS = [
     Mutant(
         "the core drops one pivot of U",
         "ranks.py",
-        "for row in symmetric_conciseness(t).basis]",
-        "for row in symmetric_conciseness(t).basis[1:]]",
+        "pivots = [pc for pc, _ in echelon_sum(mode_echelons(t), t.dim)]",
+        "pivots = [pc for pc, _ in echelon_sum(mode_echelons(t), t.dim)[1:]]",
         (FLAT + "test_core_is_the_slice_at_the_pivot_coordinates", FLAT + "test_core_scan_matches_the_ambient_scan"),
     ),
     Mutant(
         "U is the first mode subspace, not the sum of all of them",
-        "conciseness.py",
-        "chain.from_iterable(_mode_fibers(t))",
-        "chain.from_iterable(_mode_fibers(t)[:1])",
+        "ranks.py",
+        "pivots = [pc for pc, _ in echelon_sum(mode_echelons(t), t.dim)]",
+        "pivots = [pc for pc, _ in echelon_sum([next(mode_echelons(t))], t.dim)]",
         (FLAT + "test_core_spans_every_mode_subspace_not_only_the_first", FLAT + "test_core_scan_matches_the_ambient_scan"),
     ),
     Mutant(
@@ -248,6 +248,27 @@ MUTANTS = [
         "if len(pivots) < len(live):",
         "if len(live) == d:",
         (ELIM + "test_a_window_short_of_the_rank_falls_back_to_the_unfolding",),
+    ),
+    Mutant(
+        "is_concise reads only mode 1",
+        "conciseness.py",
+        "all(len(rows) == t.dim for rows in mode_echelons(t))",
+        "all(len(rows) == t.dim for rows in [next(mode_echelons(t))])",
+        (CONC + "test_example_64_symmetrically_concise_not_concise", CONC + "test_concise_agrees_with_the_fraction_path"),
+    ),
+    Mutant(
+        "hyperplane_recovery skips level 1",
+        "conciseness.py",
+        "for k in range(1, s.max_level + 1)), s.dim)",
+        "for k in range(2, s.max_level + 1)), s.dim)",
+        (CONC + "test_hyperplane_recovery_reads_level_1", CONC + "test_concise_agrees_with_the_fraction_path"),
+    ),
+    Mutant(
+        "classify_222_complex_rank counts the level sum instead of each mode",
+        "ranks.py",
+        "ranks = [len(rows) for rows in mode_echelons(t)]",
+        "ranks = [len(echelon_sum(mode_echelons(t), t.dim))] * 3",
+        (FLAT + "test_classify_222_counts_each_mode_not_their_sum", FLAT + "test_classify_222_matches_the_flattening_reference"),
     ),
     Mutant(
         "_echelon drops Bareiss's exact division by the previous pivot",

@@ -26,8 +26,9 @@ from sigtensor import (
     tensor_in_power,
     tensor_product,
 )
-from sigtensor.conciseness import subspace_sum
+from sigtensor import conciseness
 from sigtensor.harness import random_hyperplane_path
+from sigtensor.linalg import _echelon
 from sigtensor.serialize import dump_json, signature_to_json, subspace_to_json
 
 
@@ -215,10 +216,15 @@ def test_symmetric_conciseness_is_minimal():
             assert not tensor_in_power(t, smaller)
 
 
-# the concise command eliminates each mode in integers and prints RREF only
-# for the spans in its report; the reference is the Fraction path it replaced,
-# each mode subspace the Subspace.span of its Fraction fibers, summed by
-# subspace_sum, per level and then over the levels
+# the concise command and the library eliminate each mode in integers and
+# build RREF only for the spans they return; the reference is the Fraction
+# path they replaced, each mode subspace the Subspace.span of its Fraction
+# fibers, summed by subspace_sum, per level and then over the levels
+
+def subspace_sum(spaces, d):
+    """The span of the union of the given subspaces of Q^d, from their Fraction bases."""
+    return Subspace.span((v for w in spaces for v in w.basis), d)
+
 
 def fraction_fibers(t, mode):
     """The mode fibers of t, read from its Fraction entries by index."""
@@ -227,17 +233,20 @@ def fraction_fibers(t, mode):
         yield [t.entries[sum(x * d ** (k - 1 - j) for j, x in enumerate(rest[:mode] + (i,) + rest[mode:]))] for i in range(d)]
 
 
-def fraction_concise(sig):
-    d, per_level, spans = sig.dim, [], []
-    for k in range(1, sig.max_level + 1):
-        t = sig.level(k)
-        spaces = [Subspace.span(fraction_fibers(t, mode), d) for mode in range(k)]
-        assert mode_subspaces(t) == spaces
-        spans.append(subspace_sum(spaces, d))
-        per_level.append({"level": k, "mode_dims": [w.dim for w in spaces], "symmetric_conciseness": subspace_to_json(spans[-1])})
+def fraction_modes(sig):
+    """Per level 1..K, the mode subspaces spanned by the Fraction fibers."""
+    return [[Subspace.span(fraction_fibers(sig.level(k), mode), sig.dim) for mode in range(k)] for k in range(1, sig.max_level + 1)]
+
+
+def fraction_concise(sig, modes):
+    d = sig.dim
+    spans = [subspace_sum(spaces, d) for spaces in modes]
     w = subspace_sum(spans, d)
     return {
-        "levels": per_level,
+        "levels": [
+            {"level": k, "mode_dims": [w.dim for w in spaces], "symmetric_conciseness": subspace_to_json(span)}
+            for k, (spaces, span) in enumerate(zip(modes, spans), 1)
+        ],
         "recovered_subspace": None if w.is_full else subspace_to_json(w),
         "symmetrically_concise": w.is_full,
         "certified_up_to_level": sig.max_level,
@@ -297,7 +306,15 @@ def test_concise_agrees_with_the_fraction_path_at_d5_level5(family):
 def check_concise_agrees_with_the_fraction_path(d, max_level, families, rng):
     levels = [Tensor.scalar(1, d)] + [level_tensor(families[k - 1], k, d, rng) for k in range(1, max_level + 1)]
     sig = TruncatedSignature(d, max_level, tuple(levels))
-    assert concise_result(sig) == fraction_concise(sig)
+    modes = fraction_modes(sig)
+    assert concise_result(sig) == fraction_concise(sig, modes)
+    for k, spaces in enumerate(modes, 1):
+        t = sig.level(k)
+        assert mode_subspaces(t) == spaces
+        assert is_concise(t) == all(w.is_full for w in spaces)
+        assert symmetric_conciseness(t) == subspace_sum(spaces, d)
+    w = subspace_sum([subspace_sum(spaces, d) for spaces in modes], d)
+    assert hyperplane_recovery(sig) == (None if w.is_full else w)
 
 
 def e1_e2_signature():
@@ -314,3 +331,39 @@ def test_concise_level_span_sums_every_mode():
 
 def test_concise_mode_dims_count_each_mode_not_the_level_sum():
     assert [level["mode_dims"] for level in concise_result(e1_e2_signature())["levels"]] == [[0], [1, 1]]
+
+
+def test_hyperplane_recovery_reads_level_1():
+    # level 1 is e1 and level 2 is e2 (x) e2: only level 1 holds e1
+    e1, e2 = [1, 0, 0], [0, 1, 0]
+    sig = TruncatedSignature(3, 2, (Tensor.scalar(1, 3), Tensor.elementary([e1], 3), Tensor.elementary([e2, e2], 3)))
+    assert hyperplane_recovery(sig) == Subspace.span([e1, e2], 3)
+
+
+def test_hyperplane_recovery_reads_no_level_after_the_sum_is_full(monkeypatch):
+    # a generic path in Q^3: level 1 is a line and level 2 fills Q^3, so levels 3..5 are never read
+    sig = pwl_signature(Path.from_increments([[1, -2, 3], [-3, 1, 0], [2, 2, -1]]), 5)
+    read = []
+
+    def level(self, k):
+        read.append(k)
+        return self.levels[k]
+
+    monkeypatch.setattr(TruncatedSignature, "level", level)
+    assert hyperplane_recovery(sig) is None
+    assert read == [1, 2]
+
+
+def test_symmetric_conciseness_after_a_full_mode_eliminates_no_unfolding(monkeypatch):
+    # sum_i e_i (x) e_1 (x) e_i in Q^3: mode 1 is full from its first 3 fibers,
+    # mode 2 is the line through e_1, and reading it would eliminate a window
+    # of its unfolding (a list of rows; fibers and echelon rows come as iterators)
+    def no_unfolding(rows, n):
+        if isinstance(rows, list):
+            raise AssertionError("an unfolding was eliminated after the sum was full")
+        return _echelon(rows, n)
+
+    t = sum((Tensor.elementary([e, [1, 0, 0], e], 3) for e in ([1, 0, 0], [0, 1, 0], [0, 0, 1])), Tensor.zeros(3, 3))
+    assert [w.dim for w in mode_subspaces(t)] == [3, 1, 3]
+    monkeypatch.setattr(conciseness, "_echelon", no_unfolding)
+    assert symmetric_conciseness(t).is_full

@@ -248,7 +248,7 @@ def fiber_scan_mode_subspaces(t: Tensor) -> list[Subspace]:
         stride = d ** (t.order - mode)
         block = stride * d
         fibers = (nums[base + off : base + block : stride] for base in range(0, len(nums), block) for off in range(stride))
-        out.append(Subspace._of_integers(fibers, d))
+        out.append(Subspace._of_echelon(_echelon(fibers, d), d))
     return out
 
 
@@ -295,8 +295,12 @@ def test_mode_subspaces_match_one_fiber_at_a_time_scan(t):
 
 
 def test_full_modes_are_settled_by_their_first_fibers(monkeypatch):
+    # the fiber stream and the sum of spans reach _echelon as iterators;
+    # an unfolding (or a window of it) as a list of rows
     def no_unfolding(rows, n):
-        raise AssertionError("the unfolding of a full mode was eliminated")
+        if isinstance(rows, list):
+            raise AssertionError("the unfolding of a full mode was eliminated")
+        return _echelon(rows, n)
 
     monkeypatch.setattr(conciseness, "_echelon", no_unfolding)
     t = Tensor.from_entries(3, 3, [(7 * i * i + 3 * i + 1) % 11 - 5 for i in range(27)])
@@ -304,11 +308,14 @@ def test_full_modes_are_settled_by_their_first_fibers(monkeypatch):
 
 
 def eliminated_widths(monkeypatch) -> list[int]:
-    """The column counts of the matrices mode_subspaces eliminates, in order."""
+    """The column counts of the unfoldings (and windows of them) that
+    mode_subspaces eliminates, in order: the lists of rows that reach
+    _echelon, not the iterators of fibers or of echelon rows."""
     widths = []
 
     def recorded(rows, n):
-        widths.append(len(rows[0]))
+        if isinstance(rows, list):
+            widths.append(len(rows[0]))
         return _echelon(rows, n)
 
     monkeypatch.setattr(conciseness, "_echelon", recorded)

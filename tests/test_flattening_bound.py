@@ -272,6 +272,11 @@ def test_classify_222_matches_the_flattening_reference(data):
     assert classify_222_complex_rank(t) == reference_classify_222(t)
 
 
+def test_classify_222_counts_each_mode_not_their_sum():
+    # e1 (x) e2 (x) e1: every mode subspace is a line, their sum a plane
+    assert classify_222_complex_rank(Tensor.elementary([[1, 0], [0, 1], [1, 0]])) == 1
+
+
 # -- soundness: every lower bound is at most the length of a witness -----------
 
 @settings(max_examples=40, deadline=None)
