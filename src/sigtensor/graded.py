@@ -8,20 +8,36 @@ entry, so every product, bracket and term below is integer arithmetic.
 
 Signatures of piecewise linear paths use a fixed scheme: with D the lcm of
 the increment denominators, level k is stored over (k + alpha)! * D^k, and a
-segment v enters through w = D * v, an integer vector (see mul_exp). The
-weight alpha turns the first segment's exp(v) into sum_j v^(x)j / (j+alpha)!,
-which gives the sums S_{k,alpha} of `ranks`; alpha = 0 is the signature.
-Log and exp in `lie` are series evaluated by Horner steps of `product`. A sum
-of weighted elementary tensors (a rank witness) is also evaluated by Horner's
-rule, on the prefix trie of its factor lists (see accumulate).
+segment v enters through w = D * v, an integer vector. The weight alpha
+turns the first segment's exp(v) into sum_j v^(x)j / (j+alpha)!, which gives
+the sums S_{k,alpha} of `ranks`; alpha = 0 is the signature. Log and exp in
+`lie` are series evaluated by Horner steps of `product`. A sum of weighted
+elementary tensors (a rank witness) is also evaluated by Horner's rule, on
+the prefix trie of its factor lists (see accumulate).
+
+Inside signature and accumulate a level is packed into one Python int,
+entry j in a signed field of `width` bits at bit width * j (Kronecker
+substitution). A letter then goes in front of a level by a shift: w (x) t is
+sum_l w_l t << l |t| width, d big-int multiply-adds instead of d |t| Python
+products (see _prepend), so both fold their sums from the right, each
+factor entering by left multiplication. The packed int is the exact value
+of a polynomial in 2^width, so sums and prepends never lose information; a
+level is read back once (see _unpack), which is exact when each entry is
+below 2^(width - 1) in absolute value. The width comes from a bound that
+holds by construction. For a signature, with L = sum_s ||w_s||_1, every
+entry of level k is at most (k + alpha)!/k! L^k, which is the 1-D path of
+the l1 norms expanded by the multinomial theorem, since (j + alpha)! >= j!.
+For a witness it is sum |c| prod ||v||_1 over its terms.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
-from itertools import chain, repeat
-from math import comb, factorial, gcd, lcm
-from operator import add, itemgetter, mul, sub
+from itertools import chain
+from math import comb, factorial, gcd, lcm, prod
+from operator import add, itemgetter, sub
 from typing import Iterable, Sequence
 
 Level = tuple[Sequence[int], int]
@@ -46,38 +62,72 @@ def outer(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return [x * y for x in a for y in b]
 
 
-def mul_exp(nums: list[list[int]], w: list[int], alpha: int = 0) -> None:
-    """In place S <- S (x) exp(v) for levels in the (k + alpha)! * D^k scheme.
+def _width(bound: int) -> int:
+    """Bits per field of a packed level: whole 64-bit words that hold a sign
+    bit and every entry up to bound in absolute value."""
+    return 64 * ((bound.bit_length() + 64) // 64)
 
-    nums[k] holds (k + alpha)! D^k S_k and w = D v. Level k of the product
-    is sum_i S_i (x) v^(x)(k-i) / (k-i)!, whose numerator over
-    (k + alpha)! D^k is sum_i C(k + alpha, k - i) N_i (x) w^(x)(k-i);
-    Horner's rule evaluates it as T = C(k + alpha, k) N_0, then
-    T = T (x) w + C(k + alpha, k - i) N_i for i = 1..k. Levels are updated
-    from the top down, so each still reads the old lower levels.
+
+def _prepend(w: Sequence[int], t: int, step: int) -> int:
+    """w (x) t on packed levels, where t spans step bits: entry l * |t| + j
+    of the product is w_l t_j, so letter l of w shifts t by l * step."""
+    out = 0
+    for l, x in enumerate(w):
+        if x:
+            out += x * t << l * step
+    return out
+
+
+def _unpack(v: int, n: int, width: int) -> list[int]:
+    """The n entries of a packed level, entry j in the signed field of width
+    bits at bit width * j.
+
+    Adding 2^(width - 1) to every field makes each one nonnegative, so the
+    fields are the base-2^width digits of the sum; flipping that bit back
+    leaves each field in two's complement, which is how its bytes are read.
     """
-    for k in range(len(nums) - 1, 0, -1):
-        t = [comb(k + alpha, k) * x for x in nums[0]]
-        for i in range(1, k + 1):
-            c = comb(k + alpha, k - i)
-            n = nums[i] if c == 1 else map(mul, nums[i], repeat(c))
-            t = list(map(add, outer(t, w), n))
-        nums[k] = t
+    size = width // 8
+    offset = int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")
+    data = ((v + offset) ^ offset).to_bytes(n * size, "little")
+    if width > 64:
+        return [int.from_bytes(data[i : i + size], "little", signed=True) for i in range(0, len(data), size)]
+    fields = array("q", data)
+    if sys.byteorder == "big":
+        fields.byteswap()
+    return fields.tolist()
 
 
 def signature(increments: Sequence[Sequence[Fraction]], dim: int, max_level: int, alpha: int = 0) -> list[Level]:
     """Levels 0..K of E_alpha(v_1) (x) exp(v_2) (x) ... (x) exp(v_m) for the
     increments v_1..v_m; at alpha = 0, the signature of the piecewise linear
-    path. The first segment gives N_k = w^(x)k, and Chen's identity folds
-    in each later one by mul_exp."""
+    path.
+
+    Levels are packed (see the module docstring), and segments enter from
+    the right, each by left multiplication. exp(v_m) gives N_k = w_m^(x)k.
+    Level k of E_a(v_s) (x) X, with E_0 = exp, is
+    sum_i v_s^(x)(k-i) / (k - i + a)! (x) X_i, whose numerator over
+    (k + a)! D^k is sum_i C(k + a, i) w_s^(x)(k-i) (x) N_i; a = alpha at
+    s = 1 and 0 before. Horner's rule evaluates it as T = N_0, then
+    T = w_s (x) T + C(k + a, i) N_i for i = 1..k. Levels are updated from
+    the top down, so each still reads the old lower levels.
+    """
     D = lcm(*(x.denominator for u in increments for x in u))
-    first, *rest = ([x.numerator * (D // x.denominator) for x in u] for u in increments)
-    nums = [[1]]
-    for _ in range(max_level):
-        nums.append(outer(nums[-1], first))
-    for w in rest:
-        mul_exp(nums, w, alpha)
-    return [(n, factorial(k + alpha) * D**k) for k, n in enumerate(nums)]
+    ws = [[x.numerator * (D // x.denominator) for x in u] for u in increments]
+    norm = sum(abs(x) for w in ws for x in w)
+    *rest, last = ws
+    width = _width(factorial(max_level + alpha) // factorial(max_level) * norm**max_level)
+    steps = [dim**k * width for k in range(max_level + 1)]
+    nums = [1]
+    for k in range(max_level):
+        nums.append(_prepend(last, nums[k], steps[k]))
+    for s in range(len(rest) - 1, -1, -1):
+        w, a = rest[s], alpha if s == 0 else 0
+        for k in range(max_level, 0, -1):
+            t = nums[0]
+            for i in range(1, k + 1):
+                t = _prepend(w, t, steps[i - 1]) + comb(k + a, i) * nums[i]
+            nums[k] = t
+    return [(_unpack(n, dim**k, width), factorial(k + alpha) * D**k) for k, n in enumerate(nums)]
 
 
 def product(a: Sequence[Level], b: Sequence[Level], dim: int) -> list[Level]:
@@ -90,13 +140,17 @@ def product(a: Sequence[Level], b: Sequence[Level], dim: int) -> list[Level]:
     for k in range(len(a)):
         pairs = [(a[i], b[k - i]) for i in range(k + 1) if live_a[i] and live_b[k - i]]
         den = lcm(*(da * db for (_, da), (_, db) in pairs))
-        acc = [0] * dim**k
+        acc = None
         for (na, da), (nb, db) in pairs:
             s = den // (da * db)
             if s != 1:
-                na = [s * x for x in na]
-            acc = list(map(add, acc, outer(na, nb)))
-        out.append(reduced(acc, den))
+                if len(na) <= len(nb):
+                    na = [s * x for x in na]
+                else:
+                    nb = [s * x for x in nb]
+            t = outer(na, nb)
+            acc = t if acc is None else list(map(add, acc, t))
+        out.append(([0] * dim**k, 1) if acc is None else reduced(acc, den))
     return out
 
 
@@ -123,14 +177,16 @@ def dynkin(nums: Sequence[int], dim: int, order: int) -> list[int]:
 def accumulate(terms: Iterable[tuple[Fraction, Sequence[Sequence[Fraction]]]], dim: int, order: int) -> Level:
     """sum of c * v_1 (x) ... (x) v_k over (c, (v_1, ..., v_k)) terms, by
     Horner's rule on the prefix trie of the factor lists: sum_a a (x) (the
-    sum below a), one outer product per trie node instead of one per term.
+    sum below a), one packed prepend per trie node instead of one outer
+    product per term.
 
     Each factor becomes an integer vector over its denominator, which moves
     into the coefficient. Sorting the factor lists makes the terms below a
-    node consecutive. acc[j] is the sum below the current node at depth j
-    ([] for none yet); a loop, not recursion, folds it into acc[j - 1] when
-    the node is left, so the order is unbounded and one partial sum per
-    depth is alive at a time.
+    node consecutive. acc[j] is the packed sum below the current node at
+    depth j; a loop, not recursion, folds it into acc[j - 1] when the node
+    is left, so the order is unbounded and one partial sum per depth is
+    alive at a time. No entry of the sum exceeds sum |c| prod ||v||_1 over
+    the integer terms, which sets the width.
     """
     leaves = []
     for coeff, factors in terms:
@@ -144,29 +200,24 @@ def accumulate(terms: Iterable[tuple[Fraction, Sequence[Sequence[Fraction]]]], d
         return [0] * dim**order, 1
     leaves.sort(key=itemgetter(0))
     den = lcm(*(q.denominator for _, q in leaves))
-    acc: list[list[int]] = [[] for _ in range(order + 1)]
+    coeffs = [q.numerator * (den // q.denominator) for _, q in leaves]
+    width = _width(sum(abs(c) * prod(sum(map(abs, v)) for v in key) for (key, _), c in zip(leaves, coeffs)))
+    steps = [dim ** (order - j) * width for j in range(order + 1)]
+    acc = [0] * (order + 1)
 
     def fold(depth: int) -> None:
         """Leave prev's nodes below depth, deepest first."""
         for j in range(order, depth, -1):
-            v, below, above = prev[j - 1], acc[j], acc[j - 1]
-            if not above:
-                acc[j - 1] = outer(v, below)
-            else:
-                n = len(below)
-                for i, x in enumerate(v):
-                    if x:
-                        above[i * n : (i + 1) * n] = [a + x * y for a, y in zip(above[i * n : (i + 1) * n], below)]
-            acc[j] = []
+            acc[j - 1] += _prepend(prev[j - 1], acc[j], steps[j])
+            acc[j] = 0
 
     prev = leaves[0][0]
-    for key, q in leaves:
+    for (key, _), c in zip(leaves, coeffs):
         p = 0
         while p < order and key[p] == prev[p]:
             p += 1
         fold(p)
-        leaf = q.numerator * (den // q.denominator)
-        acc[order] = [acc[order][0] + leaf] if acc[order] else [leaf]
+        acc[order] += c
         prev = key
     fold(0)
-    return reduced(acc[0], den)
+    return reduced(_unpack(acc[0], dim**order, width), den)

@@ -31,7 +31,8 @@ import re
 from fractions import Fraction
 from io import StringIO
 from itertools import repeat, tee
-from math import gcd, lcm
+from json.encoder import encode_basestring_ascii as _quote
+from math import gcd, inf, lcm
 from operator import itemgetter, mul
 from typing import Any, Callable
 
@@ -205,7 +206,67 @@ def load_json(path: str) -> Any:
 
 
 def dump_json(obj: Any) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """json.dumps(obj, indent=2, sort_keys=True) + "\n", byte for byte.
+
+    With an indent, json.dumps takes its pure-Python encoder, one call per
+    value. Here each string goes through json's C quoting function, and a
+    list of strings (a tensor level's entries) is written by one join.
+    """
+    out: list[str] = []
+    _emit(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _scalar(x: Any) -> str:
+    """A JSON scalar as json.dumps writes it; also a dict key before quoting."""
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if x != x:
+            return "NaN"
+        return "Infinity" if x == inf else "-Infinity" if x == -inf else float.__repr__(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def _emit(obj: Any, indent: str, out: list[str]) -> None:
+    """Append the text of obj to out; indent is the newline and indentation
+    of the line obj starts on."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        out.append("[" + inner)
+        try:
+            out.append(("," + inner).join(map(_quote, obj)))
+        except TypeError:  # not a list of strings
+            for i, x in enumerate(obj):
+                if i:
+                    out.append("," + inner)
+                _emit(x, inner, out)
+        out.append(indent + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(sep + _quote(key if isinstance(key, str) else _scalar(key)) + ": ")
+            sep = "," + inner
+            _emit(value, inner, out)
+        out.append(indent + "}")
+    else:
+        out.append(_scalar(obj))
 
 
 # -- tensors ---------------------------------------------------------------

@@ -173,17 +173,45 @@ MUTANTS = [
         ("tests/test_cli.py::test_concise_over_level_guard_exits_4_at_once", "tests/test_cli.py::test_concise_takes_the_dim_guard"),
     ),
     Mutant(
-        "mul_exp weights level i by C(k, i), not C(k + alpha, k - i)",
+        "signature's Horner step weights level i by C(k, i), not C(k + alpha, i)",
         "graded.py",
-        "c = comb(k + alpha, k - i)",
-        "c = comb(k, i)",
+        "t = _prepend(w, t, steps[i - 1]) + comb(k + a, i) * nums[i]",
+        "t = _prepend(w, t, steps[i - 1]) + comb(k, i) * nums[i]",
         ("tests/test_ranks.py::test_two_segments_alpha_weighted", "tests/test_series_kernel.py::test_s_k_alpha_matches_composition_sum"),
+    ),
+    Mutant(
+        "a packed level's width is one bit short",
+        "graded.py",
+        "return 64 * ((bound.bit_length() + 64) // 64)",
+        "return 64 * ((bound.bit_length() + 63) // 64)",
+        (GRADED + "test_packed_levels_read_back_entries_at_the_width_boundaries", GRADED + "test_packed_signature_matches_the_list_kernel"),
+    ),
+    Mutant(
+        "_unpack drops the 2^(width - 1) offset",
+        "graded.py",
+        'data = ((v + offset) ^ offset).to_bytes(n * size, "little")',
+        'data = v.to_bytes(n * size, "little")',
+        (GRADED + "test_packed_levels_read_back_entries_at_the_width_boundaries", GRADED + "test_packed_signature_matches_the_list_kernel"),
+    ),
+    Mutant(
+        "_prepend shifts letter l by (l + 1) * step",
+        "graded.py",
+        "out += x * t << l * step",
+        "out += x * t << (l + 1) * step",
+        (GRADED + "test_one_segment_levels_are_tensor_powers", GRADED + "test_packed_signature_matches_the_list_kernel"),
+    ),
+    Mutant(
+        "the trie fold skips depth 0",
+        "graded.py",
+        "for j in range(order, depth, -1):",
+        "for j in range(order, max(depth, 1), -1):",
+        (GRADED + "test_every_leading_factor_reaches_the_root", GRADED + "test_accumulate_matches_the_flat_sum_in_any_term_order"),
     ),
     Mutant(
         "accumulate keeps only the last coefficient of a repeated factor list",
         "graded.py",
-        "acc[order] = [acc[order][0] + leaf] if acc[order] else [leaf]",
-        "acc[order] = [leaf]",
+        "acc[order] += c",
+        "acc[order] = c",
         (GRADED + "test_repeated_factor_lists_add_their_coefficients", GRADED + "test_accumulate_matches_the_flat_sum_in_any_term_order"),
     ),
     Mutant(
@@ -203,8 +231,8 @@ MUTANTS = [
     Mutant(
         "accumulate drops the final fold to depth 0",
         "graded.py",
-        "    fold(0)\n    return reduced(acc[0], den)",
-        "    return reduced(acc[0], den)",
+        "    fold(0)\n    return reduced(_unpack(",
+        "    return reduced(_unpack(",
         (GRADED + "test_every_leading_factor_reaches_the_root", GRADED + "test_accumulate_matches_the_flat_sum_in_any_term_order"),
     ),
     Mutant(

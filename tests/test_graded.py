@@ -1,12 +1,15 @@
 """Cross-checks of the scaled-integer kernel behind signatures, log/exp, the
 Dynkin check and realize. Every expected value comes from a plain Fraction
-reference kept in this file, the flat accumulation that realize used before
-its prefix trie, a value worked out by hand or the iterated-integral oracle,
-never from the kernel itself."""
+reference kept in this file, the list kernels that signatures and realize
+used before their levels were packed into ints, a value worked out by hand
+or the iterated-integral oracle, never from the kernel itself."""
 
 from fractions import Fraction
-from math import lcm
-from operator import add
+from itertools import repeat
+from math import comb, factorial, lcm
+from operator import add, mul
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
@@ -84,6 +87,36 @@ def flat_accumulate(terms, dim: int, order: int) -> graded.Level:
     return graded.reduced(acc, den)
 
 
+def mul_exp(nums: list[list[int]], w: list[int], alpha: int = 0) -> None:
+    """In place S <- S (x) exp(v) for list levels in the (k + alpha)! * D^k
+    scheme: nums[k] holds (k + alpha)! D^k S_k and w = D v. Level k of the
+    product has the numerator sum_i C(k + alpha, k - i) N_i (x) w^(x)(k-i),
+    by Horner's rule T = C(k + alpha, k) N_0, then
+    T = T (x) w + C(k + alpha, k - i) N_i for i = 1..k, one Python product
+    per entry. Levels are updated from the top down."""
+    for k in range(len(nums) - 1, 0, -1):
+        t = [comb(k + alpha, k) * x for x in nums[0]]
+        for i in range(1, k + 1):
+            c = comb(k + alpha, k - i)
+            n = nums[i] if c == 1 else map(mul, nums[i], repeat(c))
+            t = list(map(add, graded.outer(t, w), n))
+        nums[k] = t
+
+
+def list_signature(increments, dim: int, max_level: int, alpha: int = 0) -> list[graded.Level]:
+    """The list kernel that graded.signature packed: the first segment gives
+    N_k = w^(x)k, and Chen's identity folds in each later one from the
+    left by mul_exp."""
+    D = lcm(*(x.denominator for u in increments for x in u))
+    first, *rest = ([x.numerator * (D // x.denominator) for x in u] for u in increments)
+    nums = [[1]]
+    for _ in range(max_level):
+        nums.append(graded.outer(nums[-1], first))
+    for w in rest:
+        mul_exp(nums, w, alpha)
+    return [(n, factorial(k + alpha) * D**k) for k, n in enumerate(nums)]
+
+
 def ref_dynkin(t: Tensor) -> Tensor:
     """The bracket recursion D_k(t) = sum_j [D_(k-1)(t[..., j]), e_j]."""
     if t.order == 1:
@@ -104,6 +137,52 @@ def test_pwl_signature_matches_iterated_integrals_on_rational_paths(path, K):
     for k in range(1, K + 1):
         for word in words_of_length(path.dim, k):
             assert sig.level(k)[word.letters] == iterated_integral_entry(path, word)
+
+
+# zero, negative and rational entries, and some up to 2^40, whose products
+# need fields wider than 64 bits
+wide_rationals = st.one_of(
+    rationals,
+    st.builds(Fraction, st.integers(-(2**40), 2**40), st.integers(1, 7)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda d: st.lists(st.one_of(st.lists(wide_rationals, min_size=d, max_size=d), st.just([Fraction(0)] * d)), min_size=1, max_size=6)
+    ),
+    st.integers(0, 6),
+    st.integers(0, 3),
+)
+def test_packed_signature_matches_the_list_kernel(increments, K, alpha):
+    d = len(increments[0])
+    got = graded.signature(increments, d, K, alpha)
+    assert [(list(n), den) for n, den in got] == list_signature(increments, d, K, alpha)
+
+
+def test_one_segment_levels_are_tensor_powers():
+    # w = (2, -3): level k is w^(x)k over k!, each level prepending w to the last
+    w = [Fraction(2), Fraction(-3)]
+    assert graded.signature([w], 2, 3) == [
+        ([1], 1),
+        ([2, -3], 1),
+        ([4, -6, -6, 9], 2),
+        ([8, -12, -12, 18, -12, 18, 18, -27], 6),
+    ]
+
+
+@pytest.mark.parametrize("top", [2**63 - 1, 2**63, -(2**63), 2**64 - 1, -(2**64) + 1])
+def test_packed_levels_read_back_entries_at_the_width_boundaries(top):
+    # a 64-bit signed field holds -2^63..2^63 - 1, and the width comes from
+    # |top|: 2^63 - 1 is the largest entry that packs in 64 bits
+    assert graded._width(abs(top)) == (64 if abs(top) < 2**63 else 128)
+    assert graded.signature([[Fraction(top)]], 1, 1) == [([1], 1), ([top], 1)]
+    assert level_of([(Fraction(top), [(Fraction(1),)])], 1, 1) == ([top], 1)
+    # the same entry next to others, of both signs, in the fields around it
+    assert graded.signature([[Fraction(top), Fraction(-1)]], 2, 1) == [([1], 1), ([top, -1], 1)]
+    v = (Fraction(1), Fraction(-1), Fraction(1))
+    assert level_of([(Fraction(top), [v])], 3, 1) == ([top, -top, top], 1)
 
 
 @SETTINGS

@@ -167,6 +167,58 @@ def test_dump_json_deterministic():
     assert dump_json(blob) == dump_json(json.loads(dump_json(blob)))
 
 
+def json_dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+# strings with quotes, backslashes, control and non-ASCII characters
+json_text = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\té€\u2028😀'), st.characters()), max_size=6)
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**400), 10**400),
+    st.floats(),
+    st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")]),
+    json_text,
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(json_text, max_size=4), st.dictionaries(json_text, inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_dump_json_writes_the_bytes_of_json_dumps(obj):
+    assert dump_json(obj) == json_dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["signature", "--level", "3", "--float"],
+        ["sig222", "--params", "1e300,1,1,1,1", "--float"],
+        ["decompose", "--level", "3", "--float"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_float_reports_are_the_bytes_of_json_dumps(tmp_path, capsys, argv):
+    # the report read back holds the same values, floats included, since
+    # float repr round-trips
+    from sigtensor.cli import main
+
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"dim": 3, "increments": [["1/2", "-1", "0"], ["2", "1/3", "-3/4"], ["0", "5", "7/6"]]}))
+    if argv[0] in ("signature", "decompose"):
+        argv = [argv[0], "--path", str(path), *argv[1:]]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "_float_lossy" in out
+    assert out == json_dumps(json.loads(out))
+
+
 # the fast path of parse_rational handles "-?[0-9]+(/[0-9]+)?"; the rest goes
 # to Fraction(text), so both must agree on every string
 RATIONAL_LIKE = st.text(alphabet="0123456789-+/ _.e٣１", max_size=8)
