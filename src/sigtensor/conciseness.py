@@ -16,7 +16,10 @@ A mode subspace is settled by the first d fibers when they span Q^d, else
 by the pivot columns of the d x d^(k-1) unfolding. When n < d of its rows
 are nonzero (a path in a coordinate hyperplane), the n columns from the
 first nonzero one are eliminated first, and reaching n pivots there skips
-the full unfolding.
+the full unfolding. After a mode that needed the full unfolding, the next
+mode takes the same rows when swapping their two letters leaves the tensor
+unchanged, as at every mode of a symmetric tensor (a collinear path's
+levels).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 from itertools import chain, compress, count, islice
 from typing import Iterable, Iterator
 
+from . import graded
 from .linalg import Echelon, Subspace, _echelon
 from .signatures import TruncatedSignature
 from .tensors import Tensor
@@ -41,8 +45,32 @@ def mode_echelons(t: Tensor) -> Iterator[Echelon]:
     span it. Order 0 is refused at the call."""
     if t.order < 1:
         raise ValueError("mode subspaces need order >= 1")
-    d = t.dim
-    return (_echelon(_spanning_fibers(t.nums, d, d ** (t.order - mode)), d) for mode in range(1, t.order + 1))
+    return _mode_echelons(t.nums, t.dim, t.order)
+
+
+def _mode_echelons(nums: tuple[int, ...], d: int, k: int) -> Iterator[Echelon]:
+    """mode_echelons on the integer numerators.
+
+    When swapping letters i and i + 1 leaves the tensor unchanged, modes i
+    and i + 1 have the same fibers, so mode i's rows are mode i + 1's. The
+    swap is built only after a mode whose rows took the full unfolding's
+    elimination (and after a mode that reused such rows): the first d
+    fibers and the n-column window settle a mode for less than the swap."""
+    unfolded: list[bool] = []  # set by _spanning_fibers when it eliminates the full unfolding
+    for mode in range(1, k + 1):
+        stride = d ** (k - mode)
+        if unfolded:
+            # the entries whose other letters are all 1 form a d x d matrix in
+            # the two swapped letters, which the swap transposes: when it is not
+            # symmetric, as at a path in a non-coordinate hyperplane, the whole
+            # level is not swapped
+            corner = nums[: d * d * stride : stride]
+            if all(corner[a * d : (a + 1) * d] == corner[a::d] for a in range(d)) and graded.swap_positions(nums, d, k, mode - 2) == nums:
+                yield rows
+                continue
+            unfolded.clear()
+        rows = _echelon(_spanning_fibers(nums, d, stride, unfolded), d)
+        yield rows
 
 
 def echelon_sum(echelons: Iterable[Echelon], d: int) -> Echelon:
@@ -51,7 +79,7 @@ def echelon_sum(echelons: Iterable[Echelon], d: int) -> Echelon:
     return _echelon((row for rows in echelons for _, row in rows), d)
 
 
-def _spanning_fibers(nums: tuple[int, ...], d: int, stride: int):
+def _spanning_fibers(nums: tuple[int, ...], d: int, stride: int, unfolded: list[bool]):
     """Mode fibers that span the mode subspace, read lazily by the echelon.
 
     A fiber is a strided slice of the integer numerators: their one
@@ -65,7 +93,8 @@ def _spanning_fibers(nums: tuple[int, ...], d: int, stride: int):
     With n < d nonzero rows the rank is at most n, and the pivots among the
     n columns from the first nonzero one are the unfolding's pivots there.
     So that window is eliminated first; if it holds n pivots they are all
-    of them, and the full elimination runs only when it does not."""
+    of them, and the full elimination runs only when it does not; then
+    True is appended to unfolded."""
     block = stride * d
     yield from islice((nums[base + off : base + block : stride] for base in range(0, len(nums), block) for off in range(stride)), d)
     if len(nums) <= d * d:  # at order <= 2 those were all the fibers
@@ -81,6 +110,7 @@ def _spanning_fibers(nums: tuple[int, ...], d: int, stride: int):
         pivots = [start + pc for pc, _ in _echelon([r[start : start + len(live)] for r in live], len(live))]
     if len(pivots) < len(live):
         pivots = [pc for pc, _ in _echelon(live, len(rows[0]))]
+        unfolded.append(True)
     for c in pivots:
         yield [r[c] for r in rows]
 

@@ -174,6 +174,21 @@ def dynkin(nums: Sequence[int], dim: int, order: int) -> list[int]:
     return a
 
 
+def swap_positions(nums: Sequence[int], dim: int, order: int, pos: int) -> tuple[int, ...]:
+    """The coefficients of an order-k tensor with letters pos and pos + 1
+    (0-based) swapped. Inside each prefix of pos letters the entries form d
+    x d runs of d^(k-2-pos), run (a, b) for those two letters; the output's
+    run (a, b) is the input's (b, a). Slicing the list of runs with step d^2
+    gathers one (b, a) run of every prefix, and zipping the d^2 slices in
+    output order interleaves them back, prefix by prefix, as dynkin builds
+    its rotation. A tuple, so that it compares equal to Tensor.nums."""
+    size = dim ** (order - 2 - pos)
+    runs = nums if size == 1 else list(zip(*[iter(nums)] * size))
+    square = dim * dim
+    moved = chain.from_iterable(zip(*[runs[b * dim + a :: square] for a in range(dim) for b in range(dim)]))
+    return tuple(chain.from_iterable(moved) if size > 1 else moved)
+
+
 def accumulate(terms: Iterable[tuple[Fraction, Sequence[Sequence[Fraction]]]], dim: int, order: int) -> Level:
     """sum of c * v_1 (x) ... (x) v_k over (c, (v_1, ..., v_k)) terms, by
     Horner's rule on the prefix trie of the factor lists: sum_a a (x) (the

@@ -30,10 +30,10 @@ import json
 import re
 from fractions import Fraction
 from io import StringIO
-from itertools import repeat, tee
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, inf, lcm
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Any, Callable
 
 from . import graded
@@ -143,16 +143,15 @@ def _parse_plain(items: list) -> graded.Level:
         raise ValueError("not a plain level")
     if "/" not in joined:
         return list(map(int, items)), 1
+    # both passes partition every entry: one list of all the partitions would
+    # hold three objects per entry at once, about four times the peak memory
     q_texts = set(map(itemgetter(2), map(str.partition, items, repeat("/"))))
     q_ints = {q: int(q) if q else 1 for q in q_texts}
     if min(q_ints.values()) <= 0:
         raise ValueError("a q that is not positive")
     den = lcm(*q_ints.values())
     scale = {q: den // v for q, v in q_ints.items()}
-    # tee buffers one partition at a time: the two maps below advance together
-    ps, qs = tee(map(str.partition, items, repeat("/")))
-    nums = map(int, map(itemgetter(0), ps))
-    return list(map(mul, nums, map(scale.__getitem__, map(itemgetter(2), qs)))), den
+    return [int(p) * scale[q] for p, _, q in map(str.partition, items, repeat("/"))], den
 
 
 # one entry in this many is sampled to decide whether a level repeats enough

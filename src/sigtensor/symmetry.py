@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from operator import neg
 
+from . import graded
 from .lie import LogSignature, exp_log_signature, lie_bracket
 from .linalg import as_fraction
 from .tensors import Tensor
@@ -41,23 +42,42 @@ def _transposition_violation(t: Tensor, positions: range, sign: int) -> tuple[in
     outer + a*hi + b*lo, hi = d^(k-1-pos); the (a, b) run is compared with
     the (b, a) run as a whole, and searched entry by entry only if they
     differ.
+
+    The first run pair that holds a nonzero entry and agrees is evidence
+    that the position holds: there the whole level with the two letters
+    swapped is compared once with the level (negated for sign -1, which
+    also settles the entries with I[pos] == I[pos+1]). If they are equal
+    the position holds; otherwise the run scan goes on, and it alone names
+    a witness. Before that evidence, the pairs read are all zero or hold a
+    violation, so a level that fails at its first nonzero pair, as a
+    generic one does, builds no swapped level.
     """
     e, k, d = t.nums, t.order, t.dim  # one denominator, so numerators compare as entries
     for pos in positions:
         lo = d ** (k - 2 - pos)
         hi = lo * d
         prefixes = range(0, len(e), hi * d)
+        untried, held = True, False
         for outer in prefixes:
             for a in range(d):
                 for b in range(a + 1, d):
                     i, j = outer + a * hi + b * lo, outer + b * hi + a * lo
                     x, y = e[i : i + lo], e[j : j + lo]
-                    if sign == -1:
+                    if sign == -1 and any(y):  # a zero run is its own negation
                         y = tuple(map(neg, y))
                     if x != y:
                         r = next(r for r in range(lo) if x[r] != y[r])
                         return pos, (_multi_index(i + r, k, d), _multi_index(j + r, k, d))
-        if sign == -1:
+                    if untried and any(x):
+                        untried = False
+                        held = graded.swap_positions(e, d, k, pos) == (e if sign == 1 else tuple(map(neg, e)))
+                        if held:
+                            break
+                if held:
+                    break
+            if held:
+                break
+        if sign == -1 and not held:
             for outer in prefixes:
                 for a in range(d):
                     i = outer + a * (hi + lo)

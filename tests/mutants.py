@@ -34,6 +34,7 @@ GRADED = "tests/test_graded.py::"
 MODP = "tests/test_rank_mod_p.py::"
 SER = "tests/test_serialize.py::"
 CONC = "tests/test_conciseness.py::"
+SYM = "tests/test_symmetry.py::"
 
 
 class Mutant(NamedTuple):
@@ -236,6 +237,13 @@ MUTANTS = [
         (GRADED + "test_every_leading_factor_reaches_the_root", GRADED + "test_accumulate_matches_the_flat_sum_in_any_term_order"),
     ),
     Mutant(
+        "swap_positions swaps letters pos + 1 and pos + 2",
+        "graded.py",
+        "size = dim ** (order - 2 - pos)",
+        "size = dim ** (order - 3 - pos)",
+        (GRADED + "test_swap_positions_on_a_hand_example", GRADED + "test_swap_positions_matches_permute_modes"),
+    ),
+    Mutant(
         "the log/exp Horner step truncates x one level short",
         "lie.py",
         "return graded.product([([0], 1)] + x[:n], ",
@@ -264,6 +272,20 @@ MUTANTS = [
         ("tests/test_symmetry_reference.py::test_first_violation_at_each_position[3-0]", "tests/test_symmetry_reference.py::test_report_matches_the_four_scan_reference"),
     ),
     Mutant(
+        "a skew position is compared with the level, not its negation",
+        "symmetry.py",
+        "(e if sign == 1 else tuple(map(neg, e)))",
+        "e",
+        (SYM + "test_skew_positions_are_accepted_by_one_whole_level_comparison",),
+    ),
+    Mutant(
+        "symmetry tries the whole level at the first agreeing run pair, zero or not",
+        "symmetry.py",
+        "if untried and any(x):",
+        "if untried:",
+        (SYM + "test_generic_and_confined_tensors_build_no_swapped_level",),
+    ),
+    Mutant(
         "Tensor._combine drops the sign of the second term",
         "tensors.py",
         "a, b = den // self.den, sign * (den // other.den)",
@@ -276,6 +298,27 @@ MUTANTS = [
         "if len(pivots) < len(live):",
         "if len(live) == d:",
         (ELIM + "test_a_window_short_of_the_rank_falls_back_to_the_unfolding",),
+    ),
+    Mutant(
+        "mode_echelons reuses a mode's rows without comparing the swapped level",
+        "conciseness.py",
+        " for a in range(d)) and graded.swap_positions(nums, d, k, mode - 2) == nums:",
+        " for a in range(d)):",
+        (ELIM + "test_reuse_stops_at_a_swap_that_changes_the_tensor", ELIM + "test_mode_echelons_match_the_fraction_span_of_every_fiber"),
+    ),
+    Mutant(
+        "mode_echelons tries the swap after every mode, not only after a full unfolding",
+        "conciseness.py",
+        "        if unfolded:\n            # the entries whose",
+        "        if mode > 1:\n            # the entries whose",
+        (ELIM + "test_generic_and_confined_levels_build_no_swapped_level",),
+    ),
+    Mutant(
+        "mode_echelons swaps the whole level without the check on the entries whose other letters are 1",
+        "conciseness.py",
+        "if all(corner[a * d : (a + 1) * d] == corner[a::d] for a in range(d)) and graded",
+        "if graded",
+        (ELIM + "test_a_level_in_a_non_coordinate_hyperplane_builds_no_swapped_level",),
     ),
     Mutant(
         "is_concise reads only mode 1",

@@ -11,7 +11,7 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from sigtensor import Path, Subspace, Tensor, conciseness, mode_subspaces, pwl_signature, rref, symmetry_report
+from sigtensor import Path, Subspace, Tensor, conciseness, graded, mode_subspaces, pwl_signature, rref, symmetry_report
 from sigtensor.linalg import _echelon, integer_rank
 
 SETTINGS = settings(max_examples=80, deadline=None)
@@ -356,6 +356,111 @@ def test_non_coordinate_hyperplane_modes_fall_back_to_the_unfolding(monkeypatch)
     assert mode_subspaces(t) == [hyperplane] * 5
     assert widths == [5**4] * 5
     assert fiber_scan_mode_subspaces(t) == [hyperplane] * 5
+
+
+def swaps_built(monkeypatch) -> list[int]:
+    """The positions at which a level with two letters swapped is built, in
+    order."""
+    built = []
+    real = graded.swap_positions
+
+    def recorded(nums, dim, order, pos):
+        built.append(pos)
+        return real(nums, dim, order, pos)
+
+    monkeypatch.setattr(graded, "swap_positions", recorded)
+    return built
+
+
+def test_a_collinear_level_eliminates_one_unfolding_and_reuses_it(monkeypatch):
+    # level 5 of one segment v is v^(x)5 / 120: every unfolding row is a
+    # nonzero multiple of v^(x)4, and every swap of two letters keeps it
+    widths, built = eliminated_widths(monkeypatch), swaps_built(monkeypatch)
+    v = [2, -1, 3, 1, -3]
+    modes = list(conciseness.mode_echelons(pwl_signature(Path.from_increments([v]), 5).level(5)))
+    assert widths == [5**4]
+    assert built == [0, 1, 2, 3]
+    assert all(rows is modes[0] for rows in modes)
+    assert [Subspace._of_echelon(rows, 5) for rows in modes] == [Subspace.span([v], 5)] * 5
+
+
+@pytest.mark.parametrize("increments", [INCREMENTS, [[0] + u for u in INCREMENTS]], ids=["generic", "confined"])
+def test_generic_and_confined_levels_build_no_swapped_level(monkeypatch, increments):
+    # the first d fibers or the n-column window settle each mode: no mode
+    # needs the full unfolding, so no swap is tried
+    built = swaps_built(monkeypatch)
+    s = pwl_signature(Path.from_increments(increments), 5)
+    ranks = [[len(rows) for rows in conciseness.mode_echelons(s.level(k))] for k in range(1, 6)]
+    assert built == []
+    assert ranks == [[1]] + [[4] * k for k in range(2, 6)]  # both paths span a 4-dimensional space
+
+
+def test_a_level_in_a_non_coordinate_hyperplane_builds_no_swapped_level(monkeypatch):
+    # in {x_1 + x_2 = 0} every mode of levels 3-5 eliminates its full
+    # unfolding, and the runs of letters (1, 2) and (2, 1) agree, since the
+    # path's first two coordinates move along one line; the entries whose
+    # other letters are all 1 do not, so no swap is built
+    widths, built = eliminated_widths(monkeypatch), swaps_built(monkeypatch)
+    s = pwl_signature(Path.from_increments([[u[0], -u[0]] + u[1:] for u in INCREMENTS]), 5)
+    t = s.level(5)
+    stride = 5**3
+    assert t.nums[stride : 2 * stride] == t.nums[5 * stride : 6 * stride]
+    ranks = [[len(rows) for rows in conciseness.mode_echelons(s.level(k))] for k in range(1, 6)]
+    assert built == []
+    assert widths == [5**2] * 3 + [5**3] * 4 + [5**4] * 5
+    assert ranks == [[1]] + [[4] * k for k in range(2, 6)]
+
+
+def test_reuse_stops_at_a_swap_that_changes_the_tensor(monkeypatch):
+    # a_1 (x) a_1 (x) b_1 + a_2 (x) a_2 (x) b_2: modes 1 and 2 span the a's,
+    # mode 3 the b's; swapping letters 1 and 2 keeps the tensor, swapping 2
+    # and 3 does not. The a's vanish at coordinate 1, so mode 1's window of
+    # 4 nonzero rows holds 2 pivots and its full unfolding is eliminated,
+    # and every entry t[1, a, b] is 0, so only the whole level refuses the
+    # second swap. No entry of b_1 is 0, so mode 3's rows are all nonzero
+    a = [[0, 2, 3, 4, 5], [0, -1, 1, 3, -2]]
+    b = [[1, 1, 1, 1, 1], [1, -1, 2, 0, 3]]
+    t = Tensor.elementary([a[0], a[0], b[0]]) + Tensor.elementary([a[1], a[1], b[1]])
+    widths, built = eliminated_widths(monkeypatch), swaps_built(monkeypatch)
+    modes = list(conciseness.mode_echelons(t))
+    assert built == [0, 1]
+    assert widths == [4, 25, 25]
+    assert modes[1] is modes[0]
+    assert [Subspace._of_echelon(rows, 5) for rows in modes] == [reference_span(a, 5)] * 2 + [reference_span(b, 5)]
+
+
+@st.composite
+def swap_tensors(draw):
+    """Sums of up to d + 1 terms, order 2..5, 2 <= d <= 5, at most 1024
+    entries. Each letter has a group, and letters in one group share a
+    factor in every term, so a swap of two letters in one group keeps the
+    tensor and a swap across groups, on most draws, does not: symmetric
+    (one group), grouped at random (some positions symmetric), collinear
+    (one term, one group), confined (every factor zero at coordinate 1 and
+    perhaps others, so unfolding rows are zero and every entry with letter 1
+    is 0, which leaves the whole level alone to refuse a swap), or zero. Few
+    terms leave the modes short of Q^d, so they eliminate the full
+    unfolding, and reuse is tried."""
+    k = draw(st.integers(2, 5))
+    d = draw(st.integers(2, 5 if k <= 4 else 4))
+    kind = draw(st.sampled_from(["symmetric", "grouped", "collinear", "confined", "zero"]))
+    if kind == "zero":
+        return Tensor.zeros(k, d)
+    groups = [0] * k if kind in ("symmetric", "collinear") else draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
+    n_terms = 1 if kind == "collinear" else draw(st.integers(1, d + 1))
+    dead = {0} | draw(st.sets(st.integers(1, d - 1), max_size=d - 2)) if kind == "confined" else set()
+    vector = st.lists(st.integers(-3, 3), min_size=d, max_size=d).map(lambda v: [0 if j in dead else x for j, x in enumerate(v)])
+    t = Tensor.zeros(k, d)
+    for _ in range(n_terms):
+        factors = draw(st.lists(vector, min_size=3, max_size=3))
+        t = t + Tensor.elementary([factors[g] for g in groups], d).scale(draw(rationals))
+    return t
+
+
+@SETTINGS
+@given(swap_tensors())
+def test_mode_echelons_match_the_fraction_span_of_every_fiber(t):
+    assert mode_subspaces(t) == reference_mode_subspaces(t)
 
 
 def reference_violation(t: Tensor, positions, sign: int):

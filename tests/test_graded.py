@@ -27,6 +27,7 @@ from sigtensor import (
     lie_basis,
     lie_bracket,
     log_signature,
+    permute_modes,
     pwl_signature,
     tensor_product,
     words_of_length,
@@ -324,3 +325,23 @@ def test_is_lie_element_rejects_non_lie_products():
         assert ref_dynkin(t) != t.scale(t.order)
         assert not is_lie_element(t)
 
+
+
+def test_swap_positions_on_a_hand_example():
+    # entry (a, b, c) of 0..7 is 4a + 2b + c; swapping letters 0 and 1 reads
+    # (b, a, c), swapping letters 1 and 2 reads (a, c, b)
+    nums = tuple(range(8))
+    assert graded.swap_positions(nums, 2, 3, 0) == (0, 1, 4, 5, 2, 3, 6, 7)
+    assert graded.swap_positions(nums, 2, 3, 1) == (0, 2, 1, 3, 4, 6, 5, 7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(2, 6), st.randoms(use_true_random=False))
+def test_swap_positions_matches_permute_modes(d, k, rng):
+    t = Tensor.from_entries(k, d, [rng.randint(-9, 9) for _ in range(d**k)])
+    for pos in range(k - 1):
+        perm = list(range(1, k + 1))
+        perm[pos], perm[pos + 1] = perm[pos + 1], perm[pos]
+        swapped = graded.swap_positions(t.nums, d, k, pos)
+        assert type(swapped) is tuple  # Tensor.nums is a tuple, and a list never equals one
+        assert swapped == permute_modes(t, perm).nums

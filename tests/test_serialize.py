@@ -14,6 +14,7 @@ from sigtensor import (
     log_signature,
     pwl_signature,
     segment_signature,
+    serialize,
 )
 from sigtensor.serialize import (
     ParseError,
@@ -543,3 +544,30 @@ def test_tensor_to_json_writes_str_of_each_fraction_without_building_them(t):
     assert "entries" not in t.__dict__
     assert blob["entries"] == [str(x) for x in t.entries]
     assert (blob["order"], blob["dim"]) == (t.order, t.dim)
+
+
+@pytest.mark.parametrize("items, error", [
+    (["1", 2], TypeError),
+    (["1", None], TypeError),
+    (["1/2", "1/0"], ValueError),
+    (["1/2", "3/-4"], ValueError),
+    (["1/2", "1/"], ValueError),
+    (["1/2", "1.5"], ValueError),
+    (["1/2", "1/2/3"], ValueError),
+    (["1/2", "1,2"], ValueError),
+])
+def test_parse_plain_raises_type_error_for_a_non_string_and_value_error_otherwise(items, error):
+    with pytest.raises(error):
+        serialize._parse_plain(items)
+
+
+# "p" when q = 1, else "p/q", unreduced as often as not
+plain_entries = st.tuples(st.integers(-50, 50), st.integers(1, 12)).map(lambda pq: f"{pq[0]}/{pq[1]}" if pq[1] > 1 else str(pq[0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(plain_entries, min_size=1, max_size=40))
+def test_parse_plain_puts_every_entry_over_the_lcm_of_its_denominators(texts):
+    nums, den = serialize._parse_plain(texts)
+    assert den == lcm(*(int(x.partition("/")[2] or 1) for x in texts))
+    assert [Fraction(n, den) for n in nums] == [Fraction(x) for x in texts]

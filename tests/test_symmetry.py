@@ -5,18 +5,21 @@ import pytest
 
 from sigtensor import (
     LogSignature,
+    Path,
     Sig222Params,
     Tensor,
     brute_force_symmetric,
     exp_log_signature,
     lie_bracket,
     partial_symmetry_constraint,
+    pwl_signature,
     sig222_from_params,
     skew_impossibility_check,
     symmetry_report,
     tensor_product,
     verify_partial_symmetry_consequences,
 )
+from sigtensor import graded
 from sigtensor.harness import random_log_signature
 from sigtensor.lie import lie_basis
 from sigtensor.symmetry import is_skew, is_symmetric
@@ -232,3 +235,64 @@ def test_skew_matrix_power_never_skew():
             continue
         assert is_skew(a)
         assert not is_skew(tensor_product(a, a))
+
+
+def whole_level_comparisons(monkeypatch) -> list[list]:
+    """[position, outcome] for each level with two letters swapped that
+    symmetry builds: the spy returns it as a tuple that records how it
+    compares with the level."""
+    seen: list[list] = []
+    real = graded.swap_positions
+
+    class Recorded(tuple):
+        def __eq__(self, other):
+            seen[-1][1] = tuple.__eq__(self, other)
+            return seen[-1][1]
+
+        __hash__ = tuple.__hash__
+
+    def recorded(nums, dim, order, pos):
+        seen.append([pos, None])
+        return Recorded(real(nums, dim, order, pos))
+
+    monkeypatch.setattr(graded, "swap_positions", recorded)
+    return seen
+
+
+def test_a_collinear_level_is_settled_by_one_whole_level_comparison_per_position(monkeypatch):
+    seen = whole_level_comparisons(monkeypatch)
+    rep = symmetry_report(pwl_signature(Path.from_increments([[2, -1, 3, 1, -3]]), 5).level(5))
+    assert seen == [[0, True], [1, True], [2, True], [3, True]]
+    assert rep.is_symmetric and not rep.is_skew
+    assert rep.partial == {"first_k_minus_1", "last_k_minus_1"}
+    assert rep.witness == ((1, 2, 1, 1, 1), (2, 1, 1, 1, 1))  # the first entry pair the skew flag fails at
+
+
+def test_skew_positions_are_accepted_by_one_whole_level_comparison(monkeypatch):
+    # order 3, d = 4: t[I] = sign(I) * (sum of I) on distinct letters, 0 elsewhere
+    entries = []
+    for index in Tensor.zeros(3, 4).indices():
+        inversions = sum(index[i] > index[j] for i in range(3) for j in range(i + 1, 3))
+        entries.append((-1) ** inversions * sum(index) if len(set(index)) == 3 else 0)
+    t = Tensor.from_entries(3, 4, entries)
+    seen = whole_level_comparisons(monkeypatch)
+    assert is_skew(t)
+    assert seen == [[0, True], [1, True]]  # against the negated level
+    seen.clear()
+    rep = symmetry_report(t)
+    assert rep.is_skew and not rep.is_symmetric
+    assert seen == [[0, True], [1, True]]  # the symmetric scan fails at its first pair, before any evidence
+
+
+# a d=4 path with a generic signature, and the same path in {x_1 = 0} of Q^5
+GENERIC = [[1, -2, 3, 0], [-3, 1, 0, 2], [2, 2, -1, -3], [0, -1, 3, 1], [-2, 3, 1, -1], [3, 0, -2, 2]]
+
+
+@pytest.mark.parametrize("increments", [GENERIC, [[0] + u for u in GENERIC]], ids=["generic", "confined"])
+def test_generic_and_confined_tensors_build_no_swapped_level(monkeypatch, increments):
+    # a generic level fails at its first run pair; a confined one reads zero
+    # pairs first, which agree but are no evidence, then fails at the first nonzero one
+    seen = whole_level_comparisons(monkeypatch)
+    rep = symmetry_report(pwl_signature(Path.from_increments(increments), 5).level(5))
+    assert seen == []
+    assert not rep.is_symmetric and not rep.is_skew and rep.witness is not None

@@ -137,3 +137,20 @@ def test_block_symmetric_tensors(k, block, modes):
     report = symmetry_report(t)
     assert report == reference_report(t)
     assert report.partial == {block} and not report.is_symmetric
+
+
+@st.composite
+def confined_tensors(draw):
+    """A tensor of every family above, zero wherever a letter from a drawn
+    set occurs, as the levels of a path in a coordinate subspace are.
+    Zeroing by letters commutes with permuting positions, so each family
+    keeps its symmetry, and every run pair of a dead letter is zero."""
+    t = draw(tensors())
+    dead = draw(st.sets(st.integers(1, t.dim), min_size=1, max_size=max(1, t.dim - 1)))
+    return Tensor(t.order, t.dim, tuple(0 if dead.intersection(index) else x for index, x in zip(t.indices(), t.entries)))
+
+
+@SETTINGS
+@given(confined_tensors())
+def test_report_of_zero_heavy_tensors_matches_the_four_scan_reference(t):
+    assert symmetry_report(t) == reference_report(t)
