@@ -91,10 +91,16 @@ def _unpack(v: int, n: int, width: int) -> list[int]:
     data = ((v + offset) ^ offset).to_bytes(n * size, "little")
     if width > 64:
         return [int.from_bytes(data[i : i + size], "little", signed=True) for i in range(0, len(data), size)]
-    fields = array("q", data)
+    return little_endian(array("q", data)).tolist()
+
+
+def little_endian(fields: array) -> array:
+    """The array's items in little-endian byte order, swapped in place on a
+    big-endian machine; as items are stored in native order, the same swap
+    turns little-endian items back into native ones."""
     if sys.byteorder == "big":
         fields.byteswap()
-    return fields.tolist()
+    return fields
 
 
 def signature(increments: Sequence[Sequence[Fraction]], dim: int, max_level: int, alpha: int = 0) -> list[Level]:

@@ -95,7 +95,7 @@ def run_harness(seed: int, size: int = 10) -> dict[str, Any]:
         sig = pwl_signature(path, level)
         for n in range(level + 1):
             for word in words_of_length(path.dim, n):
-                got = sig.level(n).entries[0] if n == 0 else sig.level(n)[word.letters]
+                got = sig.level(n)[word.letters]
                 want = iterated_integral_entry(path, word)
                 if got != want:
                     failures.append(f"trial {trial}: word {word} mismatch")

@@ -22,7 +22,6 @@ matrix whose rank mod P reaches it has a nonzero minor of that size.
 
 from __future__ import annotations
 
-import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -123,18 +122,12 @@ _MASK = (1 << 64) - 1
 
 def _pack(residues: Sequence[int]) -> int:
     """Residues mod P as one int, entry j in the 64-bit field at bit 64 j."""
-    fields = array("Q", residues)
-    if sys.byteorder == "big":
-        fields.byteswap()
-    return int.from_bytes(fields.tobytes(), "little")
+    return int.from_bytes(graded.little_endian(array("Q", residues)).tobytes(), "little")
 
 
 def _unpack(v: int, n: int) -> array:
     """The n 64-bit fields of a packed int, entry j from bit 64 j."""
-    fields = array("Q", v.to_bytes(8 * n, "little"))
-    if sys.byteorder == "big":
-        fields.byteswap()
-    return fields
+    return graded.little_endian(array("Q", v.to_bytes(8 * n, "little")))
 
 
 def _rank_mod_p(rows: Sequence[Sequence[int]], n: int) -> int:

@@ -34,57 +34,42 @@ def _transposition_violation(t: Tensor, positions: range, sign: int) -> tuple[in
     """The first position and index pair violating t[swap(I)] == sign * t[I]
     over adjacent transpositions at the given 0-based positions.
 
-    Positions are scanned in order; at each, the multi-indices I with
-    I[pos] < I[pos+1] in lexicographic order, then (for sign -1) those
-    with I[pos] == I[pos+1], whose entries must vanish. With letters a, b
-    at pos, pos+1 and a fixed prefix starting at flat offset `outer`, the
+    Positions are scanned in order, each through one stream of run pairs.
+    With letters a, b at pos, pos+1 and a prefix at flat offset o, the
     entries for all suffixes form a run of lo = d^(k-2-pos) entries at
-    outer + a*hi + b*lo, hi = d^(k-1-pos); the (a, b) run is compared with
-    the (b, a) run as a whole, and searched entry by entry only if they
-    differ.
+    o + a*hi + b*lo, hi = d^(k-1-pos). The stream pairs the (a, b) run with
+    the (b, a) run for a < b in (prefix, a, b) order, then, for sign -1,
+    each diagonal run o + a*(hi + lo) with itself: compared with its own
+    negation, it differs exactly where it is nonzero. A pair is compared as
+    a whole, and searched entry by entry for the witness only if it differs.
 
-    The first run pair that holds a nonzero entry and agrees is evidence
-    that the position holds: there the whole level with the two letters
-    swapped is compared once with the level (negated for sign -1, which
-    also settles the entries with I[pos] == I[pos+1]). If they are equal
-    the position holds; otherwise the run scan goes on, and it alone names
-    a witness. Before that evidence, the pairs read are all zero or hold a
-    violation, so a level that fails at its first nonzero pair, as a
-    generic one does, builds no swapped level.
+    The first agreeing pair that holds a nonzero entry is evidence that the
+    position holds: there the whole level with the two letters swapped is
+    compared once with the level (negated for sign -1), and if they are
+    equal the rest of the stream is skipped. Before that evidence, the
+    pairs read are all zero or hold a violation, so a level that fails at
+    its first nonzero pair, as a generic one does, builds no swapped level.
     """
     e, k, d = t.nums, t.order, t.dim  # one denominator, so numerators compare as entries
     for pos in positions:
         lo = d ** (k - 2 - pos)
         hi = lo * d
         prefixes = range(0, len(e), hi * d)
-        untried, held = True, False
-        for outer in prefixes:
-            for a in range(d):
-                for b in range(a + 1, d):
-                    i, j = outer + a * hi + b * lo, outer + b * hi + a * lo
-                    x, y = e[i : i + lo], e[j : j + lo]
-                    if sign == -1 and any(y):  # a zero run is its own negation
-                        y = tuple(map(neg, y))
-                    if x != y:
-                        r = next(r for r in range(lo) if x[r] != y[r])
-                        return pos, (_multi_index(i + r, k, d), _multi_index(j + r, k, d))
-                    if untried and any(x):
-                        untried = False
-                        held = graded.swap_positions(e, d, k, pos) == (e if sign == 1 else tuple(map(neg, e)))
-                        if held:
-                            break
-                if held:
+        pairs = ((o + a * hi + b * lo, o + b * hi + a * lo) for o in prefixes for a in range(d) for b in range(a + 1, d))
+        if sign == -1:
+            pairs = itertools.chain(pairs, ((o + a * (hi + lo),) * 2 for o in prefixes for a in range(d)))
+        untried = True
+        for i, j in pairs:
+            x, y = e[i : i + lo], e[j : j + lo]
+            if sign == -1 and any(y):  # a zero run is its own negation
+                y = tuple(map(neg, y))
+            if x != y:
+                r = next(r for r in range(lo) if x[r] != y[r])
+                return pos, (_multi_index(i + r, k, d), _multi_index(j + r, k, d))
+            if untried and any(x):
+                untried = False
+                if graded.swap_positions(e, d, k, pos) == (e if sign == 1 else tuple(map(neg, e))):
                     break
-            if held:
-                break
-        if sign == -1 and not held:
-            for outer in prefixes:
-                for a in range(d):
-                    i = outer + a * (hi + lo)
-                    r = next((r for r in range(lo) if e[i + r]), None)
-                    if r is not None:
-                        index = _multi_index(i + r, k, d)
-                        return pos, (index, index)
     return None
 
 

@@ -134,9 +134,7 @@ def evaluate(sig: "TruncatedSignature", ws: WordSum | Word) -> Fraction:
         k = len(word)
         if k > sig.max_level:
             raise ValueError(f"level exceeded: word of length {k} against truncation {sig.max_level}")
-        level = sig.level(k)
-        value = level.entries[0] if k == 0 else level[word.letters]
-        total += coeff * value
+        total += coeff * sig.level(k)[word.letters]
     return total
 
 

@@ -286,6 +286,27 @@ MUTANTS = [
         (SYM + "test_generic_and_confined_tensors_build_no_swapped_level",),
     ),
     Mutant(
+        "the diagonal runs are chained before the a < b pairs",
+        "symmetry.py",
+        "itertools.chain(pairs, ((o + a * (hi + lo),) * 2 for o in prefixes for a in range(d)))",
+        "itertools.chain(((o + a * (hi + lo),) * 2 for o in prefixes for a in range(d)), pairs)",
+        (SYM + "test_skew_witness_on_a_segment_is_an_off_diagonal_pair_before_any_diagonal_entry", "tests/test_symmetry_reference.py::test_report_matches_the_four_scan_reference"),
+    ),
+    Mutant(
+        "the diagonal runs are dropped for sign -1",
+        "symmetry.py",
+        "        if sign == -1:\n            pairs = ",
+        "        if sign == 2:\n            pairs = ",
+        (SYM + "test_a_cube_of_a_basis_vector_fails_skew_on_its_diagonal_entry[1]", "tests/test_symmetry_reference.py::test_report_matches_the_four_scan_reference"),
+    ),
+    Mutant(
+        "the diagonal offset is o + a * hi",
+        "symmetry.py",
+        "((o + a * (hi + lo),) * 2 for",
+        "((o + a * hi,) * 2 for",
+        (SYM + "test_a_cube_of_a_basis_vector_fails_skew_on_its_diagonal_entry[2]", "tests/test_symmetry_reference.py::test_report_matches_the_four_scan_reference"),
+    ),
+    Mutant(
         "Tensor._combine drops the sign of the second term",
         "tensors.py",
         "a, b = den // self.den, sign * (den // other.den)",

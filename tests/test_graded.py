@@ -4,6 +4,8 @@ reference kept in this file, the list kernels that signatures and realize
 used before their levels were packed into ints, a value worked out by hand
 or the iterated-integral oracle, never from the kernel itself."""
 
+import sys
+from array import array
 from fractions import Fraction
 from itertools import repeat
 from math import comb, factorial, lcm
@@ -184,6 +186,14 @@ def test_packed_levels_read_back_entries_at_the_width_boundaries(top):
     assert graded.signature([[Fraction(top), Fraction(-1)]], 2, 1) == [([1], 1), ([top, -1], 1)]
     v = (Fraction(1), Fraction(-1), Fraction(1))
     assert level_of([(Fraction(top), [v])], 3, 1) == ([top, -top, top], 1)
+
+
+@pytest.mark.parametrize("order, swapped", [("little", [1, 2]), ("big", [1 << 56, 2 << 56])])
+def test_little_endian_swaps_the_fields_only_on_a_big_endian_machine(monkeypatch, order, swapped):
+    monkeypatch.setattr(sys, "byteorder", order)
+    fields = array("Q", [1, 2])
+    assert graded.little_endian(fields) is fields
+    assert fields.tolist() == swapped
 
 
 @SETTINGS

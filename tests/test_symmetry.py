@@ -237,6 +237,23 @@ def test_skew_matrix_power_never_skew():
         assert not is_skew(tensor_product(a, a))
 
 
+@pytest.mark.parametrize("letter", [1, 2])
+def test_a_cube_of_a_basis_vector_fails_skew_on_its_diagonal_entry(letter):
+    # the only nonzero entry sits on a diagonal run: every off-diagonal pair is zero
+    e = Tensor.basis_vector(2, letter)
+    rep = symmetry_report(tensor_product(tensor_product(e, e), e))
+    assert rep.is_symmetric and not rep.is_skew
+    assert rep.partial == {"first_k_minus_1", "last_k_minus_1"}
+    assert rep.witness == ((letter,) * 3, (letter,) * 3)
+
+
+def test_skew_witness_on_a_segment_is_an_off_diagonal_pair_before_any_diagonal_entry():
+    # (1, 1, 1, 1, 1) is nonzero, but the off-diagonal pairs at position 0 come first
+    rep = symmetry_report(pwl_signature(Path.from_increments([[2, -1, 3, 1, -3]]), 5).level(5))
+    assert rep.is_symmetric and not rep.is_skew
+    assert rep.witness == ((1, 2, 1, 1, 1), (2, 1, 1, 1, 1))
+
+
 def whole_level_comparisons(monkeypatch) -> list[list]:
     """[position, outcome] for each level with two letters swapped that
     symmetry builds: the spy returns it as a tuple that records how it
