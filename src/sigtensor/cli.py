@@ -240,7 +240,7 @@ def cmd_classify222(args):
     return {"tensor": args.tensor}, {
         "complex_rank": classify_222_complex_rank(tensor),
         "real_rank": "not computed",
-        "hyperdeterminant": serialize.format_rational(hyperdet_222(tensor)),
+        "hyperdeterminant": str(hyperdet_222(tensor)),
     }
 
 
@@ -262,7 +262,7 @@ def cmd_sig222(args):
         {"params": {"x": str(params.x), "y": str(params.y), "a": str(params.a), "b": str(params.b), "c": str(params.c)}},
         {
             "tensor": serialize.tensor_to_json(tensor),
-            "hyperdeterminant": serialize.format_rational(hyperdet_222(tensor)),
+            "hyperdeterminant": str(hyperdet_222(tensor)),
             "complex_rank": classify_222_complex_rank(tensor),
             "constraint_first": partial_symmetry_constraint(params, "first"),
             "constraint_last": partial_symmetry_constraint(params, "last"),

@@ -109,7 +109,7 @@ def _vectors(vs: Sequence[Sequence]) -> list[Vector]:
 
 def _mix(d: int, *pairs: tuple[Vector, int]) -> Vector:
     """Sum of v / c over the (v, c) pairs; the zero vector of length d if none."""
-    return tuple(map(sum, zip(*([x / c for x in v] for v, c in pairs)))) or (Fraction(0),) * d
+    return tuple(map(sum, zip(*(v if c == 1 else [x / c for x in v] for v, c in pairs)))) or (Fraction(0),) * d
 
 
 def s_k_alpha(vs: Sequence[Sequence], k: int, alpha: int) -> Tensor:
@@ -169,22 +169,24 @@ def decompose_three_segments(u: Sequence, v: Sequence, w: Sequence, k: int, alph
 
 
 def decompose_second_level(vs: Sequence[Sequence], alpha: int = 0) -> Decomposition:
-    """Row-by-row grouping of S_{2,alpha}: term i covers every monomial
-    v_i (x) v_j with j >= i, so the length is at most m."""
+    """Row-by-row grouping of S_{2,alpha}: term i covers every monomial v_i (x) v_j
+    with j >= i, at most m terms; the later v_j are summed as a running remainder."""
     vecs = _vectors(vs)
     d = len(vecs[0])
+    rest = _mix(d, *((v, 1) for v in vecs))
     terms: TermList = []
     for i, v in enumerate(vecs):
         first = i == 0  # only v_1 carries the weight alpha
-        mixed = _mix(d, (v, 2 + alpha * first), *((x, 1) for x in vecs[i + 1:]))
-        terms.append((Fraction(1, factorial(alpha + first)), [v, mixed]))
+        rest = _mix(d, (rest, 1), (v, -1))
+        terms.append((Fraction(1, factorial(alpha + first)), [v, _mix(d, (v, 2 + alpha * first), (rest, 1))]))
     return Decomposition.of(d, 2, terms)
 
 
 def decompose_s3_alpha(vs: Sequence[Sequence], alpha: int = 0) -> Decomposition:
     """The 2m-2 term grouping of S_{3,alpha}(v_1, ..., v_m), split at
     s = ceil(m/2): squares of early vectors lead, squares of late vectors
-    trail, and mixed middles cover the rest."""
+    trail, and mixed middles cover the rest, read from two running sums built in one
+    pass (0-based i): head[i] = v_1/(alpha+1) + v_2 + ... + v_(i+1), tail[i] = v_(i+2) + ... + v_m."""
     v = _vectors(vs)  # 0-based: v[0] is the alpha-weighted first vector
     m = len(v)
     if m < 2:
@@ -192,24 +194,24 @@ def decompose_s3_alpha(vs: Sequence[Sequence], alpha: int = 0) -> Decomposition:
     d = len(v[0])
     s = ceil(m / 2)
     beta = Fraction(1, factorial(alpha))
-
-    def ones(lo: int, hi: int) -> list[tuple[Vector, int]]:
-        return [(x, 1) for x in v[lo:hi]]
-
+    head, tail = [_mix(d, (v[0], alpha + 1))], [_mix(d)] * m
+    for i in range(1, m):
+        head.append(_mix(d, (head[-1], 1), (v[i], 1)))
+        tail[m - 1 - i] = _mix(d, (tail[m - i], 1), (v[m - i], 1))
     # leading squares: v1^(x)2 covers every monomial with v1 twice
-    terms: TermList = [(Fraction(1, factorial(2 + alpha)), [v[0], v[0], _mix(d, (v[0], 3 + alpha), *ones(1, m))])]
+    terms: TermList = [(Fraction(1, factorial(2 + alpha)), [v[0], v[0], _mix(d, (v[0], 3 + alpha), (tail[0], 1))])]
     # squares of v_i for 2 <= i <= s
     for i in range(1, s):
-        terms.append((beta / 2, [v[i], v[i], _mix(d, (v[i], 3), *ones(i + 1, m))]))
+        terms.append((beta / 2, [v[i], v[i], _mix(d, (v[i], 3), (tail[i], 1))]))
     # middles at position i for 2 <= i <= s
     for i in range(1, s):
-        terms.append((beta, [_mix(d, (v[0], alpha + 1), *ones(1, i)), v[i], _mix(d, (v[i], 2), *ones(i + 1, m))]))
+        terms.append((beta, [head[i - 1], v[i], _mix(d, (v[i], 2), (tail[i], 1))]))
     # trailing squares: v_i^(x)2 for s+1 <= i <= m
     for i in range(s, m):
-        terms.append((beta / 2, [_mix(d, (v[0], alpha + 1), *ones(1, i), (v[i], 3)), v[i], v[i]]))
+        terms.append((beta / 2, [_mix(d, (head[i - 1], 1), (v[i], 3)), v[i], v[i]]))
     # middles at position i for s+1 <= i <= m-1
     for i in range(s, m - 1):
-        terms.append((beta, [_mix(d, (v[0], alpha + 1), *ones(1, i), (v[i], 2)), v[i], _mix(d, *ones(i + 1, m))]))
+        terms.append((beta, [_mix(d, (head[i - 1], 1), (v[i], 2)), v[i], tail[i]]))
     return Decomposition.of(d, 3, terms)
 
 
@@ -234,12 +236,10 @@ def decompose_s_k_alpha(vs: Sequence[Sequence], k: int, alpha: int = 0) -> Decom
         return decompose_two_segments(vecs[0], vecs[1], k, alpha)
     if m == 3:
         return decompose_three_segments(vecs[0], vecs[1], vecs[2], k, alpha)
-    stripped = decompose_s_k_alpha(vecs, k - 1, alpha + 1)
-    tail = decompose_s_k_alpha(vecs[1:], k, 0)
-    beta = Fraction(1, factorial(alpha))
-    terms = [(coeff, [vecs[0]] + list(factors)) for coeff, factors in stripped.terms]
-    terms += [(beta * coeff, list(factors)) for coeff, factors in tail.terms]
-    return Decomposition.of(d, k, terms)
+    # the sub-witnesses are clean, and neither a nonzero v_1 in front nor 1/alpha! zeroes a term
+    terms = [(c, (vecs[0], *fs)) for c, fs in decompose_s_k_alpha(vecs, k - 1, alpha + 1).terms] if any(vecs[0]) else []
+    terms += [(c / factorial(alpha) if alpha else c, fs) for c, fs in decompose_s_k_alpha(vecs[1:], k, 0).terms]
+    return Decomposition(d, k, tuple(terms))
 
 
 def rank_bound_formula(k: int, m: int) -> int:

@@ -54,10 +54,6 @@ class ParseError(ValueError):
         super().__init__(f"{where}: {message}" if where else message)
 
 
-def format_rational(x: Fraction) -> str:
-    return str(x)
-
-
 def _is_int(x: Any) -> bool:
     """A JSON integer; bool is a subclass of int but true/false are not numbers."""
     return isinstance(x, int) and not isinstance(x, bool)
@@ -293,7 +289,7 @@ def tensor_from_json(obj: Any, where: str = "tensor") -> Tensor:
 # -- vectors and paths -----------------------------------------------------
 
 def vector_to_json(v: Vector) -> list[str]:
-    return [format_rational(x) for x in v]
+    return [str(x) for x in v]
 
 
 def vector_from_json(obj: Any, where: str) -> Vector:
@@ -358,7 +354,7 @@ def decomposition_to_json(d: Decomposition) -> dict:
         "dim": d.dim,
         "order": d.order,
         "terms": [
-            {"coeff": format_rational(c), "factors": [vector_to_json(v) for v in factors]}
+            {"coeff": str(c), "factors": [vector_to_json(v) for v in factors]}
             for c, factors in d.terms
         ],
     }

@@ -35,6 +35,8 @@ MODP = "tests/test_rank_mod_p.py::"
 SER = "tests/test_serialize.py::"
 CONC = "tests/test_conciseness.py::"
 SYM = "tests/test_symmetry.py::"
+RANKS = "tests/test_ranks.py::"
+DREF = "tests/test_decompose_reference.py::"
 
 
 class Mutant(NamedTuple):
@@ -263,6 +265,34 @@ MUTANTS = [
         "for b in range(1 + k % 2, k, 2):",
         "for b in range(1, k, 2):",
         ("tests/test_ranks.py::test_three_segments_length_and_realization[5]", "tests/test_decompose_reference.py::test_three_segments_cover_both_parities"),
+    ),
+    Mutant(
+        "s3's head sums run one vector ahead",
+        "ranks.py",
+        "head.append(_mix(d, (head[-1], 1), (v[i], 1)))",
+        "head.append(_mix(d, (head[-1], 1), (v[(i + 1) % m], 1)))",
+        (RANKS + "test_s3_alpha_terms_on_four_axes", DREF + "test_s3_alpha_matches_the_reference"),
+    ),
+    Mutant(
+        "s3's tail sums miss v_m",
+        "ranks.py",
+        "tail[m - 1 - i] = _mix(d, (tail[m - i], 1), (v[m - i], 1))",
+        "tail[m - 1 - i] = _mix(d, (tail[m - i], 1), (v[m - i], 1)) if i > 1 else tail[m - 1]",
+        (RANKS + "test_s3_alpha_terms_on_four_axes", DREF + "test_s3_alpha_matches_the_reference"),
+    ),
+    Mutant(
+        "the level-2 remainder is taken out after its term, not before",
+        "ranks.py",
+        "        rest = _mix(d, (rest, 1), (v, -1))\n        terms.append((Fraction(1, factorial(alpha + first)), [v, _mix(d, (v, 2 + alpha * first), (rest, 1))]))\n",
+        "        terms.append((Fraction(1, factorial(alpha + first)), [v, _mix(d, (v, 2 + alpha * first), (rest, 1))]))\n        rest = _mix(d, (rest, 1), (v, -1))\n",
+        (RANKS + "test_second_level_terms_on_three_axes", DREF + "test_second_level_matches_the_reference"),
+    ),
+    Mutant(
+        "the recursion prepends v_1 = 0 to the stripped terms",
+        "ranks.py",
+        ".terms] if any(vecs[0]) else []",
+        ".terms]",
+        (RANKS + "test_a_zero_first_increment_adds_no_term", DREF + "test_s_k_alpha_matches_the_reference"),
     ),
     Mutant(
         "symmetry_report does not rescan the last block when the first violation is at p = 0",

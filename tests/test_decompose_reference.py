@@ -258,13 +258,13 @@ def test_three_segments_cover_both_parities():
 
 
 @SETTINGS
-@given(vector_lists(), alphas)
+@given(vector_lists(m_max=12), alphas)
 def test_second_level_matches_the_reference(vs, alpha):
     assert _strings(decompose_second_level(vs, alpha)) == _strings(ref_decompose_second_level(vs, alpha))
 
 
 @SETTINGS
-@given(vector_lists(2), alphas)
+@given(vector_lists(2, 12), alphas)
 def test_s3_alpha_matches_the_reference(vs, alpha):
     assert _strings(decompose_s3_alpha(vs, alpha)) == _strings(ref_decompose_s3_alpha(vs, alpha))
 

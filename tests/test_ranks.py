@@ -24,6 +24,7 @@ from sigtensor import (
     s_k_alpha,
     sig222_from_params,
 )
+from sigtensor import ranks
 from sigtensor.symmetry import Sig222Params
 
 E1, E2, E3 = [1, 0, 0], [0, 1, 0], [0, 0, 1]
@@ -170,6 +171,18 @@ def test_second_level_rank_equals_m_for_independent(m):
     assert flatten(sig.level(2), (1,)).rank == m
 
 
+def test_second_level_terms_on_three_axes():
+    # term i's mixed factor is v_i / 2 (v_1 / (2 + alpha)) plus every later
+    # vector, the remainder taken out before the term, not after
+    e1, e2, e3 = [tuple(map(Fraction, v)) for v in (E1, E2, E3)]
+    dec = decompose_second_level([E1, E2, E3], 1)
+    assert dec.terms == (
+        (Fraction(1, 2), (e1, (Fraction(1, 3), Fraction(1), Fraction(1)))),
+        (Fraction(1), (e2, (Fraction(0), Fraction(1, 2), Fraction(1)))),
+        (Fraction(1), (e3, (Fraction(0), Fraction(0), Fraction(1, 2)))),
+    )
+
+
 # -- the 2m-2 order-3 grouping ------------------------------------------------
 
 def test_s3_alpha_axis_is_sharp():
@@ -200,6 +213,25 @@ def test_s3_alpha_grid(m, alpha):
     assert dec.realize() == s_k_alpha(vs, 3, alpha)
 
 
+def test_s3_alpha_terms_on_four_axes():
+    # s = 2: the head sums end at the vector before position i (v_1 weighted
+    # 1/(alpha+1)), the tail sums run from the vector after it through v_4
+    def vec(*xs):
+        return tuple(Fraction(x) for x in xs)
+
+    e = [vec(*(int(i == j) for j in range(4))) for i in range(4)]
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    dec = decompose_s3_alpha(e, 1)
+    assert dec.terms == (
+        (Fraction(1, 6), (e[0], e[0], vec(Fraction(1, 4), 1, 1, 1))),
+        (half, (e[1], e[1], vec(0, third, 1, 1))),
+        (Fraction(1), (vec(half, 0, 0, 0), e[1], vec(0, half, 1, 1))),
+        (half, (vec(half, 1, third, 0), e[2], e[2])),
+        (half, (vec(half, 1, 1, third), e[3], e[3])),
+        (Fraction(1), (vec(half, 1, half, 0), e[2], e[3])),
+    )
+
+
 # -- the general recursion ----------------------------------------------------
 
 def test_s_k_alpha_recursion_k4_m4_basis():
@@ -223,6 +255,48 @@ def test_decompose_s_k_alpha_realizes(k, m):
 def test_decompose_s_k_alpha_rejects_k1():
     with pytest.raises(ValueError):
         decompose_s_k_alpha([[1, 0]], 1, 0)
+
+
+def test_a_zero_first_increment_adds_no_term():
+    # with v_1 = 0 every term with v_1 in front is zero: the recursion keeps
+    # only the tail's terms, and no term has a zero factor
+    vs = [[0, 0], [1, 2], [3, 1], [2, 5], [1, 1]]
+    dec = decompose_s_k_alpha(vs, 5)
+    assert all(any(f) for _, factors in dec.terms for f in factors)
+    assert dec.terms == decompose_s_k_alpha(vs[1:], 5).terms
+    assert dec.realize() == s_k_alpha(vs, 5, 0)
+
+
+# -- the work of a build --------------------------------------------------------
+
+@pytest.mark.parametrize("m", [100, 200])
+@pytest.mark.parametrize("k, pairs_per_segment", [(2, 6), (3, 10)])
+def test_groupings_sum_a_linear_number_of_pairs(monkeypatch, k, pairs_per_segment, m):
+    # every mixed factor is one _mix of at most two pairs over running sums;
+    # re-summing each run of increments would take about m^2 / 2 pairs
+    summed = []
+    mix = ranks._mix
+    monkeypatch.setattr(ranks, "_mix", lambda d, *pairs: summed.append(len(pairs)) or mix(d, *pairs))
+    rng = random.Random(m)
+    decompose_s_k_alpha([[rng.randint(1, 3) for _ in range(4)] for _ in range(m)], k)
+    assert sum(summed) <= pairs_per_segment * m
+
+
+def test_the_recursion_normalizes_each_term_once(monkeypatch):
+    # Decomposition.of runs in the closed-form groupings only; the recursion
+    # joins their terms as they are
+    received = []
+    of = Decomposition.of
+
+    def spy(dim, order, terms):
+        terms = list(terms)
+        received.append(len(terms))
+        return of(dim, order, terms)
+
+    monkeypatch.setattr(Decomposition, "of", staticmethod(spy))
+    rng = random.Random(6)
+    dec = decompose_s_k_alpha([[rng.randint(1, 9) for _ in range(4)] for _ in range(6)], 6)
+    assert sum(received) == len(dec.terms) == rank_bound_formula(6, 6)
 
 
 # -- the bound formula ----------------------------------------------------------
