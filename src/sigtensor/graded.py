@@ -12,8 +12,8 @@ segment v enters through w = D * v, an integer vector. The weight alpha
 turns the first segment's exp(v) into sum_j v^(x)j / (j+alpha)!, which gives
 the sums S_{k,alpha} of `ranks`; alpha = 0 is the signature. Log and exp in
 `lie` are series evaluated by Horner steps of `product`. A sum of weighted
-elementary tensors (a rank witness) is also evaluated by Horner's rule, on
-the prefix trie of its factor lists (see accumulate).
+elementary tensors (a rank witness, each factor a Key) is also evaluated by
+Horner's rule, on the prefix trie of its factor lists (see accumulate).
 
 Inside signature and accumulate a level is packed into one Python int,
 entry j in a signed field of `width` bits at bit width * j (Kronecker
@@ -41,6 +41,7 @@ from operator import add, itemgetter, sub
 from typing import Iterable, Sequence
 
 Level = tuple[Sequence[int], int]
+Key = tuple[tuple[int, ...], int]
 
 
 def from_fractions(entries: Sequence[Fraction]) -> Level:
@@ -56,6 +57,12 @@ def reduced(nums: Sequence[int], den: int) -> Level:
     if g == 1:
         return nums, den
     return [n // g for n in nums], den // g
+
+
+def as_key(nums: Sequence[int], den: int) -> Key:
+    """The vector nums / den as a Key, unique to it: keys compare and hash as their vectors."""
+    nums, den = reduced(nums, den)
+    return tuple(nums), den
 
 
 def outer(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -195,13 +202,13 @@ def swap_positions(nums: Sequence[int], dim: int, order: int, pos: int) -> tuple
     return tuple(chain.from_iterable(moved) if size > 1 else moved)
 
 
-def accumulate(terms: Iterable[tuple[Fraction, Sequence[Sequence[Fraction]]]], dim: int, order: int) -> Level:
-    """sum of c * v_1 (x) ... (x) v_k over (c, (v_1, ..., v_k)) terms, by
-    Horner's rule on the prefix trie of the factor lists: sum_a a (x) (the
-    sum below a), one packed prepend per trie node instead of one outer
-    product per term.
+def accumulate(terms: Iterable[tuple[Fraction, Sequence[Key]]], dim: int, order: int) -> Level:
+    """sum of c * v_1 (x) ... (x) v_k over (c, (v_1, ..., v_k)) terms, each
+    factor a Key, by Horner's rule on the prefix trie of the factor lists:
+    sum_a a (x) (the sum below a), one packed prepend per trie node instead
+    of one outer product per term.
 
-    Each factor becomes an integer vector over its denominator, which moves
+    Each factor enters as its integer numerators, its denominator moving
     into the coefficient. Sorting the factor lists makes the terms below a
     node consecutive. acc[j] is the packed sum below the current node at
     depth j; a loop, not recursion, folds it into acc[j - 1] when the node
@@ -209,14 +216,7 @@ def accumulate(terms: Iterable[tuple[Fraction, Sequence[Sequence[Fraction]]]], d
     alive at a time. No entry of the sum exceeds sum |c| prod ||v||_1 over
     the integer terms, which sets the width.
     """
-    leaves = []
-    for coeff, factors in terms:
-        key, den = [], coeff.denominator
-        for v in factors:
-            nums, scale = from_fractions(v)
-            key.append(tuple(nums))
-            den *= scale
-        leaves.append((key, Fraction(coeff.numerator, den)))
+    leaves = [([n for n, _ in keys], Fraction(c.numerator, c.denominator * prod(den for _, den in keys))) for c, keys in terms]
     if not leaves:
         return [0] * dim**order, 1
     leaves.sort(key=itemgetter(0))

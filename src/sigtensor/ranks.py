@@ -32,9 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain
-from math import ceil, comb, factorial
+from math import ceil, comb, factorial, lcm
 from typing import Callable, Iterable, Sequence
 
 from . import graded
@@ -42,45 +42,59 @@ from .conciseness import echelon_sum, mode_echelons
 from .linalg import Vector, _echelon, _rank_mod_p, _scaled_vectors, as_fraction, as_vector
 from .tensors import Tensor, _koszul_rows, mode_offsets
 
-TermList = list[tuple[Fraction, list[Vector]]]
+TermList = list[tuple[Fraction, Sequence[graded.Key]]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Decomposition:
-    """A list of weighted elementary tensors; its length certifies a rank
-    upper bound for the tensor it realizes."""
+    """A list of weighted elementary tensors; its length certifies a rank upper bound for the tensor it realizes.
+    `keyed` holds each term as its coefficient and one graded.Key per factor; `terms` is a Fraction view."""
 
     dim: int
     order: int
-    terms: tuple[tuple[Fraction, tuple[Vector, ...]], ...]
+    keyed: tuple[tuple[Fraction, tuple[graded.Key, ...]], ...]
 
-    def __post_init__(self):
-        if self.dim < 1 or self.order < 0:
-            raise ValueError(f"a decomposition needs dim >= 1 and order >= 0, got dim={self.dim}, order={self.order}")
-        for coeff, factors in self.terms:
-            if len(factors) != self.order:
-                raise ValueError("every term needs one factor per mode")
-            if any(len(v) != self.dim for v in factors):
-                raise ValueError("factor vector has wrong dimension")
+    def __init__(self, dim: int, order: int, terms: Iterable[tuple]):
+        self.__dict__.update(dim=dim, order=order, keyed=tuple((c, tuple(_keys(factors))) for c, factors in terms))
+        self._checked()
+
+    @staticmethod
+    def _unchecked(dim: int, order: int, keyed: Iterable[tuple[Fraction, Sequence[graded.Key]]]) -> "Decomposition":
+        dec = Decomposition.__new__(Decomposition)
+        dec.__dict__.update(dim=dim, order=order, keyed=tuple(keyed))
+        return dec
 
     @staticmethod
     def of(dim: int, order: int, terms: Iterable[tuple]) -> "Decomposition":
         """Build from (coeff, factors) pairs, dropping identically-zero terms."""
-        cleaned = []
-        for coeff, factors in terms:
-            c = as_fraction(coeff)
-            vecs = tuple(as_vector(v) for v in factors)
-            if c == 0 or any(all(x == 0 for x in v) for v in vecs):
-                continue
-            cleaned.append((c, vecs))
-        return Decomposition(dim, order, tuple(cleaned))
+        return _cleaned(dim, order, [(as_fraction(c), _keys(map(as_vector, factors))) for c, factors in terms])._checked()
+
+    def _checked(self) -> "Decomposition":
+        """self, refused unless dim >= 1, order >= 0 and every term has order factors of length dim."""
+        if self.dim < 1 or self.order < 0:
+            raise ValueError(f"a decomposition needs dim >= 1 and order >= 0, got dim={self.dim}, order={self.order}")
+        for _, keys in self.keyed:
+            if len(keys) != self.order:
+                raise ValueError("every term needs one factor per mode")
+            if any(len(nums) != self.dim for nums, _ in keys):
+                raise ValueError("factor vector has wrong dimension")
+        return self
+
+    @cached_property
+    def terms(self) -> tuple[tuple[Fraction, tuple[Vector, ...]], ...]:
+        return tuple((c, tuple(tuple(Fraction(n, den) for n in nums) for nums, den in keys)) for c, keys in self.keyed)
 
     @property
     def length(self) -> int:
-        return sum(1 for c, _ in self.terms if c != 0)
+        return sum(1 for c, _ in self.keyed if c != 0)
 
     def realize(self) -> Tensor:
-        return Tensor._of_level(self.order, self.dim, graded.accumulate(self.terms, self.dim, self.order))
+        return Tensor._of_level(self.order, self.dim, graded.accumulate(self.keyed, self.dim, self.order))
+
+
+def _cleaned(dim: int, order: int, terms: TermList) -> Decomposition:
+    """The decomposition of keyed terms without those that are identically zero."""
+    return Decomposition._unchecked(dim, order, ((c, tuple(keys)) for c, keys in terms if c and all(any(nums) for nums, _ in keys)))
 
 
 @dataclass(frozen=True)
@@ -107,9 +121,15 @@ def _vectors(vs: Sequence[Sequence]) -> list[Vector]:
     return vecs
 
 
-def _mix(d: int, *pairs: tuple[Vector, int]) -> Vector:
+def _keys(vs: Iterable[Sequence]) -> list[graded.Key]:
+    return [graded.as_key(*graded.from_fractions(v)) for v in vs]
+
+
+def _mix(d: int, *pairs: tuple[graded.Key, int]) -> graded.Key:
     """Sum of v / c over the (v, c) pairs; the zero vector of length d if none."""
-    return tuple(map(sum, zip(*(v if c == 1 else [x / c for x in v] for v, c in pairs)))) or (Fraction(0),) * d
+    den = lcm(*(vd * c for (_, vd), c in pairs))
+    scaled = (vn if (s := den // (vd * c)) == 1 else [x * s for x in vn] for (vn, vd), c in pairs)
+    return graded.as_key(list(map(sum, zip(*scaled))) or [0] * d, den)
 
 
 def s_k_alpha(vs: Sequence[Sequence], k: int, alpha: int) -> Tensor:
@@ -130,13 +150,16 @@ def decompose_two_segments(u: Sequence, v: Sequence, k: int, alpha: int = 0) -> 
     signature of the two-segment path exactly."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    uu, vv = _vectors([u, v])
-    d = len(uu)
+    return _two_segments(*_keys(_vectors([u, v])), k, alpha)
+
+
+def _two_segments(uu: graded.Key, vv: graded.Key, k: int, alpha: int) -> Decomposition:
+    d = len(uu[0])
     terms: TermList = [] if k % 2 else [(Fraction(1, factorial(alpha) * factorial(k)), [vv] * k)]
     for j in range(1 - k % 2, k, 2):
         mixed = _mix(d, (uu, j + 1 + alpha), (vv, k - j))
         terms.append((Fraction(1, factorial(j + alpha) * factorial(k - j - 1)), [uu] * j + [mixed] + [vv] * (k - j - 1)))
-    return Decomposition.of(d, k, terms)
+    return _cleaned(d, k, terms)
 
 
 def decompose_three_segments(u: Sequence, v: Sequence, w: Sequence, k: int, alpha: int = 0) -> Decomposition:
@@ -147,8 +170,11 @@ def decompose_three_segments(u: Sequence, v: Sequence, w: Sequence, k: int, alph
     and for even k the term w^k on its own."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    uu, vv, ww = _vectors([u, v, w])
-    d = len(uu)
+    return _three_segments(*_keys(_vectors([u, v, w])), k, alpha)
+
+
+def _three_segments(uu: graded.Key, vv: graded.Key, ww: graded.Key, k: int, alpha: int) -> Decomposition:
+    d = len(uu[0])
     terms: TermList = []
     for a in range(1 - k % 2, k, 2):
         c = k - 1 - a
@@ -165,21 +191,24 @@ def decompose_three_segments(u: Sequence, v: Sequence, w: Sequence, k: int, alph
         terms.append((Fraction(1, factorial(alpha) * factorial(b) * factorial(c)), [vv] * b + [mixed] + [ww] * c))
     if k % 2 == 0:
         terms.append((Fraction(1, factorial(alpha) * factorial(k)), [ww] * k))
-    return Decomposition.of(d, k, terms)
+    return _cleaned(d, k, terms)
 
 
 def decompose_second_level(vs: Sequence[Sequence], alpha: int = 0) -> Decomposition:
     """Row-by-row grouping of S_{2,alpha}: term i covers every monomial v_i (x) v_j
     with j >= i, at most m terms; the later v_j are summed as a running remainder."""
-    vecs = _vectors(vs)
-    d = len(vecs[0])
+    return _second_level(_keys(_vectors(vs)), alpha)
+
+
+def _second_level(vecs: list[graded.Key], alpha: int) -> Decomposition:
+    d = len(vecs[0][0])
     rest = _mix(d, *((v, 1) for v in vecs))
     terms: TermList = []
     for i, v in enumerate(vecs):
         first = i == 0  # only v_1 carries the weight alpha
         rest = _mix(d, (rest, 1), (v, -1))
         terms.append((Fraction(1, factorial(alpha + first)), [v, _mix(d, (v, 2 + alpha * first), (rest, 1))]))
-    return Decomposition.of(d, 2, terms)
+    return _cleaned(d, 2, terms)
 
 
 def decompose_s3_alpha(vs: Sequence[Sequence], alpha: int = 0) -> Decomposition:
@@ -187,11 +216,13 @@ def decompose_s3_alpha(vs: Sequence[Sequence], alpha: int = 0) -> Decomposition:
     s = ceil(m/2): squares of early vectors lead, squares of late vectors
     trail, and mixed middles cover the rest, read from two running sums built in one
     pass (0-based i): head[i] = v_1/(alpha+1) + v_2 + ... + v_(i+1), tail[i] = v_(i+2) + ... + v_m."""
-    v = _vectors(vs)  # 0-based: v[0] is the alpha-weighted first vector
-    m = len(v)
+    return _s3_alpha(_keys(_vectors(vs)), alpha)
+
+
+def _s3_alpha(v: list[graded.Key], alpha: int) -> Decomposition:
+    m, d = len(v), len(v[0][0])  # 0-based: v[0] is the alpha-weighted first vector
     if m < 2:
         raise ValueError("need at least two vectors")
-    d = len(v[0])
     s = ceil(m / 2)
     beta = Fraction(1, factorial(alpha))
     head, tail = [_mix(d, (v[0], alpha + 1))], [_mix(d)] * m
@@ -212,7 +243,7 @@ def decompose_s3_alpha(vs: Sequence[Sequence], alpha: int = 0) -> Decomposition:
     # middles at position i for s+1 <= i <= m-1
     for i in range(s, m - 1):
         terms.append((beta, [_mix(d, (head[i - 1], 1), (v[i], 2)), v[i], tail[i]]))
-    return Decomposition.of(d, 3, terms)
+    return _cleaned(d, 3, terms)
 
 
 def decompose_s_k_alpha(vs: Sequence[Sequence], k: int, alpha: int = 0) -> Decomposition:
@@ -223,23 +254,25 @@ def decompose_s_k_alpha(vs: Sequence[Sequence], k: int, alpha: int = 0) -> Decom
         raise ValueError("k must be >= 2")
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    vecs = _vectors(vs)
-    m = len(vecs)
-    d = len(vecs[0])
+    return _decompose(_keys(_vectors(vs)), k, alpha)
+
+
+def _decompose(vecs: list[graded.Key], k: int, alpha: int) -> Decomposition:
+    m, d = len(vecs), len(vecs[0][0])
     if m == 1:
-        return Decomposition.of(d, k, [(Fraction(1, factorial(k + alpha)), [vecs[0]] * k)])
+        return _cleaned(d, k, [(Fraction(1, factorial(k + alpha)), [vecs[0]] * k)])
     if k == 2:
-        return decompose_second_level(vecs, alpha)
+        return _second_level(vecs, alpha)
     if k == 3:
-        return decompose_s3_alpha(vecs, alpha)
+        return _s3_alpha(vecs, alpha)
     if m == 2:
-        return decompose_two_segments(vecs[0], vecs[1], k, alpha)
+        return _two_segments(*vecs, k, alpha)
     if m == 3:
-        return decompose_three_segments(vecs[0], vecs[1], vecs[2], k, alpha)
+        return _three_segments(*vecs, k, alpha)
     # the sub-witnesses are clean, and neither a nonzero v_1 in front nor 1/alpha! zeroes a term
-    terms = [(c, (vecs[0], *fs)) for c, fs in decompose_s_k_alpha(vecs, k - 1, alpha + 1).terms] if any(vecs[0]) else []
-    terms += [(c / factorial(alpha) if alpha else c, fs) for c, fs in decompose_s_k_alpha(vecs[1:], k, 0).terms]
-    return Decomposition(d, k, tuple(terms))
+    terms = [(c, (vecs[0], *fs)) for c, fs in _decompose(vecs, k - 1, alpha + 1).keyed] if any(vecs[0][0]) else []
+    terms += [(c / factorial(alpha) if alpha else c, fs) for c, fs in _decompose(vecs[1:], k, 0).keyed]
+    return Decomposition._unchecked(d, k, terms)
 
 
 def rank_bound_formula(k: int, m: int) -> int:
@@ -324,12 +357,6 @@ def _slice(t: Tensor, coords: Sequence[int]) -> list[int]:
     return [t.nums[o] for o in offsets]
 
 
-def _pivots(vectors: Iterable[Sequence], d: int) -> list[int]:
-    """The pivot columns of the span of vectors in Q^d, as many as its
-    dimension: the projection onto them is injective on the span."""
-    return [pc for pc, _ in _echelon(_scaled_vectors(vectors, d), d)]
-
-
 def _core(t: Tensor) -> tuple[Sequence[int], int]:
     """The numerators and dim to scan flattenings on: t's own if the sum U of
     its mode subspaces is full, else the subtensor at J^k and |J|, J the pivot
@@ -345,7 +372,7 @@ def _witness_core(t: Tensor, witness: Decomposition) -> tuple[Sequence[int], int
     """_core of t's slice at the pivots J_W of the span W of the witness's
     factors (of t itself if W is Q^d, or {0}: t is then zero). A witness that
     realizes t puts t in W^(x)k, so the slice keeps every flattening rank, and its U is cheaper to find."""
-    span = _pivots({v for _, factors in witness.terms for v in factors}, t.dim)
+    span = [pc for pc, _ in _echelon({nums for _, keys in witness.keyed for nums, _ in keys}, t.dim)]
     return _core(t if len(span) in (0, t.dim) else Tensor._of_level(t.order, len(span), (_slice(t, span), 1)))
 
 
@@ -390,7 +417,7 @@ def _certify_s_k_alpha(vs: Sequence[Sequence], k: int, alpha: int, witness: Deco
     (ambient divisor) read t."""
     vecs = _vectors(vs)
     t, m = s_k_alpha(vecs, k, alpha), len(vecs)
-    if len(_pivots(vecs, t.dim)) < m:
+    if len(_echelon(_scaled_vectors(vecs, t.dim), t.dim)) < m:
         return certify_rank(t, witness)
     return _certify(t, witness, lambda: (s_k_alpha([[int(i == j) for j in range(m)] for i in range(m)], k, alpha).nums, m))
 

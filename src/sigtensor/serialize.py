@@ -30,11 +30,11 @@ import json
 import re
 from fractions import Fraction
 from io import StringIO
-from itertools import repeat
+from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, inf, lcm
 from operator import itemgetter
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from . import graded
 from .linalg import Subspace, Vector
@@ -266,11 +266,13 @@ def _emit(obj: Any, indent: str, out: list[str]) -> None:
 
 # -- tensors ---------------------------------------------------------------
 
+def _entries(nums: Sequence[int], den: int) -> list[str]:
+    """The values nums[i] / den as str(Fraction) would write them, one gcd per entry unless den is 1."""
+    return list(map(str, nums)) if den == 1 else [str(n // g) if (g := gcd(n, den)) == den else f"{n // g}/{den // g}" for n in nums]
+
+
 def tensor_to_json(t: Tensor) -> dict:
-    """Entries as str(Fraction) would write them, formatted from nums and den."""
-    den = t.den
-    entries = [str(n // g) if (g := gcd(n, den)) == den else f"{n // g}/{den // g}" for n in t.nums]
-    return {"order": t.order, "dim": t.dim, "entries": entries}
+    return {"order": t.order, "dim": t.dim, "entries": _entries(t.nums, t.den)}
 
 
 def tensor_from_json(obj: Any, where: str = "tensor") -> Tensor:
@@ -350,33 +352,44 @@ def log_signature_from_json(obj: Any, where: str = "log-signature") -> LogSignat
 # -- decompositions and certificates ----------------------------------------
 
 def decomposition_to_json(d: Decomposition) -> dict:
-    return {
-        "dim": d.dim,
-        "order": d.order,
-        "terms": [
-            {"coeff": str(c), "factors": [vector_to_json(v) for v in factors]}
-            for c, factors in d.terms
-        ],
-    }
+    terms = [{"coeff": str(c), "factors": [_entries(*key) for key in keys]} for c, keys in d.keyed]
+    return {"dim": d.dim, "order": d.order, "terms": terms}
 
 
 def decomposition_from_json(obj: Any, where: str = "decomposition") -> Decomposition:
+    """The factor entries are parsed as one level (_parse_level), each factor's key its slice of
+    that level; a malformed term is reported after any bad entry listed before it."""
     dim, order, terms_json = _fields(obj, where, "dim", "order", "terms")
     if not _is_int(dim) or not _is_int(order):
         raise ParseError("dim and order must be integers", where)
     if not isinstance(terms_json, list):
         raise ParseError("terms must be a list", where)
-    terms = []
-    for i, term in enumerate(terms_json):
-        tw = f"{where}.terms[{i}]"
-        coeff = parse_rational(*_fields(term, tw, "coeff"), f"{tw}.coeff")
-        (factors_json,) = _fields(term, tw, "factors")
-        if not isinstance(factors_json, list) or len(factors_json) != order:
-            raise ParseError(f"expected {order} factors", tw)
-        factors = tuple(vector_from_json(v, f"{tw}.factors[{j}]") for j, v in enumerate(factors_json))
-        terms.append((coeff, factors))
+    coeffs, entries, places = [], [], []
+
+    def entry_where(i: int) -> str:
+        if not places:  # the (term, factor, entry) indices of every entry read, listed on the first call
+            places.extend(islice(((t, j, l) for t, term in enumerate(terms_json) for j, v in enumerate(term["factors"]) for l in range(len(v))), len(entries)))
+        return "{}.terms[{}].factors[{}][{}]".format(where, *places[i])
+
     try:
-        return Decomposition(dim, order, tuple(terms))
+        for i, term in enumerate(terms_json):
+            tw = f"{where}.terms[{i}]"
+            coeffs.append(parse_rational(*_fields(term, tw, "coeff"), f"{tw}.coeff"))
+            (factors_json,) = _fields(term, tw, "factors")
+            if not isinstance(factors_json, list) or len(factors_json) != order:
+                raise ParseError(f"expected {order} factors", tw)
+            for j, v in enumerate(factors_json):
+                if not isinstance(v, list) or not v:
+                    raise ParseError("expected a nonempty list of rationals", f"{tw}.factors[{j}]")
+                entries += v
+    except ParseError:
+        _parse_level(entries, entry_where)  # a bad entry listed before the malformed term is reported first
+        raise
+    nums, den = _parse_level(entries, entry_where)
+    it = iter(nums)
+    keyed = [(c, tuple(graded.as_key(list(islice(it, len(v))), den) for v in term["factors"])) for c, term in zip(coeffs, terms_json)]
+    try:
+        return Decomposition._unchecked(dim, order, keyed)._checked()
     except ValueError as exc:
         raise ParseError(str(exc), where) from None
 

@@ -98,7 +98,7 @@ class Tensor:
             dim = len(vecs[0])
         if any(len(v) != dim for v in vecs):
             raise ValueError("all factor vectors must have the same dimension")
-        return Tensor._of_level(len(vecs), dim, graded.accumulate([(Fraction(1), vecs)], dim, len(vecs)))
+        return Tensor._of_level(len(vecs), dim, graded.accumulate([(Fraction(1), list(map(graded.from_fractions, vecs)))], dim, len(vecs)))
 
     def offset(self, index: MultiIndex) -> int:
         if len(index) != self.order:

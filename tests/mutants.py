@@ -37,6 +37,7 @@ CONC = "tests/test_conciseness.py::"
 SYM = "tests/test_symmetry.py::"
 RANKS = "tests/test_ranks.py::"
 DREF = "tests/test_decompose_reference.py::"
+KEYED = "tests/test_keyed_witness.py::"
 
 
 class Mutant(NamedTuple):
@@ -93,14 +94,14 @@ MUTANTS = [
     Mutant(
         "the witness slice drops the last pivot of the witness's span",
         "ranks.py",
-        "span = _pivots({v for _, factors in witness.terms for v in factors}, t.dim)",
-        "span = _pivots({v for _, factors in witness.terms for v in factors}, t.dim)[:-1]",
+        "span = [pc for pc, _ in _echelon({nums for _, keys in witness.keyed for nums, _ in keys}, t.dim)]",
+        "span = [pc for pc, _ in _echelon({nums for _, keys in witness.keyed for nums, _ in keys}, t.dim)][:-1]",
         (FLAT + "test_the_witness_core_reads_every_pivot_of_the_witness_span", FLAT + "test_certify_matches_the_ambient_scan_whatever_the_witness_spans"),
     ),
     Mutant(
         "decompose reads the axis path without the rank test on the increments",
         "ranks.py",
-        "    if len(_pivots(vecs, t.dim)) < m:\n        return certify_rank(t, witness)\n",
+        "    if len(_echelon(_scaled_vectors(vecs, t.dim), t.dim)) < m:\n        return certify_rank(t, witness)\n",
         "",
         ("tests/test_cli.py::test_decompose_of_dependent_increments_reads_no_axis_path", FLAT + "test_dependent_increments_fall_back_to_the_witness_span"),
     ),
@@ -220,9 +221,44 @@ MUTANTS = [
     Mutant(
         "accumulate drops the denominator of a factor",
         "graded.py",
-        "            den *= scale\n",
-        "",
+        "Fraction(c.numerator, c.denominator * prod(den for _, den in keys))",
+        "Fraction(c.numerator, c.denominator)",
         (GRADED + "test_factor_denominators_move_into_the_coefficient", GRADED + "test_accumulate_matches_the_flat_sum_in_any_term_order"),
+    ),
+    Mutant(
+        "a key whose denominator is dropped in accumulate (the first factor's)",
+        "graded.py",
+        "prod(den for _, den in keys)",
+        "prod(den for _, den in keys[1:])",
+        (GRADED + "test_the_first_factor_keeps_its_denominator", GRADED + "test_accumulate_matches_the_flat_sum_in_any_term_order"),
+    ),
+    Mutant(
+        "a coefficient that loses its denominator in accumulate",
+        "graded.py",
+        "Fraction(c.numerator, c.denominator * prod(",
+        "Fraction(c.numerator, prod(",
+        (GRADED + "test_a_coefficient_keeps_its_denominator", KEYED + "test_keyed_witnesses_agree_with_the_fraction_reference"),
+    ),
+    Mutant(
+        "a decomposition stores its factors in reverse order",
+        "ranks.py",
+        "keyed=tuple((c, tuple(_keys(factors))) for c, factors in terms)",
+        "keyed=tuple((c, tuple(_keys(factors))[::-1]) for c, factors in terms)",
+        (KEYED + "test_decomposition_keeps_its_factor_order", KEYED + "test_keyed_witnesses_agree_with_the_fraction_reference"),
+    ),
+    Mutant(
+        "the witness emitter skips the gcd and writes 2/4",
+        "serialize.py",
+        'f"{n // g}/{den // g}"',
+        'f"{n}/{den}"',
+        (KEYED + "test_witness_entries_are_written_in_lowest_terms", KEYED + "test_keyed_witnesses_agree_with_the_fraction_reference"),
+    ),
+    Mutant(
+        "the witness parser takes a factor's denominator from its first entry only",
+        "serialize.py",
+        "graded.as_key(list(islice(it, len(v))), den)",
+        "(lambda s: graded.as_key([n * (den // gcd(den, s[0])) // den for n in s], den // gcd(den, s[0])))(list(islice(it, len(v))))",
+        (KEYED + "test_the_witness_parser_reads_each_factor_over_all_of_its_entries", KEYED + "test_keyed_witnesses_agree_with_the_fraction_reference"),
     ),
     Mutant(
         "accumulate's common prefix skips the first depth, merging nodes that differ",
@@ -290,8 +326,8 @@ MUTANTS = [
     Mutant(
         "the recursion prepends v_1 = 0 to the stripped terms",
         "ranks.py",
-        ".terms] if any(vecs[0]) else []",
-        ".terms]",
+        ".keyed] if any(vecs[0][0]) else []",
+        ".keyed]",
         (RANKS + "test_a_zero_first_increment_adds_no_term", DREF + "test_s_k_alpha_matches_the_reference"),
     ),
     Mutant(

@@ -394,6 +394,28 @@ def test_certify_witness_with_out_of_range_dim_or_order_exits_3(capsys, tmp_path
     assert "Traceback" not in err and "needs dim >= 1 and order >= 0" in err
 
 
+GOOD_TERM = {"coeff": "1", "factors": [["1", "0"], ["1", "0"]]}
+
+
+@pytest.mark.parametrize("terms, message", [
+    ([GOOD_TERM, {"coeff": "1", "factors": [["0", "1"], ["0", "1/x"]]}],
+     ".terms[1].factors[1][1]: bad rational '1/x': Invalid literal for Fraction: '1/x'"),
+    ([GOOD_TERM, {"coeff": "1", "factors": [["0", "1"], ["0", "1", "2"]]}], ": factor vector has wrong dimension"),
+    ([GOOD_TERM, {"coeff": "1", "factors": [["0", "1"], []]}], ".terms[1].factors[1]: expected a nonempty list of rationals"),
+    ([GOOD_TERM, {"coeff": "1", "factors": [["0", "1"]]}], ".terms[1]: expected 2 factors"),
+    # a bad entry is reported before a malformed term listed after it
+    ([{"coeff": "1", "factors": [["1", "0"], ["1", "0/0"]]}, {"coeff": "x", "factors": [["0", "1"]]}],
+     ".terms[0].factors[1][1]: bad rational '0/0': Fraction(0, 0)"),
+], ids=["bad_entry", "wrong_factor_length", "empty_factor", "missing_factor", "bad_entry_before_bad_term"])
+def test_certify_names_the_first_malformed_part_of_a_witness(capsys, tmp_path, terms, message):
+    tensor_file = tmp_path / "t.json"
+    tensor_file.write_text(json.dumps({"order": 2, "dim": 2, "entries": ["1", "0", "0", "1"]}))
+    witness_file = tmp_path / "w.json"
+    witness_file.write_text(json.dumps({"dim": 2, "order": 2, "terms": terms}))
+    code, out, err = run(capsys, "certify", "--tensor", str(tensor_file), "--witness", str(witness_file))
+    assert (code, out, err) == (3, "", f"input error: {witness_file}{message}\n")
+
+
 def test_rank_bound_over_level_guard_exits_4_at_once(capsys, monkeypatch):
     # the formula costs about k^3: k = m = 100000 did not finish in 100 s
     from sigtensor import cli

@@ -248,8 +248,13 @@ def test_realize_matches_sum_of_elementary_tensors(case):
     assert dec.realize() == want
 
 
+def keyed(terms):
+    """Terms with each Fraction factor as its key, the form accumulate takes."""
+    return [(c, [graded.as_key(*graded.from_fractions(v)) for v in factors]) for c, factors in terms]
+
+
 def level_of(terms, dim, order):
-    nums, den = graded.accumulate(terms, dim, order)
+    nums, den = graded.accumulate(keyed(terms), dim, order)
     return list(nums), den
 
 
@@ -265,6 +270,15 @@ def test_repeated_factor_lists_add_their_coefficients():
 def test_factor_denominators_move_into_the_coefficient():
     # (-2, 4) (x) (3/2, 0) / 3: the second factor enters as (3, 0) over 2
     assert level_of([(Fraction(1, 3), [(Fraction(-2), Fraction(4)), (Fraction(3, 2), Fraction(0))])], 2, 2) == ([-1, 0, 2, 0], 1)
+
+
+def test_the_first_factor_keeps_its_denominator():
+    # (1/2, 0) (x) e2: the key of the first factor is ((1, 0), 2)
+    assert level_of([(Fraction(1), [(Fraction(1, 2), Fraction(0)), E2])], 2, 2) == ([0, 1, 0, 0], 2)
+
+
+def test_a_coefficient_keeps_its_denominator():
+    assert level_of([(Fraction(1, 3), [E1, E2])], 2, 2) == ([0, 1, 0, 0], 3)
 
 
 def test_terms_that_differ_only_in_their_first_factor_stay_apart():

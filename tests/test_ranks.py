@@ -283,17 +283,17 @@ def test_groupings_sum_a_linear_number_of_pairs(monkeypatch, k, pairs_per_segmen
 
 
 def test_the_recursion_normalizes_each_term_once(monkeypatch):
-    # Decomposition.of runs in the closed-form groupings only; the recursion
-    # joins their terms as they are
+    # ranks._cleaned runs in the closed-form groupings only; the recursion
+    # joins their keyed terms as they are
     received = []
-    of = Decomposition.of
+    cleaned = ranks._cleaned
 
     def spy(dim, order, terms):
         terms = list(terms)
         received.append(len(terms))
-        return of(dim, order, terms)
+        return cleaned(dim, order, terms)
 
-    monkeypatch.setattr(Decomposition, "of", staticmethod(spy))
+    monkeypatch.setattr(ranks, "_cleaned", spy)
     rng = random.Random(6)
     dec = decompose_s_k_alpha([[rng.randint(1, 9) for _ in range(4)] for _ in range(6)], 6)
     assert sum(received) == len(dec.terms) == rank_bound_formula(6, 6)

@@ -82,7 +82,7 @@ def ref_s_k_alpha(vs, k, alpha) -> Tensor:
         weight = factorial(parts[0] + alpha)
         for a in parts[1:]:
             weight *= factorial(a)
-        terms.append((Fraction(1, weight), [v for v, a in zip(vs, parts) for _ in range(a)]))
+        terms.append((Fraction(1, weight), [graded.from_fractions(v) for v, a in zip(vs, parts) for _ in range(a)]))
     return Tensor._of_level(k, d, graded.accumulate(terms, d, k))
 
 
