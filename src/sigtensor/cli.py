@@ -12,6 +12,8 @@ each argument an _arg(*flags, **options) for add_argument; path_input adds
 --path | --series and --header, and all take --out, --float, --allow-large.
 It returns the report's inputs and result (and certificates, if any) for
 main to wrap and write; verdict names the result key whose false value exits 1.
+Each command imports the library functions it calls when it runs, so that
+start-up compiles only the modules every command needs.
 """
 
 from __future__ import annotations
@@ -22,25 +24,14 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Any, Callable, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from . import serialize
-from .conciseness import echelon_sum, mode_echelons
-from .harness import run_harness
-from .lie import exp_log_signature, log_signature, pure_volume_check
-from .linalg import Subspace
-from .ranks import (
-    _certify_s_k_alpha,
-    certify_rank,
-    classify_222_complex_rank,
-    decompose_s_k_alpha,
-    hyperdet_222,
-    rank_bound_formula,
-)
 from .serialize import ParseError, dump_json
-from .signatures import Path, pwl_signature, time_series_to_path
-from .symmetry import Sig222Params, partial_symmetry_constraint, sig222_from_params, symmetry_report
-from .words import Word, shuffle
+
+if TYPE_CHECKING:
+    from .signatures import Path
+    from .words import Word
 
 DEFAULT_LEVEL = 4
 GUARD_DIM = 6
@@ -109,6 +100,8 @@ def _read(parse: Callable[[Any, str], Any], file: str):
 
 
 def _load_path(args) -> Path:
+    from .signatures import time_series_to_path
+
     if args.series:
         samples = serialize.read_time_series_csv(args.series, has_header=args.header)
         return time_series_to_path(samples)
@@ -123,6 +116,8 @@ def _positive_int(text: str) -> int:
 
 
 def _word(text: str) -> Word:
+    from .words import Word
+
     try:
         return Word.parse(text)
     except ValueError:
@@ -156,6 +151,8 @@ def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
 @_command("signature", "signature of a piecewise linear path",
           _arg("--level", type=int, default=DEFAULT_LEVEL), path_input=True)
 def cmd_signature(args):
+    from .signatures import pwl_signature
+
     path = _load_path(args)
     _check_size(path.dim, args.level, args.allow_large)
     sig = pwl_signature(path, args.level)
@@ -165,6 +162,8 @@ def cmd_signature(args):
 @_command("shuffle", "shuffle product of two words",
           _arg("--w1", required=True, type=_word), _arg("--w2", required=True, type=_word))
 def cmd_shuffle(args):
+    from .words import shuffle
+
     v, w = args.w1, args.w2
     # comb(n, k) rises with k up to n/2 and comb(64, 32) is far past the guard,
     # so k capped at 32 decides the guard without building a huge integer
@@ -176,6 +175,8 @@ def cmd_shuffle(args):
 @_command("exp", "exponential of a log-signature",
           _arg("--logsig", required=True), _arg("--level", type=int, default=None))
 def cmd_exp(args):
+    from .lie import exp_log_signature
+
     l = _read(serialize.log_signature_from_json, args.logsig)
     level = args.level if args.level is not None else l.max_level
     if level < 0:
@@ -187,6 +188,8 @@ def cmd_exp(args):
 
 @_command("log", "logarithm of a truncated signature", _arg("--sig", required=True))
 def cmd_log(args):
+    from .lie import log_signature
+
     sig = _read(serialize.signature_from_json, args.sig)
     _check_size(sig.dim, sig.max_level, args.allow_large)
     return {"sig": args.sig}, {"log_signature": serialize.log_signature_to_json(log_signature(sig))}
@@ -195,6 +198,8 @@ def cmd_log(args):
 @_command("decompose", "explicit decomposition of a signature level",
           _arg("--level", type=int, required=True), _arg("--alpha", type=int, default=0), path_input=True)
 def cmd_decompose(args):
+    from .ranks import _certify_s_k_alpha, decompose_s_k_alpha, rank_bound_formula
+
     path = _load_path(args)
     _check_size(path.dim, args.level, args.allow_large)
     if args.level < 2:
@@ -218,6 +223,8 @@ def cmd_decompose(args):
 @_command("rank-bound", "certified rank upper bound formula",
           _arg("--k", type=int, required=True), _arg("--m", type=int, required=True))
 def cmd_rank_bound(args):
+    from .ranks import rank_bound_formula
+
     # the formula costs about k^3, so k takes the level guard
     if args.k > GUARD_LEVEL and not args.allow_large:
         raise _too_large(f"k <= {GUARD_LEVEL}", f"k={args.k}")
@@ -227,6 +234,8 @@ def cmd_rank_bound(args):
 @_command("certify", "rank certificate from a decomposition witness",
           _arg("--tensor", required=True), _arg("--witness", required=True))
 def cmd_certify(args):
+    from .ranks import certify_rank
+
     tensor = _read(serialize.tensor_from_json, args.tensor)
     witness = _read(serialize.decomposition_from_json, args.witness)
     _check_order(tensor.order, args.allow_large)
@@ -236,6 +245,8 @@ def cmd_certify(args):
 
 @_command("classify222", "complex rank of a 2x2x2 tensor", _arg("--tensor", required=True))
 def cmd_classify222(args):
+    from .ranks import classify_222_complex_rank, hyperdet_222
+
     tensor = _read(serialize.tensor_from_json, args.tensor)
     return {"tensor": args.tensor}, {
         "complex_rank": classify_222_complex_rank(tensor),
@@ -246,6 +257,8 @@ def cmd_classify222(args):
 
 @_command("symmetry", "symmetry report for a tensor", _arg("--tensor", required=True))
 def cmd_symmetry(args):
+    from .symmetry import symmetry_report
+
     tensor = _read(serialize.tensor_from_json, args.tensor)
     _check_order(tensor.order, args.allow_large)
     return {"tensor": args.tensor}, serialize.symmetry_report_to_json(symmetry_report(tensor))
@@ -253,6 +266,9 @@ def cmd_symmetry(args):
 
 @_command("sig222", "2x2x2 signature tensor from parameters x,y,a,b,c", _arg("--params", required=True))
 def cmd_sig222(args):
+    from .ranks import classify_222_complex_rank, hyperdet_222
+    from .symmetry import Sig222Params, partial_symmetry_constraint, sig222_from_params, symmetry_report
+
     values = [x.strip() for x in args.params.split(",")]
     if len(values) != 5:
         raise ParseError("expected five comma-separated rationals x,y,a,b,c", "--params")
@@ -274,6 +290,9 @@ def cmd_sig222(args):
 @_command("concise", "mode subspaces and hyperplane recovery",
           _arg("--sig", required=True), _arg("--level", type=int, default=None))
 def cmd_concise(args):
+    from .conciseness import echelon_sum, mode_echelons
+    from .linalg import Subspace
+
     sig = _read(serialize.signature_from_json, args.sig)
     level = args.level if args.level is not None else sig.max_level
     if not 2 <= level <= sig.max_level:
@@ -303,6 +322,8 @@ def cmd_concise(args):
 @_command("pure-volume", "pure n-volume pattern check", _arg("--sig", required=True),
           _arg("--n", type=int, required=True), _arg("--k0", type=int, required=True), verdict="pure_volume")
 def cmd_pure_volume(args):
+    from .lie import pure_volume_check
+
     sig = _read(serialize.signature_from_json, args.sig)
     _check_size(sig.dim, sig.max_level, args.allow_large)
     return {"sig": args.sig, "n": args.n, "k0": args.k0}, {"pure_volume": pure_volume_check(sig, args.n, args.k0)}
@@ -311,6 +332,8 @@ def cmd_pure_volume(args):
 @_command("verify", "seeded randomized property harness",
           _arg("--seed", type=int, default=0), _arg("--size", type=_positive_int, default=10), verdict="passed")
 def cmd_verify(args):
+    from .harness import run_harness
+
     if args.size > GUARD_VERIFY_SIZE and not args.allow_large:
         raise _too_large(f"size <= {GUARD_VERIFY_SIZE}", f"size={args.size}")
     return {"seed": args.seed, "size": args.size}, run_harness(args.seed, args.size)

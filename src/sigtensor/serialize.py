@@ -34,16 +34,18 @@ from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, inf, lcm
 from operator import itemgetter
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from . import graded
 from .linalg import Subspace, Vector
-from .lie import LogSignature
-from .ranks import Decomposition, RankCertificate
-from .signatures import Path, TruncatedSignature
-from .symmetry import SymmetryReport
 from .tensors import Tensor
-from .words import WordSum
+
+if TYPE_CHECKING:  # the parsers import the modules of the objects they build
+    from .lie import LogSignature
+    from .ranks import Decomposition, RankCertificate
+    from .signatures import Path, TruncatedSignature
+    from .symmetry import SymmetryReport
+    from .words import WordSum
 
 
 class ParseError(ValueError):
@@ -305,6 +307,8 @@ def path_to_json(p: Path) -> dict:
 
 
 def path_from_json(obj: Any, where: str = "path") -> Path:
+    from .signatures import Path
+
     dim, incs = _fields(obj, where, "dim", "increments")
     if not _is_int(dim) or dim < 1:
         raise ParseError("dim must be a positive integer", where)
@@ -338,6 +342,8 @@ def _levels_from_json(obj: Any, where: str, cls):
 
 
 def signature_from_json(obj: Any, where: str = "signature") -> TruncatedSignature:
+    from .signatures import TruncatedSignature
+
     return _levels_from_json(obj, where, TruncatedSignature)
 
 
@@ -346,6 +352,8 @@ def log_signature_to_json(l: LogSignature) -> dict:
 
 
 def log_signature_from_json(obj: Any, where: str = "log-signature") -> LogSignature:
+    from .lie import LogSignature
+
     return _levels_from_json(obj, where, LogSignature)
 
 
@@ -359,6 +367,8 @@ def decomposition_to_json(d: Decomposition) -> dict:
 def decomposition_from_json(obj: Any, where: str = "decomposition") -> Decomposition:
     """The factor entries are parsed as one level (_parse_level), each factor's key its slice of
     that level; a malformed term is reported after any bad entry listed before it."""
+    from .ranks import Decomposition
+
     dim, order, terms_json = _fields(obj, where, "dim", "order", "terms")
     if not _is_int(dim) or not _is_int(order):
         raise ParseError("dim and order must be integers", where)

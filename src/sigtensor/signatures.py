@@ -120,6 +120,8 @@ def pwl_signature(path: Path, max_level: int) -> TruncatedSignature:
     """Signature of a piecewise linear path: Chen's identity, with each
     segment's exponential multiplied in by the kernel's fused
     multiply-exponentiate, without being built first."""
+    if max_level < 0:  # refused before the kernel's weights 1/k! meet a negative k
+        raise ValueError("max_level must be >= 0")
     d = path.dim
     levels = graded.signature(path.increments, d, max_level)
     return TruncatedSignature(d, max_level, tuple(Tensor._of_level(k, d, l) for k, l in enumerate(levels)))

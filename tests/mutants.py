@@ -177,6 +177,13 @@ MUTANTS = [
         ("tests/test_cli.py::test_concise_over_level_guard_exits_4_at_once", "tests/test_cli.py::test_concise_takes_the_dim_guard"),
     ),
     Mutant(
+        "cli imports the harness at start-up",
+        "cli.py",
+        "from .serialize import ParseError, dump_json\n",
+        "from .harness import run_harness\nfrom .serialize import ParseError, dump_json\n",
+        ("tests/test_startup.py::test_cli_start_up_loads_only_the_modules_every_command_needs",),
+    ),
+    Mutant(
         "signature's Horner step weights level i by C(k, i), not C(k + alpha, i)",
         "graded.py",
         "t = _prepend(w, t, steps[i - 1]) + comb(k + a, i) * nums[i]",

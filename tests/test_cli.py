@@ -47,6 +47,11 @@ def test_signature_reproduces_axis_coefficients(capsys, axis3):
     assert len(entries) == 10
 
 
+def test_signature_at_a_negative_level_exits_4(capsys, axis3):
+    code, out, err = run(capsys, "signature", "--path", axis3, "--level", "-1")
+    assert (code, out, err) == (4, "", "precondition violated: max_level must be >= 0\n")
+
+
 def test_shuffle_command(capsys):
     code, out, _ = run(capsys, "shuffle", "--w1", "12", "--w2", "34")
     assert code == 0
@@ -291,14 +296,14 @@ def test_log_with_string_max_level_exits_3(capsys, tmp_path):
 def test_decompose_exits_4_on_doctored_witness(capsys, axis3, monkeypatch, alpha):
     # the certificate is checked against the signature (or S_{k,alpha}) of the
     # path, so a decomposition that does not realize it is caught
-    from sigtensor import Decomposition, cli, decompose_s_k_alpha
+    from sigtensor import Decomposition, decompose_s_k_alpha, ranks
 
     def doctored(vs, k, a):
         dec = decompose_s_k_alpha(vs, k, a)
         (coeff, factors), *rest = dec.terms
         return Decomposition(dec.dim, dec.order, ((2 * coeff, factors), *rest))
 
-    monkeypatch.setattr(cli, "decompose_s_k_alpha", doctored)
+    monkeypatch.setattr(ranks, "decompose_s_k_alpha", doctored)
     code, _, err = run(capsys, "decompose", "--path", axis3, "--level", "3", "--alpha", str(alpha))
     assert code == 4
     assert "invalid witness" in err
@@ -314,12 +319,12 @@ def test_verify_rejects_non_positive_size(capsys, size):
 
 def test_verify_over_size_guard_exits_4_at_once(capsys, monkeypatch):
     # the harness costs about 16 ms per unit of size: size 1000000 would run for hours
-    from sigtensor import cli
+    from sigtensor import harness
 
     def no_work(seed, size):
         raise AssertionError("run_harness ran past the guard")
 
-    monkeypatch.setattr(cli, "run_harness", no_work)
+    monkeypatch.setattr(harness, "run_harness", no_work)
     start = perf_counter()
     code, out, err = run(capsys, "verify", "--size", "1000001")
     assert perf_counter() - start < 0.5
@@ -418,12 +423,12 @@ def test_certify_names_the_first_malformed_part_of_a_witness(capsys, tmp_path, t
 
 def test_rank_bound_over_level_guard_exits_4_at_once(capsys, monkeypatch):
     # the formula costs about k^3: k = m = 100000 did not finish in 100 s
-    from sigtensor import cli
+    from sigtensor import ranks
 
     def no_work(k, m):
         raise AssertionError("rank_bound_formula ran past the guard")
 
-    monkeypatch.setattr(cli, "rank_bound_formula", no_work)
+    monkeypatch.setattr(ranks, "rank_bound_formula", no_work)
     code, out, err = run(capsys, "rank-bound", "--k", "100000", "--m", "100000")
     assert code == 4 and out == ""
     assert err == "precondition violated: precondition 'k <= 8' violated (k=100000); pass --allow-large to override\n"
@@ -494,12 +499,12 @@ def test_shuffle_of_1200_letter_word_exits_0(capsys):
 
 def test_shuffle_over_guard_exits_4_before_any_work(capsys, monkeypatch):
     # comb(32, 16) = 601080390 interleavings ran until the process was killed
-    from sigtensor import cli
+    from sigtensor import words
 
     def no_work(v, w):
         raise AssertionError("shuffle ran past the guard")
 
-    monkeypatch.setattr(cli, "shuffle", no_work)
+    monkeypatch.setattr(words, "shuffle", no_work)
     code, out, err = run(capsys, "shuffle", "--w1", "1212121212121212", "--w2", "3434343434343434")
     assert code == 4 and out == ""
     assert err == (
@@ -518,10 +523,10 @@ def test_shuffle_over_guard_exits_4_before_any_work(capsys, monkeypatch):
     ("34343434343", True, True),
 ])
 def test_shuffle_guard_bound(capsys, monkeypatch, w2, allow_large, runs):
-    from sigtensor import WordSum, cli
+    from sigtensor import WordSum, words
 
     calls = []
-    monkeypatch.setattr(cli, "shuffle", lambda v, w: calls.append((v, w)) or WordSum({}))
+    monkeypatch.setattr(words, "shuffle", lambda v, w: calls.append((v, w)) or WordSum({}))
     argv = ["shuffle", "--w1", "1212121212", "--w2", w2] + ["--allow-large"] * allow_large
     code, _, _ = run(capsys, *argv)
     assert (code, len(calls)) == ((0, 1) if runs else (4, 0))
@@ -589,12 +594,12 @@ def test_decompose_over_alpha_guard_exits_4_at_once(capsys, axis3):
 
 
 def test_decompose_alpha_guard_builds_no_decomposition(capsys, axis3, monkeypatch):
-    from sigtensor import cli
+    from sigtensor import ranks
 
     def no_work(vs, k, alpha):
         raise AssertionError("decompose_s_k_alpha ran past the alpha guard")
 
-    monkeypatch.setattr(cli, "decompose_s_k_alpha", no_work)
+    monkeypatch.setattr(ranks, "decompose_s_k_alpha", no_work)
     code, out, err = run(capsys, "decompose", "--path", axis3, "--level", "4", "--alpha", "9")
     assert (code, out) == (4, "")
     assert err == "precondition violated: precondition 'alpha <= 8' violated (alpha=9); pass --allow-large to override\n"
@@ -617,12 +622,12 @@ def dim1_zero_files(tmp_path, order):
 
 def test_certify_over_order_guard_exits_4_at_once(capsys, monkeypatch, tmp_path):
     # unguarded, order 20000 ran out of memory in the flattening scan's O(order^2) part list
-    from sigtensor import cli
+    from sigtensor import ranks
 
     def no_work(tensor, witness):
         raise AssertionError("certify_rank ran past the guard")
 
-    monkeypatch.setattr(cli, "certify_rank", no_work)
+    monkeypatch.setattr(ranks, "certify_rank", no_work)
     tensor_file, witness_file = dim1_zero_files(tmp_path, 100_000)
     start = perf_counter()
     code, out, err = run(capsys, "certify", "--tensor", tensor_file, "--witness", witness_file)
@@ -676,12 +681,12 @@ def dim1_zero_signature(tmp_path, max_level):
 
 def test_concise_over_level_guard_exits_4_at_once(capsys, monkeypatch, tmp_path):
     # unguarded, concise on a dim-1 signature took 8.6 s at max_level 2000 and grew quadratically
-    from sigtensor import cli
+    from sigtensor import conciseness
 
     def no_work(t):
         raise AssertionError("mode_echelons ran past the guard")
 
-    monkeypatch.setattr(cli, "mode_echelons", no_work)
+    monkeypatch.setattr(conciseness, "mode_echelons", no_work)
     sig_file = dim1_zero_signature(tmp_path, 2000)
     start = perf_counter()
     code, out, err = run(capsys, "concise", "--sig", sig_file)

@@ -10,21 +10,26 @@ to any report byte, message or exit code shows here.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path as FilePath
 
 import pytest
 
+import sigtensor
 from sigtensor import (
     LogSignature,
     Path,
     Tensor,
-    cli,
     exp_log_signature,
+    harness,
     lie_bracket,
     log_signature,
     pwl_signature,
     segment_signature,
 )
-from sigtensor.cli import main
+from sigtensor.cli import _COMMANDS, main
 from sigtensor.serialize import dump_json, log_signature_to_json, signature_to_json
 
 
@@ -198,8 +203,19 @@ def test_cli_output_matches_golden_digest(capsys, workdir, name):
     assert _digest(capsys, CASES[name]) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_fresh_interpreter_reports_like_main(capsys, workdir, command):
+    # a fresh interpreter has loaded only what start-up and this command import,
+    # while this process loaded every module in earlier tests
+    argv = CASES["decompose-alpha0" if command == "decompose" else command]
+    env = {**os.environ, "PYTHONPATH": str(FilePath(sigtensor.__file__).parents[1])}
+    fresh = subprocess.run([sys.executable, "-m", "sigtensor", *argv], env=env, capture_output=True, text=True)
+    assert main(argv) == 0
+    assert (fresh.returncode, fresh.stdout) == (0, capsys.readouterr().out)
+
+
 def test_verify_exits_1_on_a_failed_check(capsys, workdir, monkeypatch):
-    monkeypatch.setattr(cli, "run_harness", _failed_harness)
+    monkeypatch.setattr(harness, "run_harness", _failed_harness)
     assert _digest(capsys, ["verify", "--seed", "3", "--size", "2"]) == GOLDEN["verify-fails"]
 
 

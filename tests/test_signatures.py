@@ -89,6 +89,13 @@ def test_pwl_single_segment_is_segment_signature():
     assert pwl_signature(Path.from_increments([[1, 2, 3]]), 4) == segment_signature([1, 2, 3], 4)
 
 
+def test_pwl_signature_refuses_a_negative_level():
+    # the kernel's weights 1/k! would fail first, with a message naming no precondition
+    with pytest.raises(ValueError) as exc:
+        pwl_signature(Path.from_increments([[1, 2]]), -1)
+    assert str(exc.value) == "max_level must be >= 0"
+
+
 def test_oracle_segment_pair_entry():
     path = Path.from_increments([[2, 5]])
     assert iterated_integral_entry(path, Word.of(1, 2)) == Fraction(2 * 5, 2)
