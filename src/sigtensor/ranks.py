@@ -111,7 +111,10 @@ class RankCertificate:
             raise ValueError("exact status requires a witness of matching length")
 
 
-def _vectors(vs: Sequence[Sequence]) -> list[Vector]:
+def _vectors(vs: Sequence[Sequence], alpha: int = 0) -> list[Vector]:
+    """vs as vectors of one dimension, refused first if alpha, the weight of the sum they enter, is negative."""
+    if alpha < 0:
+        raise ValueError("alpha must be >= 0")
     vecs = [as_vector(v) for v in vs]
     if not vecs:
         raise ValueError("need at least one vector")
@@ -137,9 +140,7 @@ def s_k_alpha(vs: Sequence[Sequence], k: int, alpha: int) -> Tensor:
     alpha, which evaluates every composition of k by Horner's rule."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    vecs = _vectors(vs)
+    vecs = _vectors(vs, alpha)
     d = len(vecs[0])
     return Tensor._of_level(k, d, graded.signature(vecs, d, k, alpha)[k])
 
@@ -150,7 +151,7 @@ def decompose_two_segments(u: Sequence, v: Sequence, k: int, alpha: int = 0) -> 
     signature of the two-segment path exactly."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _two_segments(*_keys(_vectors([u, v])), k, alpha)
+    return _two_segments(*_keys(_vectors([u, v], alpha)), k, alpha)
 
 
 def _two_segments(uu: graded.Key, vv: graded.Key, k: int, alpha: int) -> Decomposition:
@@ -170,7 +171,7 @@ def decompose_three_segments(u: Sequence, v: Sequence, w: Sequence, k: int, alph
     and for even k the term w^k on its own."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _three_segments(*_keys(_vectors([u, v, w])), k, alpha)
+    return _three_segments(*_keys(_vectors([u, v, w], alpha)), k, alpha)
 
 
 def _three_segments(uu: graded.Key, vv: graded.Key, ww: graded.Key, k: int, alpha: int) -> Decomposition:
@@ -197,7 +198,7 @@ def _three_segments(uu: graded.Key, vv: graded.Key, ww: graded.Key, k: int, alph
 def decompose_second_level(vs: Sequence[Sequence], alpha: int = 0) -> Decomposition:
     """Row-by-row grouping of S_{2,alpha}: term i covers every monomial v_i (x) v_j
     with j >= i, at most m terms; the later v_j are summed as a running remainder."""
-    return _second_level(_keys(_vectors(vs)), alpha)
+    return _second_level(_keys(_vectors(vs, alpha)), alpha)
 
 
 def _second_level(vecs: list[graded.Key], alpha: int) -> Decomposition:
@@ -216,7 +217,7 @@ def decompose_s3_alpha(vs: Sequence[Sequence], alpha: int = 0) -> Decomposition:
     s = ceil(m/2): squares of early vectors lead, squares of late vectors
     trail, and mixed middles cover the rest, read from two running sums built in one
     pass (0-based i): head[i] = v_1/(alpha+1) + v_2 + ... + v_(i+1), tail[i] = v_(i+2) + ... + v_m."""
-    return _s3_alpha(_keys(_vectors(vs)), alpha)
+    return _s3_alpha(_keys(_vectors(vs, alpha)), alpha)
 
 
 def _s3_alpha(v: list[graded.Key], alpha: int) -> Decomposition:
@@ -247,14 +248,13 @@ def _s3_alpha(v: list[graded.Key], alpha: int) -> Decomposition:
 
 
 def decompose_s_k_alpha(vs: Sequence[Sequence], k: int, alpha: int = 0) -> Decomposition:
-    """Recursive construction whose length matches rank_bound_formula: strip
-    v_1 into an order-(k-1) problem with weight alpha+1, and recurse on the
-    tail at weight 0; bases are the closed-form groupings above."""
+    """Construction whose length matches rank_bound_formula: a loop over the
+    first factor v_i strips it into an order-(k-1) problem on v_i..v_m (weight
+    alpha+1 for v_1, 1 after), the last three vectors close the sum, and the
+    recursion, on the order only, ends in the closed-form groupings above."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    return _decompose(_keys(_vectors(vs)), k, alpha)
+    return _decompose(_keys(_vectors(vs, alpha)), k, alpha)
 
 
 def _decompose(vecs: list[graded.Key], k: int, alpha: int) -> Decomposition:
@@ -267,11 +267,15 @@ def _decompose(vecs: list[graded.Key], k: int, alpha: int) -> Decomposition:
         return _s3_alpha(vecs, alpha)
     if m == 2:
         return _two_segments(*vecs, k, alpha)
-    if m == 3:
-        return _three_segments(*vecs, k, alpha)
-    # the sub-witnesses are clean, and neither a nonzero v_1 in front nor 1/alpha! zeroes a term
-    terms = [(c, (vecs[0], *fs)) for c, fs in _decompose(vecs, k - 1, alpha + 1).keyed] if any(vecs[0][0]) else []
-    terms += [(c / factorial(alpha) if alpha else c, fs) for c, fs in _decompose(vecs[1:], k, 0).keyed]
+    # the tail unrolled: branch i is v_i (x) S_{k-1,a+1}(v_i..v_m), a = alpha for v_1 and 0 after, and every
+    # term after the first branch is over alpha!; S_{k,a}(v_{m-2}, v_{m-1}, v_m) closes the sum. The
+    # sub-witnesses are clean, and neither a nonzero v_i in front nor 1/alpha! zeroes a term
+    terms, a, scale = [], alpha, 1
+    for i, v in enumerate(vecs[:-3]):
+        if any(v[0]):
+            terms += [(c / scale if scale > 1 else c, (v, *fs)) for c, fs in _decompose(vecs[i:], k - 1, a + 1).keyed]
+        a, scale = 0, factorial(alpha)
+    terms += [(c / scale if scale > 1 else c, fs) for c, fs in _three_segments(*vecs[-3:], k, a).keyed]
     return Decomposition._unchecked(d, k, terms)
 
 

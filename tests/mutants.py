@@ -331,11 +331,32 @@ MUTANTS = [
         (RANKS + "test_second_level_terms_on_three_axes", DREF + "test_second_level_matches_the_reference"),
     ),
     Mutant(
-        "the recursion prepends v_1 = 0 to the stripped terms",
+        "the loop prepends v_i = 0 to its branch's terms",
         "ranks.py",
-        ".keyed] if any(vecs[0][0]) else []",
-        ".keyed]",
+        "        if any(v[0]):\n",
+        "        if v:\n",
         (RANKS + "test_a_zero_first_increment_adds_no_term", DREF + "test_s_k_alpha_matches_the_reference"),
+    ),
+    Mutant(
+        "the loop keeps the weight alpha after the first branch",
+        "ranks.py",
+        "        a, scale = 0, factorial(alpha)\n",
+        "        scale = factorial(alpha)\n",
+        (RANKS + "test_every_branch_after_the_first_is_at_weight_one", DREF + "test_s_k_alpha_matches_the_reference_on_long_series"),
+    ),
+    Mutant(
+        "the closing grouping is at weight alpha after a loop that ran",
+        "ranks.py",
+        "_three_segments(*vecs[-3:], k, a).keyed]",
+        "_three_segments(*vecs[-3:], k, alpha).keyed]",
+        (RANKS + "test_the_closing_grouping_after_the_loop_is_at_weight_zero", DREF + "test_s_k_alpha_matches_the_reference_on_long_series"),
+    ),
+    Mutant(
+        "the first branch is also over alpha!",
+        "ranks.py",
+        "terms, a, scale = [], alpha, 1",
+        "terms, a, scale = [], alpha, factorial(alpha)",
+        (RANKS + "test_the_first_branch_is_not_over_alpha_factorial", DREF + "test_s_k_alpha_matches_the_reference_on_long_series"),
     ),
     Mutant(
         "symmetry_report does not rescan the last block when the first violation is at p = 0",

@@ -273,3 +273,10 @@ def test_s3_alpha_matches_the_reference(vs, alpha):
 @given(vector_lists(), st.integers(2, 12), alphas)
 def test_s_k_alpha_matches_the_reference(vs, k, alpha):
     assert _strings(decompose_s_k_alpha(vs, k, alpha)) == _strings(ref_decompose_s_k_alpha(vs, k, alpha))
+
+
+@settings(max_examples=40, deadline=None)
+@given(vector_lists(7, 12), st.integers(4, 5), alphas)
+def test_s_k_alpha_matches_the_reference_on_long_series(vs, k, alpha):
+    # m >= 7 runs the loop over the first factor at least four times at each order
+    assert _strings(decompose_s_k_alpha(vs, k, alpha)) == _strings(ref_decompose_s_k_alpha(vs, k, alpha))

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import ceil, comb, factorial
 
@@ -23,6 +26,7 @@ from sigtensor import (
     rank_bound_formula,
     s_k_alpha,
     sig222_from_params,
+    tensor_product,
 )
 from sigtensor import ranks
 from sigtensor.symmetry import Sig222Params
@@ -267,7 +271,111 @@ def test_a_zero_first_increment_adds_no_term():
     assert dec.realize() == s_k_alpha(vs, 5, 0)
 
 
+def test_a_negative_alpha_is_refused_by_every_grouping():
+    # the check comes after the order's and before the vectors'
+    refused = [
+        lambda: s_k_alpha([[1, 0]], 2, -1),
+        lambda: decompose_s_k_alpha([[1, 0], [0, 1]], 4, -1),
+        lambda: decompose_two_segments([1, 0], [0, 1], 1, -1),
+        lambda: decompose_three_segments([1, 0], [0, 1], [1, 1], 3, -1),
+        lambda: decompose_second_level([[1, 0], [0, 1]], -1),
+        lambda: decompose_second_level([[1, 0]], -1),
+        lambda: decompose_s3_alpha([[1, 0], [0, 1]], -1),
+        lambda: decompose_s3_alpha([[1, 0]], -1),
+        lambda: decompose_second_level([], -1),
+    ]
+    for build in refused:
+        with pytest.raises(ValueError, match="alpha must be >= 0"):
+            build()
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        decompose_two_segments([1, 0], [0, 1], 0, -1)
+    with pytest.raises(ValueError, match="k must be >= 2"):
+        decompose_s_k_alpha([[1, 0]], 1, -1)
+
+
+def _part(dec, first):
+    """The terms of dec whose first factor passes first, realized."""
+    return Decomposition(dec.dim, dec.order, [(c, fs) for c, fs in dec.terms if first(fs[0])]).realize()
+
+
+def _axes(m):
+    return [[int(i == j) for j in range(m)] for i in range(m)]
+
+
+def test_the_first_branch_is_not_over_alpha_factorial():
+    # on five axes at k = 4 the loop runs for e_1 and e_2; the terms led by e_1
+    # are e_1 (x) S_{3,alpha+1}(e_1..e_5), with no 1/alpha! (which is 1 below alpha = 2)
+    vs = _axes(5)
+    dec = decompose_s_k_alpha(vs, 4, 2)
+    assert _part(dec, lambda f: f == (1, 0, 0, 0, 0)) == tensor_product(Tensor.elementary([vs[0]]), s_k_alpha(vs, 3, 3))
+
+
+def test_every_branch_after_the_first_is_at_weight_one():
+    # the terms led by e_2 are e_2 (x) S_{3,1}(e_2..e_5) / alpha!, whatever alpha is
+    vs = _axes(5)
+    for alpha in (1, 2):
+        dec = decompose_s_k_alpha(vs, 4, alpha)
+        want = tensor_product(Tensor.elementary([vs[1]]), s_k_alpha(vs[1:], 3, 1)).scale(Fraction(1, factorial(alpha)))
+        assert _part(dec, lambda f: f == (0, 1, 0, 0, 0)) == want
+
+
+def test_the_closing_grouping_after_the_loop_is_at_weight_zero():
+    # after the loop the last three vectors close the sum as S_{4,0}(e_3, e_4, e_5) / alpha!,
+    # and with no loop (m = 3) as S_{4,alpha}
+    vs = _axes(5)
+    for alpha in (1, 2):
+        dec = decompose_s_k_alpha(vs, 4, alpha)
+        want = s_k_alpha(vs[2:], 4, 0).scale(Fraction(1, factorial(alpha)))
+        assert _part(dec, lambda f: f[0] == f[1] == 0) == want
+        assert decompose_s_k_alpha(vs[2:], 4, alpha).realize() == s_k_alpha(vs[2:], 4, alpha)
+
+
 # -- the work of a build --------------------------------------------------------
+
+def test_the_recursion_depth_does_not_grow_with_the_segments(tmp_path):
+    # the recursion runs on the order only, so a tight recursion limit holds at any m; the
+    # 201-sample walk is inside the term guard (39 801 <= 100 000 terms at level 4)
+    walk = tmp_path / "walk.csv"
+    rng = random.Random(2)
+    rows, x = [[0, 0]], [0, 0]
+    for _ in range(200):
+        x = [a + rng.randint(1, 3) for a in x]
+        rows.append(x)
+    walk.write_text("".join(f"{a},{b}\n" for a, b in rows))
+    script = f"""
+import contextlib, io, random, sys
+sys.setrecursionlimit(120)
+from sigtensor import cli
+from sigtensor.ranks import decompose_s_k_alpha, rank_bound_formula
+rng = random.Random(1)
+dec = decompose_s_k_alpha([[rng.randint(1, 3), rng.randint(1, 3)] for _ in range(200)], 4, 1)
+assert len(dec.terms) == rank_bound_formula(4, 200) == 39801, len(dec.terms)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["decompose", "--series", {str(walk)!r}, "--level", "4"])
+assert code == 0, code
+"""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ranks.__file__))}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr[-2000:]
+
+
+@pytest.mark.parametrize("d, m, k, alpha", [(4, 40, 4, 0), (4, 80, 4, 0), (4, 8, 6, 1), (4, 12, 7, 0), (6, 10, 8, 0)])
+def test_each_term_is_joined_once_per_order(monkeypatch, d, m, k, alpha):
+    # every witness of the build passes Decomposition._unchecked once; a term is in at most
+    # k - 2 of them, one per order of the loop and one for its closed-form grouping
+    received = []
+    unchecked = ranks.Decomposition._unchecked
+
+    def spy(dim, order, keyed):
+        keyed = list(keyed)
+        received.append(len(keyed))
+        return unchecked(dim, order, keyed)
+
+    monkeypatch.setattr(ranks.Decomposition, "_unchecked", staticmethod(spy))
+    rng = random.Random(m + k)
+    dec = decompose_s_k_alpha([[rng.randint(-3, 3) for _ in range(d)] for _ in range(m)], k, alpha)
+    assert sum(received) <= (k - 2) * dec.length
+
 
 @pytest.mark.parametrize("m", [100, 200])
 @pytest.mark.parametrize("k, pairs_per_segment", [(2, 6), (3, 10)])
