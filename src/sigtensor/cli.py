@@ -239,6 +239,10 @@ def cmd_certify(args):
     tensor = _read(serialize.tensor_from_json, args.tensor)
     witness = _read(serialize.decomposition_from_json, args.witness)
     _check_order(tensor.order, args.allow_large)
+    # a witness longer than the flattening ranks reaches the Koszul candidates,
+    # d^2 x d C(d, 2) cells each at order 3
+    if tensor.dim > GUARD_DIM and not args.allow_large:
+        raise _too_large(f"dim <= {GUARD_DIM}", f"dim={tensor.dim}")
     cert = certify_rank(tensor, witness)
     return {"tensor": args.tensor, "witness": args.witness}, serialize.certificate_to_json(cert)
 

@@ -124,8 +124,8 @@ def signature(increments: Sequence[Sequence[Fraction]], dim: int, max_level: int
     T = w_s (x) T + C(k + a, i) N_i for i = 1..k. Levels are updated from
     the top down, so each still reads the old lower levels.
     """
-    D = lcm(*(x.denominator for u in increments for x in u))
-    ws = [[x.numerator * (D // x.denominator) for x in u] for u in increments]
+    flat, D = from_fractions([x for u in increments for x in u])
+    ws = [flat[s * dim : (s + 1) * dim] for s in range(len(increments))]
     norm = sum(abs(x) for w in ws for x in w)
     *rest, last = ws
     width = _width(factorial(max_level + alpha) // factorial(max_level) * norm**max_level)
@@ -220,8 +220,7 @@ def accumulate(terms: Iterable[tuple[Fraction, Sequence[Key]]], dim: int, order:
     if not leaves:
         return [0] * dim**order, 1
     leaves.sort(key=itemgetter(0))
-    den = lcm(*(q.denominator for _, q in leaves))
-    coeffs = [q.numerator * (den // q.denominator) for _, q in leaves]
+    coeffs, den = from_fractions([q for _, q in leaves])
     width = _width(sum(abs(c) * prod(sum(map(abs, v)) for v in key) for (key, _), c in zip(leaves, coeffs)))
     steps = [dim ** (order - j) * width for j in range(order + 1)]
     acc = [0] * (order + 1)

@@ -155,6 +155,13 @@ MUTANTS = [
         ("tests/test_cli.py::test_symmetry_over_order_guard_exits_4_at_once",),
     ),
     Mutant(
+        "certify runs past the dim guard",
+        "cli.py",
+        "    if tensor.dim > GUARD_DIM and not args.allow_large:\n        raise _too_large(f\"dim <= {GUARD_DIM}\", f\"dim={tensor.dim}\")\n",
+        "",
+        ("tests/test_cli.py::test_certify_takes_the_dim_guard",),
+    ),
+    Mutant(
         "decompose runs past the alpha guard",
         "cli.py",
         "    if args.alpha > GUARD_LEVEL and not args.allow_large:\n        raise _too_large(f\"alpha <= {GUARD_LEVEL}\", f\"alpha={args.alpha}\")\n",

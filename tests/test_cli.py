@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 from fractions import Fraction
 from time import perf_counter
@@ -649,6 +650,27 @@ def test_certify_order_guard_bound(capsys, monkeypatch, tmp_path, order, allow_l
     else:
         assert (code, out) == (4, "")
         assert err == "precondition violated: precondition 'order <= 3' violated (order=4); pass --allow-large to override\n"
+
+
+def test_certify_takes_the_dim_guard(capsys, tmp_path):
+    # unguarded, a witness longer than the flattening ranks reached the three Koszul
+    # candidates of d^2 x d C(d, 2) cells: about d^7, 6 s at d=20 with d + 4 terms
+    from sigtensor import Decomposition
+
+    rng = random.Random(0)
+    witness = Decomposition.of(7, 3, [(1, [[rng.randint(-3, 3) for _ in range(7)] for _ in range(3)]) for _ in range(11)])
+    tensor_file, witness_file = tmp_path / "t.json", tmp_path / "w.json"
+    tensor_file.write_text(dump_json(tensor_to_json(witness.realize())))
+    witness_file.write_text(dump_json(decomposition_to_json(witness)))
+    argv = ["certify", "--tensor", str(tensor_file), "--witness", str(witness_file)]
+    start = perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert perf_counter() - start < 1
+    assert code == 4 and out == ""
+    assert err == "precondition violated: precondition 'dim <= 6' violated (dim=7); pass --allow-large to override\n"
+    code, out, err = run(capsys, *argv, "--allow-large")
+    assert code == 0 and err == ""
+    assert json.loads(out)["result"] == {"lower": 9, "status": "bounded", "upper": 11}
 
 
 def test_symmetry_over_order_guard_exits_4_at_once(capsys, tmp_path):

@@ -1,4 +1,3 @@
-import itertools
 import json
 import os
 import random
@@ -30,6 +29,8 @@ from sigtensor import conciseness
 from sigtensor.harness import random_hyperplane_path
 from sigtensor.linalg import _echelon
 from sigtensor.serialize import dump_json, signature_to_json, subspace_to_json
+
+from references import reference_flattening
 
 
 def example_64_tensor():
@@ -226,16 +227,12 @@ def subspace_sum(spaces, d):
     return Subspace.span((v for w in spaces for v in w.basis), d)
 
 
-def fraction_fibers(t, mode):
-    """The mode fibers of t, read from its Fraction entries by index."""
-    d, k = t.dim, t.order
-    for rest in itertools.product(range(d), repeat=k - 1):
-        yield [t.entries[sum(x * d ** (k - 1 - j) for j, x in enumerate(rest[:mode] + (i,) + rest[mode:]))] for i in range(d)]
-
-
 def fraction_modes(sig):
     """Per level 1..K, the mode subspaces spanned by the Fraction fibers."""
-    return [[Subspace.span(fraction_fibers(sig.level(k), mode), sig.dim) for mode in range(k)] for k in range(1, sig.max_level + 1)]
+    return [
+        [Subspace.span(zip(*reference_flattening(sig.level(k), (mode + 1,))), sig.dim) for mode in range(k)]
+        for k in range(1, sig.max_level + 1)
+    ]
 
 
 def fraction_concise(sig, modes):

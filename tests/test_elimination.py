@@ -1,9 +1,9 @@
 """Cross-checks of the one integer elimination kernel, _echelon, behind
 integer_rank, Subspace.span, rref and mode_subspaces (its rows, pivot
 columns and pivot entries), and of the offset scan behind symmetry_report.
-Expected values come from the plain Fraction elimination, the Fraction
-determinant, the one-fiber-at-a-time echelon scan and the Tensor-indexing
-scan below, never from the code under test."""
+Expected values come from the plain Fraction elimination and the
+Tensor-indexing reads of references.py, the Fraction determinant and the
+one-fiber-at-a-time echelon scan below, never from the code under test."""
 
 from fractions import Fraction
 from itertools import product
@@ -14,29 +14,12 @@ from hypothesis import assume, given, settings, strategies as st
 from sigtensor import Path, Subspace, Tensor, conciseness, graded, mode_subspaces, pwl_signature, rref, symmetry_report
 from sigtensor.linalg import _echelon, integer_rank
 
+from references import reference_flattening, reference_rref, reference_violation
+
 SETTINGS = settings(max_examples=80, deadline=None)
 
 # denominators up to 6, so vectors mix denominators
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
-
-
-def reference_rref(rows) -> list[list[Fraction]]:
-    """Gauss-Jordan elimination over Fraction: unit pivots, pivot columns
-    cleared above and below, zero rows dropped."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    r = 0
-    for col in range(len(m[0]) if m else 0):
-        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        m[r] = [x / m[r][col] for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-    return m[:r]
 
 
 def reference_span(vectors, d: int) -> Subspace:
@@ -163,14 +146,7 @@ def test_span_and_rref_reject_bad_lengths():
 
 def reference_mode_subspaces(t: Tensor) -> list[Subspace]:
     """Mode fibers read entry by entry through Tensor indexing."""
-    out = []
-    letters = range(1, t.dim + 1)
-    for mode in range(t.order):
-        fibers = []
-        for rest in product(letters, repeat=t.order - 1):
-            fibers.append([t[rest[:mode] + (i,) + rest[mode:]] for i in letters])
-        out.append(reference_span(fibers, t.dim))
-    return out
+    return [reference_span(zip(*reference_flattening(t, (mode + 1,))), t.dim) for mode in range(t.order)]
 
 
 @st.composite
@@ -461,24 +437,6 @@ def swap_tensors(draw):
 @given(swap_tensors())
 def test_mode_echelons_match_the_fraction_span_of_every_fiber(t):
     assert mode_subspaces(t) == reference_mode_subspaces(t)
-
-
-def reference_violation(t: Tensor, positions, sign: int):
-    """First pair (I, swap(I)) with t[swap(I)] != sign * t[I], scanning the
-    positions in order and, at each, every multi-index with I[pos] <
-    I[pos+1] in lexicographic order; for sign -1 then every I with I[pos]
-    == I[pos+1] and t[I] != 0."""
-    for pos in positions:
-        for index in t.indices():
-            if index[pos] < index[pos + 1]:
-                swapped = index[:pos] + (index[pos + 1], index[pos]) + index[pos + 2 :]
-                if t[swapped] != sign * t[index]:
-                    return (index, swapped)
-        if sign == -1:
-            for index in t.indices():
-                if index[pos] == index[pos + 1] and t[index] != 0:
-                    return (index, index)
-    return None
 
 
 def permutation_sign(index) -> int:

@@ -1,9 +1,10 @@
 """Cross-checks of the integer Bareiss kernel and the rank bounds built on
 it: the flattening scan, the Koszul bound, the 2x2x2 classification, and
 their soundness on sums of elementary tensors. Expected ranks come from the
-plain Fraction elimination below, never from the kernel itself; the scan on
-the concise core is checked against the ambient scan it replaced, and the one
-scan (ranks._scan) against the flattening and Koszul scans it replaced."""
+plain Fraction elimination of references.py, never from the kernel itself;
+the scan on the concise core is checked against the ambient scan it
+replaced, and the one scan (ranks._scan) against the flattening and Koszul
+scans it replaced."""
 
 from fractions import Fraction
 from itertools import combinations, product
@@ -30,42 +31,12 @@ from sigtensor import ranks
 from sigtensor.linalg import integer_rank
 from sigtensor.tensors import _koszul_rows, mode_offsets
 
+from references import reference_flattening, reference_rank
+
 SETTINGS = settings(max_examples=60, deadline=None)
 
 # denominators up to 6, so rows and tensors mix denominators
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
-
-
-def reference_rank(rows) -> int:
-    """Gauss-Jordan elimination over Fraction."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    for col in range(len(m[0]) if m else 0):
-        pivot = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col] / m[rank][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
-
-
-def reference_flattening(t: Tensor, part) -> list[list[Fraction]]:
-    """The flattening along (part, complement), read entry by entry through
-    Tensor indexing."""
-    rest = [p for p in range(1, t.order + 1) if p not in part]
-    letters = range(1, t.dim + 1)
-
-    def entry(row, col):
-        index = [0] * t.order
-        for p, i in list(zip(part, row)) + list(zip(rest, col)):
-            index[p - 1] = i
-        return t[tuple(index)]
-
-    return [[entry(r, c) for c in product(letters, repeat=len(rest))] for r in product(letters, repeat=len(part))]
 
 
 def bipartitions(order: int):

@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 from sigtensor import graded
 from sigtensor import (
     Decomposition,
-    Path,
     Tensor,
     TruncatedSignature,
     chen_concat,
@@ -35,22 +34,13 @@ from sigtensor import (
     words_of_length,
 )
 
-SETTINGS = settings(max_examples=40, deadline=None)
+from references import paths, rationals
 
-# small rationals with denominators up to 4, so paths exercise the D^k scaling
-rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+SETTINGS = settings(max_examples=40, deadline=None)
 
 
 def vectors(d):
     return st.lists(rationals, min_size=d, max_size=d)
-
-
-@st.composite
-def paths(draw, max_dim=3, max_segments=4):
-    d = draw(st.integers(1, max_dim))
-    m = draw(st.integers(1, max_segments))
-    incs = [[draw(rationals) for _ in range(d)] for _ in range(m)]
-    return Path.from_increments(incs, dim=d)
 
 
 def ref_product(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:

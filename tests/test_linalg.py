@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from sigtensor.linalg import Subspace, as_fraction, matrix_rank, rref
+from sigtensor.linalg import Subspace, matrix_rank, rref
+
+from references import reference_rank
 
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
@@ -31,27 +33,9 @@ def test_rank_with_fractions():
     assert matrix_rank(m) == 1
 
 
-def _naive_rank(rows):
-    """Plain fraction Gauss elimination; independent of the Bareiss route."""
-    m = [[as_fraction(x) for x in row] for row in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        pivot = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col] / m[rank][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
-
-
 @given(st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=4), min_size=1, max_size=5))
 def test_rank_matches_naive_elimination(rows):
-    assert matrix_rank(rows) == _naive_rank(rows)
+    assert matrix_rank(rows) == reference_rank(rows)
 
 
 def test_rref_canonical():

@@ -28,9 +28,9 @@ from sigtensor import (
 from sigtensor import graded
 from sigtensor.harness import random_lie_level, random_log_signature
 
-SETTINGS = settings(max_examples=40, deadline=None)
+from references import paths, rationals
 
-rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+SETTINGS = settings(max_examples=40, deadline=None)
 
 
 def axpy(acc: graded.Level, c: Fraction, x: graded.Level) -> graded.Level:
@@ -98,13 +98,6 @@ def ref_pure_volume(s: TruncatedSignature, n: int, k0: int) -> bool:
         elif not s.level(k).is_zero:
             return False
     return True
-
-
-@st.composite
-def paths(draw, max_dim=3, max_segments=4):
-    d = draw(st.integers(1, max_dim))
-    m = draw(st.integers(1, max_segments))
-    return Path.from_increments([[draw(rationals) for _ in range(d)] for _ in range(m)], dim=d)
 
 
 def _outcome(f, *args):

@@ -1,6 +1,6 @@
 """symmetry_report against the four-scan report it replaced, kept here as the
 reference: the full group, the skew group, then each partial block scanned
-on its own. The per-position scan below reads entries through Tensor
+on its own. The per-position scan of references.py reads entries through Tensor
 indexing, one multi-index at a time, in the order the witness is defined:
 positions in order; at each, the multi-indices I with I[pos] < I[pos+1] in
 lexicographic order, then (for sign -1) those with I[pos] == I[pos+1]."""
@@ -13,21 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from sigtensor import SymmetryReport, Tensor, symmetry_report
 
+from references import reference_violation
+
 SETTINGS = settings(max_examples=150, deadline=None)
-
-
-def reference_violation(t: Tensor, positions, sign: int):
-    for pos in positions:
-        for index in t.indices():
-            if index[pos] < index[pos + 1]:
-                swapped = index[:pos] + (index[pos + 1], index[pos]) + index[pos + 2 :]
-                if t[swapped] != sign * t[index]:
-                    return (index, swapped)
-        if sign == -1:
-            for index in t.indices():
-                if index[pos] == index[pos + 1] and t[index] != 0:
-                    return (index, index)
-    return None
 
 
 def reference_report(t: Tensor) -> SymmetryReport:

@@ -20,6 +20,8 @@ from sigtensor import (
     unflatten,
 )
 
+from references import reference_rank
+
 SETTINGS = settings(max_examples=60, deadline=None)
 
 
@@ -73,27 +75,12 @@ def test_flatten_rejects_empty_and_full():
         flatten(t, (1, 2, 3))
 
 
-def _slow_rank(rows):
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    for col in range(len(m[0]) if m else 0):
-        piv = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        for i in range(rank + 1, len(m)):
-            f = m[i][col] / m[rank][col]
-            m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
-
-
 def test_flatten_rank_matches_independent_elimination():
     rng = random.Random(11)
     for _ in range(10):
         t = Tensor.from_entries(4, 2, [rng.randint(-4, 4) for _ in range(16)])
         f = flatten(t, (1, 2))
-        assert matrix_rank(f.matrix) == _slow_rank(f.matrix)
+        assert matrix_rank(f.matrix) == reference_rank(f.matrix)
 
 
 def test_flatten_merge_round_trip():
