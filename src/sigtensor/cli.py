@@ -294,7 +294,7 @@ def cmd_sig222(args):
 @_command("concise", "mode subspaces and hyperplane recovery",
           _arg("--sig", required=True), _arg("--level", type=int, default=None))
 def cmd_concise(args):
-    from .conciseness import echelon_sum, mode_echelons
+    from .conciseness import echelon_sum, lift, sliced_echelons
     from .linalg import Subspace
 
     sig = _read(serialize.signature_from_json, args.sig)
@@ -302,13 +302,15 @@ def cmd_concise(args):
     if not 2 <= level <= sig.max_level:
         raise ValueError(f"precondition '2 <= level <= {sig.max_level}' violated (level={level})")
     _check_size(sig.dim, level, args.allow_large)
-    # each level's modes are eliminated once, in integers; its symmetric-conciseness
-    # span is their sum, and the recovered subspace is the sum of those spans.
-    # Only the spans the report prints become RREF Fractions.
+    # each level's modes are eliminated once, in integers, on its live-letter
+    # slice; its symmetric-conciseness span is their sum there, lifted to Q^d,
+    # and the recovered subspace is the sum of those spans. Only the spans the
+    # report prints become RREF Fractions.
     d, per_level, spans = sig.dim, [], []
     for k in range(1, level + 1):
-        modes = list(mode_echelons(sig.level(k)))
-        spans.append(echelon_sum(modes, d))
+        live, modes = sliced_echelons(sig.level(k))
+        modes = list(modes)
+        spans.append(lift(echelon_sum(modes, len(live)), live, d))
         per_level.append({
             "level": k,
             "mode_dims": [len(rows) for rows in modes],

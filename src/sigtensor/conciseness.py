@@ -6,26 +6,29 @@ mode subspaces. For signatures this detects whether the underlying path is
 confined to an affine subspace: the recovered direction space is certified
 up to the truncation level only.
 
-mode_echelons is the one reader of a tensor's spans: lazily, each mode's
-integer _echelon rows, one per dimension of its mode subspace. echelon_sum
-sums spans by the same elimination and reads no echelon once the sum is Q^d.
-The rest count or sum those rows (over modes, then levels), and only the
-spans they return become Fraction RREF Subspaces.
+sliced_echelons is the one reader of a tensor's spans: its live letters J
+(those of its nonzero entries) and, lazily, each mode's integer _echelon
+rows on the J^k slice, one per dimension of its mode subspace; lift maps
+them back to Q^d. mode_echelons lifts each mode, and level_echelon sums the
+modes on the slice by the same elimination, so the sum stops at |J| rows.
+echelon_sum reads no echelon once its sum is full. The rest count or sum
+those rows (over modes, then levels), and only the spans they return become
+Fraction RREF Subspaces.
 
-A mode subspace is settled by the first d fibers when they span Q^d, else
-by the pivot columns of the d x d^(k-1) unfolding. When n < d of its rows
-are nonzero (a path in a coordinate hyperplane), the n columns from the
-first nonzero one are eliminated first, and reaching n pivots there skips
-the full unfolding. After a mode that needed the full unfolding, the next
-mode takes the same rows when swapping their two letters leaves the tensor
-unchanged, as at every mode of a symmetric tensor (a collinear path's
-levels).
+A mode subspace is settled in four tiers. The first d fibers settle it when
+they span Q^d; at mode 1 they also show that no letter is dead. Otherwise
+the dead letters are sliced away once per level (a path in a coordinate
+subspace), and the first |J| fibers of the slice settle each mode of a
+concise slice. Else the pivot columns of the unfolding settle it. After a
+mode that needed the full unfolding, the next mode takes the same rows when
+swapping their two letters leaves the tensor unchanged, as at every mode of
+a symmetric tensor (a collinear path's levels).
 """
 
 from __future__ import annotations
 
-from itertools import chain, compress, count, islice
-from typing import Iterable, Iterator
+from itertools import chain, islice, repeat
+from typing import Iterable, Iterator, Sequence
 
 from . import graded
 from .linalg import Echelon, Subspace, _echelon
@@ -43,21 +46,82 @@ def mode_echelons(t: Tensor) -> Iterator[Echelon]:
     """For each mode, in mode order and read lazily, the _echelon rows of its
     mode fibers: integer rows, one per dimension of the mode subspace, that
     span it. Order 0 is refused at the call."""
+    live, modes = sliced_echelons(t)
+    return (lift(rows, live, t.dim) for rows in modes)
+
+
+def level_echelon(t: Tensor) -> Echelon:
+    """The _echelon rows of the sum of t's mode subspaces, summed on the
+    live-letter slice: no mode is read once the sum spans the live letters."""
+    live, modes = sliced_echelons(t)
+    return lift(echelon_sum(modes, len(live)), live, t.dim)
+
+
+def echelon_sum(echelons: Iterable[Echelon], d: int) -> Echelon:
+    """The _echelon rows of the sum of the spans of the given echelons; no
+    echelon is read once the sum is Q^d."""
+    return _echelon((row for rows in echelons for _, row in rows), d)
+
+
+def sliced_echelons(t: Tensor) -> tuple[Sequence[int], Iterator[Echelon]]:
+    """t's live letters J, 0-based, and for each mode, read lazily, the
+    _echelon rows of its mode subspace in Q^|J|, settled on the J^k slice.
+
+    A letter is dead when its unfolding row is zero at every mode: no nonzero
+    entry holds it, so every mode subspace lies in span(e_j : j in J) and its
+    projection onto those coordinates, the slice's mode subspace, keeps its
+    dimension; lift maps the rows back. Mode 1's first d fibers are
+    eliminated first, and when they span Q^d no letter is dead: the modes
+    are then settled on t itself, mode 1 by those rows. Otherwise mode 1's
+    contiguous rows are read, and a letter's rows at the other modes only
+    when its mode-1 row is zero. Order 0 is refused at the call."""
     if t.order < 1:
         raise ValueError("mode subspaces need order >= 1")
-    return _mode_echelons(t.nums, t.dim, t.order)
+    nums, d, k = t.nums, t.dim, t.order
+    first = _echelon(islice(_fibers(nums, d, d ** (k - 1)), d), d)
+    if len(first) == d:
+        return range(d), chain([first], _settled(nums, d, k, 2))
+    live = [i for i in range(d) if any(any(map(any, _unfolding_runs(nums, d, d ** (k - mode), i))) for mode in range(1, k + 1))]
+    if not live:
+        return live, repeat([], k)
+    # a tuple, as the swap that _settled compares with the level is one
+    return live, _settled(nums if len(live) == d else tuple(_slice(t, live)), len(live), k, 1)
 
 
-def _mode_echelons(nums: tuple[int, ...], d: int, k: int) -> Iterator[Echelon]:
-    """mode_echelons on the integer numerators.
+def lift(rows: Echelon, live: Sequence[int], d: int) -> Echelon:
+    """_echelon rows in Q^|J| from sliced_echelons as rows in Q^d: column j
+    goes to the live letter J[j] and the dead coordinates are 0. As J rises,
+    the pivots keep their order and each row stays zero left of its pivot."""
+    if len(live) == d:
+        return rows
+    lifted = []
+    for pc, row in rows:
+        v = [0] * d
+        for j, x in zip(live, row):
+            v[j] = x
+        lifted.append((live[pc], v))
+    return lifted
+
+
+def _slice(t: Tensor, coords: Sequence[int]) -> list[int]:
+    """t's numerators at the indices in coords^k, in storage order."""
+    offsets = [0]
+    for _ in range(t.order):
+        offsets = [o * t.dim + j for o in offsets for j in coords]
+    return [t.nums[o] for o in offsets]
+
+
+def _settled(nums: tuple[int, ...], d: int, k: int, start: int) -> Iterator[Echelon]:
+    """The _echelon rows of modes start..k of the order-k tensor with
+    integer numerators nums in Q^d.
 
     When swapping letters i and i + 1 leaves the tensor unchanged, modes i
     and i + 1 have the same fibers, so mode i's rows are mode i + 1's. The
     swap is built only after a mode whose rows took the full unfolding's
     elimination (and after a mode that reused such rows): the first d
-    fibers and the n-column window settle a mode for less than the swap."""
+    fibers settle a mode for less than the swap."""
     unfolded: list[bool] = []  # set by _spanning_fibers when it eliminates the full unfolding
-    for mode in range(1, k + 1):
+    for mode in range(start, k + 1):
         stride = d ** (k - mode)
         if unfolded:
             # the entries whose other letters are all 1 form a d x d matrix in
@@ -73,10 +137,21 @@ def _mode_echelons(nums: tuple[int, ...], d: int, k: int) -> Iterator[Echelon]:
         yield rows
 
 
-def echelon_sum(echelons: Iterable[Echelon], d: int) -> Echelon:
-    """The _echelon rows of the sum of the spans of the given echelons; no
-    echelon is read once the sum is Q^d."""
-    return _echelon((row for rows in echelons for _, row in rows), d)
+def _fibers(nums: Sequence[int], d: int, stride: int) -> Iterator[Sequence[int]]:
+    """The mode fibers, in storage order, of the mode whose letter has the
+    given stride: strided slices of the numerators."""
+    block = stride * d
+    return (nums[base + off : base + block : stride] for base in range(0, len(nums), block) for off in range(stride))
+
+
+def _unfolding_runs(nums: Sequence[int], d: int, stride: int, i: int) -> Iterator[Sequence[int]]:
+    """Row i of that mode's unfolding, the entries whose letter there is i,
+    as the fewer slices (d^(mode-1) contiguous blocks or d^(k-mode) strided
+    runs), in one column order for all rows."""
+    block = stride * d
+    if len(nums) // block <= stride:
+        return (nums[b : b + stride] for b in range(i * stride, len(nums), block))
+    return (nums[i * stride + off :: block] for off in range(stride))
 
 
 def _spanning_fibers(nums: tuple[int, ...], d: int, stride: int, unfolded: list[bool]):
@@ -85,33 +160,15 @@ def _spanning_fibers(nums: tuple[int, ...], d: int, stride: int, unfolded: list[
     A fiber is a strided slice of the integer numerators: their one
     denominator scales every fiber alike, which keeps each span. The first d
     fibers come first, so a full mode stops there. Only if the echelon reads
-    on, and there are more fibers, are the d unfolding rows built, each
-    joined from the fewer slices (d^(mode-1) contiguous blocks or d^(k-mode)
-    strided runs, one column order for all rows); the fibers at the pivot
-    columns of their _echelon, the first linearly independent ones, follow.
-
-    With n < d nonzero rows the rank is at most n, and the pivots among the
-    n columns from the first nonzero one are the unfolding's pivots there.
-    So that window is eliminated first; if it holds n pivots they are all
-    of them, and the full elimination runs only when it does not; then
-    True is appended to unfolded."""
-    block = stride * d
-    yield from islice((nums[base + off : base + block : stride] for base in range(0, len(nums), block) for off in range(stride)), d)
+    on, and there are more fibers, are the d unfolding rows built; the
+    fibers at the pivot columns of their _echelon, the first linearly
+    independent ones, follow, and True is appended to unfolded."""
+    yield from islice(_fibers(nums, d, stride), d)
     if len(nums) <= d * d:  # at order <= 2 those were all the fibers
         return
-    if len(nums) // block <= stride:
-        rows = [list(chain.from_iterable(nums[b : b + stride] for b in range(i * stride, len(nums), block))) for i in range(d)]
-    else:
-        rows = [list(chain.from_iterable(nums[i * stride + off :: block] for off in range(stride))) for i in range(d)]
-    live = [r for r in rows if any(r)]
-    pivots = []
-    if len(live) < d:
-        start = min((next(compress(count(), r)) for r in live), default=0)
-        pivots = [start + pc for pc, _ in _echelon([r[start : start + len(live)] for r in live], len(live))]
-    if len(pivots) < len(live):
-        pivots = [pc for pc, _ in _echelon(live, len(rows[0]))]
-        unfolded.append(True)
-    for c in pivots:
+    rows = [list(chain.from_iterable(_unfolding_runs(nums, d, stride, i))) for i in range(d)]
+    unfolded.append(True)
+    for c, _ in _echelon(rows, len(rows[0])):
         yield [r[c] for r in rows]
 
 
@@ -123,7 +180,7 @@ def is_concise(t: Tensor) -> bool:
 def symmetric_conciseness(t: Tensor) -> Subspace:
     """The minimal W with t in W^(x)k: the span of the union of the mode
     subspaces. t is symmetrically concise iff this is all of Q^d."""
-    return Subspace._of_echelon(echelon_sum(mode_echelons(t), t.dim), t.dim)
+    return Subspace._of_echelon(level_echelon(t), t.dim)
 
 
 def tensor_in_power(t: Tensor, w: Subspace) -> bool:
@@ -145,8 +202,8 @@ def hyperplane_recovery(s: TruncatedSignature) -> Subspace | None:
     """
     if s.max_level < 2:
         raise ValueError("recovery needs truncation level >= 2")
-    # one sum over every mode of every level: no level after a full sum is read
-    total = echelon_sum(chain.from_iterable(mode_echelons(s.level(k)) for k in range(1, s.max_level + 1)), s.dim)
+    # no level after a full sum is read
+    total = echelon_sum((level_echelon(s.level(k)) for k in range(1, s.max_level + 1)), s.dim)
     return None if len(total) == s.dim else Subspace._of_echelon(total, s.dim)
 
 

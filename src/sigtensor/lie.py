@@ -78,11 +78,17 @@ class LogSignature(_Graded):
     def truncate(self, level: int) -> "LogSignature":
         """Levels 1..level: higher levels dropped, missing ones zero. Level k
         of exp only involves log levels <= k, so exp(l.truncate(K)) is exp(l)
-        truncated (or zero-padded) at K exactly."""
+        truncated (or zero-padded) at K exactly. The kept levels passed the
+        Dynkin check in self, and zero is a Lie element, so no level is
+        checked again."""
         if level == self.max_level:
             return self
-        levels = self.levels[:level] + tuple(Tensor.zeros(k, self.dim) for k in range(self.max_level + 1, level + 1))
-        return LogSignature(self.dim, level, levels)
+        if level < 0:
+            raise ValueError("max_level must be >= 0")
+        pad = tuple(Tensor._of_level(k, self.dim, ([0] * self.dim**k, 1)) for k in range(self.max_level + 1, level + 1))
+        l = LogSignature.__new__(LogSignature)
+        l.__dict__.update(dim=self.dim, max_level=level, levels=self.levels[:level] + pad)
+        return l
 
 
 def _truncated_product(x: list[graded.Level], c: Fraction, u: list[graded.Level], dim: int) -> list[graded.Level]:

@@ -38,7 +38,7 @@ from math import ceil, comb, factorial, lcm
 from typing import Callable, Iterable, Sequence
 
 from . import graded
-from .conciseness import echelon_sum, mode_echelons
+from .conciseness import _slice, level_echelon, mode_echelons
 from .linalg import Vector, _echelon, _rank_mod_p, _scaled_vectors, as_fraction, as_vector
 from .tensors import Tensor, _koszul_rows, mode_offsets
 
@@ -353,20 +353,12 @@ def _koszul_flattenings(t: Tensor):
             yield min(d * d, d * comb(d, 2)), d - 1, partial(_koszul_rows, t.nums, d, pivot)
 
 
-def _slice(t: Tensor, coords: Sequence[int]) -> list[int]:
-    """t's numerators at the indices in coords^k, in storage order."""
-    offsets = [0]
-    for _ in range(t.order):
-        offsets = [o * t.dim + j for o in offsets for j in coords]
-    return [t.nums[o] for o in offsets]
-
-
 def _core(t: Tensor) -> tuple[Sequence[int], int]:
     """The numerators and dim to scan flattenings on: t's own if the sum U of
     its mode subspaces is full, else the subtensor at J^k and |J|, J the pivot
     columns of U's echelon rows (of a zero tensor, none). t lies in U^(x)k and
     the projection onto J is injective on U, so no flattening rank changes."""
-    pivots = [pc for pc, _ in echelon_sum(mode_echelons(t), t.dim)]
+    pivots = [pc for pc, _ in level_echelon(t)]
     if len(pivots) == t.dim:
         return t.nums, t.dim
     return _slice(t, pivots), len(pivots)

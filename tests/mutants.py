@@ -73,15 +73,15 @@ MUTANTS = [
     Mutant(
         "the core drops one pivot of U",
         "ranks.py",
-        "pivots = [pc for pc, _ in echelon_sum(mode_echelons(t), t.dim)]",
-        "pivots = [pc for pc, _ in echelon_sum(mode_echelons(t), t.dim)[1:]]",
+        "pivots = [pc for pc, _ in level_echelon(t)]",
+        "pivots = [pc for pc, _ in level_echelon(t)[1:]]",
         (FLAT + "test_core_is_the_slice_at_the_pivot_coordinates", FLAT + "test_core_scan_matches_the_ambient_scan"),
     ),
     Mutant(
         "U is the first mode subspace, not the sum of all of them",
-        "ranks.py",
-        "pivots = [pc for pc, _ in echelon_sum(mode_echelons(t), t.dim)]",
-        "pivots = [pc for pc, _ in echelon_sum([next(mode_echelons(t))], t.dim)]",
+        "conciseness.py",
+        "return lift(echelon_sum(modes, len(live)), live, t.dim)",
+        "return lift(echelon_sum([next(modes)], len(live)), live, t.dim)",
         (FLAT + "test_core_spans_every_mode_subspace_not_only_the_first", FLAT + "test_core_scan_matches_the_ambient_scan"),
     ),
     Mutant(
@@ -415,11 +415,25 @@ MUTANTS = [
         ("tests/test_tensors.py::test_sums_that_cancel_to_integers_have_denominator_one", "tests/test_tensors.py::test_arithmetic_matches_fraction_references"),
     ),
     Mutant(
-        "_spanning_fibers trusts a window short of the rank",
+        "the dead-letter check reads mode 1 only, so a letter live only at a later mode is sliced away",
         "conciseness.py",
-        "if len(pivots) < len(live):",
-        "if len(live) == d:",
-        (ELIM + "test_a_window_short_of_the_rank_falls_back_to_the_unfolding",),
+        "any(any(map(any, _unfolding_runs(nums, d, d ** (k - mode), i))) for mode in range(1, k + 1))",
+        "any(any(map(any, _unfolding_runs(nums, d, d ** (k - mode), i))) for mode in range(1, 2))",
+        (ELIM + "test_a_letter_live_at_a_later_mode_only_is_kept", ELIM + "test_mode_subspaces_match_one_fiber_at_a_time_scan"),
+    ),
+    Mutant(
+        "the lift leaves pivot column j unmapped",
+        "conciseness.py",
+        "lifted.append((live[pc], v))",
+        "lifted.append((pc, v))",
+        (ELIM + "test_a_level_in_a_coordinate_hyperplane_eliminates_no_unfolding", ELIM + "test_the_level_sum_on_the_slice_is_the_sum_of_the_ambient_modes"),
+    ),
+    Mutant(
+        "the slice drops the last live letter",
+        "conciseness.py",
+        "offsets = [o * t.dim + j for o in offsets for j in coords]",
+        "offsets = [o * t.dim + j for o in offsets for j in coords[:-1]]",
+        (ELIM + "test_a_level_in_a_coordinate_plane_eliminates_no_unfolding", ELIM + "test_mode_subspaces_match_one_fiber_at_a_time_scan"),
     ),
     Mutant(
         "mode_echelons reuses a mode's rows without comparing the swapped level",
@@ -433,7 +447,7 @@ MUTANTS = [
         "conciseness.py",
         "        if unfolded:\n            # the entries whose",
         "        if mode > 1:\n            # the entries whose",
-        (ELIM + "test_generic_and_confined_levels_build_no_swapped_level",),
+        (ELIM + "test_a_symmetric_level_settled_by_its_first_fibers_builds_no_swapped_level", ELIM + "test_generic_and_confined_levels_build_no_swapped_level"),
     ),
     Mutant(
         "mode_echelons swaps the whole level without the check on the entries whose other letters are 1",
@@ -460,7 +474,7 @@ MUTANTS = [
         "classify_222_complex_rank counts the level sum instead of each mode",
         "ranks.py",
         "ranks = [len(rows) for rows in mode_echelons(t)]",
-        "ranks = [len(echelon_sum(mode_echelons(t), t.dim))] * 3",
+        "ranks = [len(level_echelon(t))] * 3",
         (FLAT + "test_classify_222_counts_each_mode_not_their_sum", FLAT + "test_classify_222_matches_the_flattening_reference"),
     ),
     Mutant(
@@ -529,8 +543,8 @@ MUTANTS = [
     Mutant(
         "concise sums only the first mode's rows into a level's span",
         "cli.py",
-        "spans.append(echelon_sum(modes, d))",
-        "spans.append(echelon_sum(modes[:1], d))",
+        "spans.append(lift(echelon_sum(modes, len(live)), live, d))",
+        "spans.append(lift(echelon_sum(modes[:1], len(live)), live, d))",
         (CONC + "test_concise_level_span_sums_every_mode", CONC + "test_concise_agrees_with_the_fraction_path"),
     ),
     Mutant(

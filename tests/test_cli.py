@@ -706,9 +706,9 @@ def test_concise_over_level_guard_exits_4_at_once(capsys, monkeypatch, tmp_path)
     from sigtensor import conciseness
 
     def no_work(t):
-        raise AssertionError("mode_echelons ran past the guard")
+        raise AssertionError("sliced_echelons ran past the guard")
 
-    monkeypatch.setattr(conciseness, "mode_echelons", no_work)
+    monkeypatch.setattr(conciseness, "sliced_echelons", no_work)
     sig_file = dim1_zero_signature(tmp_path, 2000)
     start = perf_counter()
     code, out, err = run(capsys, "concise", "--sig", sig_file)

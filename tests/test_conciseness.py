@@ -353,8 +353,8 @@ def test_hyperplane_recovery_reads_no_level_after_the_sum_is_full(monkeypatch):
 
 def test_symmetric_conciseness_after_a_full_mode_eliminates_no_unfolding(monkeypatch):
     # sum_i e_i (x) e_1 (x) e_i in Q^3: mode 1 is full from its first 3 fibers,
-    # mode 2 is the line through e_1, and reading it would eliminate a window
-    # of its unfolding (a list of rows; fibers and echelon rows come as iterators)
+    # mode 2 is the line through e_1, and reading it would eliminate its
+    # unfolding (a list of rows; fibers and echelon rows come as iterators)
     def no_unfolding(rows, n):
         if isinstance(rows, list):
             raise AssertionError("an unfolding was eliminated after the sum was full")

@@ -11,7 +11,7 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from sigtensor import Path, Subspace, Tensor, conciseness, graded, mode_subspaces, pwl_signature, rref, symmetry_report
+from sigtensor import Path, Subspace, Tensor, conciseness, graded, mode_subspaces, pwl_signature, rref, symmetric_conciseness, symmetry_report
 from sigtensor.linalg import _echelon, integer_rank
 
 from references import reference_flattening, reference_rref, reference_violation
@@ -216,33 +216,51 @@ def test_pivot_column_after_a_long_zero_run():
     assert integer_rank(rows) == 1
 
 
-def fiber_scan_mode_subspaces(t: Tensor) -> list[Subspace]:
-    """Every mode fiber, one at a time, through the incremental echelon."""
+def fiber_scan_echelons(t: Tensor) -> list[list]:
+    """Every mode fiber, one at a time, through the incremental echelon in Q^d."""
     d, nums = t.dim, t.nums
     out = []
     for mode in range(1, t.order + 1):
         stride = d ** (t.order - mode)
         block = stride * d
         fibers = (nums[base + off : base + block : stride] for base in range(0, len(nums), block) for off in range(stride))
-        out.append(Subspace._of_echelon(_echelon(fibers, d), d))
+        out.append(_echelon(fibers, d))
     return out
+
+
+def fiber_scan_mode_subspaces(t: Tensor) -> list[Subspace]:
+    return [Subspace._of_echelon(rows, t.dim) for rows in fiber_scan_echelons(t)]
 
 
 @st.composite
 def mode_tensors(draw):
     """Order 1..4, d <= 5: random entries, a sum of elementary tensors with
     factors in a random subspace, a tensor confined to a coordinate subspace
-    without e_1 (so its leading fibers are zero), rank 1, zero, or, at order
-    3..4, a sum of elementary tensors with factors in a random subspace of
-    such a coordinate subspace: its unfoldings have zero rows, a zero prefix
-    longer than d and, when that subspace has fewer dimensions than there
-    are live coordinates, dependent nonzero rows. Their n-column windows
-    reach n pivots on some draws and fall short on others."""
+    without e_1 (so its leading fibers are zero and letter 1 is dead), rank
+    1, zero, at order 3..4 a sum of elementary tensors with factors in a
+    random subspace of such a coordinate subspace (its unfoldings have zero
+    rows, a zero prefix longer than d and, when that subspace has fewer
+    dimensions than there are live coordinates, dependent nonzero rows, so
+    the slice is not concise), or, at order 2..4, a sum of elementary
+    tensors whose factors vanish at coordinate 1 at some positions only, as
+    a (x) a (x) b with a_1 = 0 and b_1 != 0: letter 1 is dead at those modes
+    and live at the others."""
     k, d = draw(st.integers(1, 4)), draw(st.integers(1, 5))
-    kind = draw(st.sampled_from(["random", "subspace", "confined", "rank1", "zero", "dead_subspace"]))
+    kind = draw(st.sampled_from(["random", "subspace", "confined", "rank1", "zero", "dead_subspace", "partly_dead"]))
     vector = st.lists(rationals, min_size=d, max_size=d)
     if kind == "zero":
         return Tensor.zeros(k, d)
+    if kind == "partly_dead":
+        k = max(k, 2)
+        dead_at = draw(st.sets(st.integers(0, k - 1), min_size=1, max_size=k - 1))
+        nonzero = rationals.filter(bool)
+
+        def factor(position):
+            v = draw(vector)
+            return [0] + v[1:] if position in dead_at else [draw(nonzero)] + v[1:]
+
+        terms = draw(st.integers(1, 3))
+        return sum((Tensor.elementary([factor(p) for p in range(k)], d) for _ in range(terms)), Tensor.zeros(k, d))
     if kind == "rank1":
         return Tensor.elementary(draw(st.lists(vector, min_size=k, max_size=k)), d).scale(draw(rationals))
     if kind in ("subspace", "dead_subspace"):
@@ -270,9 +288,18 @@ def test_mode_subspaces_match_one_fiber_at_a_time_scan(t):
     assert mode_subspaces(t) == fiber_scan_mode_subspaces(t)
 
 
+@SETTINGS
+@given(mode_tensors())
+def test_the_level_sum_on_the_slice_is_the_sum_of_the_ambient_modes(t):
+    ambient = conciseness.echelon_sum(fiber_scan_echelons(t), t.dim)
+    level = conciseness.level_echelon(t)
+    assert [pc for pc, _ in level] == [pc for pc, _ in ambient]
+    assert Subspace._of_echelon(level, t.dim) == Subspace._of_echelon(ambient, t.dim)
+
+
 def test_full_modes_are_settled_by_their_first_fibers(monkeypatch):
     # the fiber stream and the sum of spans reach _echelon as iterators;
-    # an unfolding (or a window of it) as a list of rows
+    # an unfolding as a list of rows
     def no_unfolding(rows, n):
         if isinstance(rows, list):
             raise AssertionError("the unfolding of a full mode was eliminated")
@@ -284,9 +311,9 @@ def test_full_modes_are_settled_by_their_first_fibers(monkeypatch):
 
 
 def eliminated_widths(monkeypatch) -> list[int]:
-    """The column counts of the unfoldings (and windows of them) that
-    mode_subspaces eliminates, in order: the lists of rows that reach
-    _echelon, not the iterators of fibers or of echelon rows."""
+    """The column counts of the unfoldings that mode_subspaces eliminates,
+    in order: the lists of rows that reach _echelon, not the iterators of
+    fibers or of echelon rows."""
     widths = []
 
     def recorded(rows, n):
@@ -302,25 +329,37 @@ def eliminated_widths(monkeypatch) -> list[int]:
 INCREMENTS = [[1, -2, 3, 0], [-3, 1, 0, 2], [2, 2, -1, -3], [0, -1, 3, 1], [-2, 3, 1, -1], [3, 0, -2, 2]]
 
 
-def test_coordinate_confined_modes_are_settled_in_the_window(monkeypatch):
-    # in {x_1 = 0} each level-5 unfolding has one zero row, then 4 independent
-    # rows whose pivots are the 4 columns after the first nonzero one
+def test_a_level_in_a_coordinate_hyperplane_eliminates_no_unfolding(monkeypatch):
+    # in {x_1 = 0} letter 1 is dead: each mode of the 4^5 slice is settled by
+    # its first 4 fibers, and the rows are lifted to span(e_2..e_5)
     widths = eliminated_widths(monkeypatch)
     t = pwl_signature(Path.from_increments([[0] + u for u in INCREMENTS]), 5).level(5)
     hyperplane = Subspace.span([[int(i == j) for i in range(5)] for j in range(1, 5)], 5)
+    assert conciseness.sliced_echelons(t)[0] == [1, 2, 3, 4]
     assert mode_subspaces(t) == [hyperplane] * 5
-    assert widths == [4] * 5
+    assert widths == []
     assert fiber_scan_mode_subspaces(t) == [hyperplane] * 5
 
 
-def test_a_window_short_of_the_rank_falls_back_to_the_unfolding(monkeypatch):
-    # in {x_1 = x_3 = 0} a level-3 unfolding has 3 independent nonzero rows,
-    # but a window (2, 2), (2, 3), (2, 4) holds the zero column (2, 3)
+def test_a_level_in_a_coordinate_plane_eliminates_no_unfolding(monkeypatch):
+    # in {x_1 = x_3 = 0} letters 1 and 3 are dead: each mode of the 3^3
+    # slice is settled by its first 3 fibers
     widths = eliminated_widths(monkeypatch)
     t = pwl_signature(Path.from_increments([[0, u[0], 0] + u[1:3] for u in INCREMENTS]), 3).level(3)
     plane = Subspace.span([[0, 1, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]], 5)
+    assert conciseness.sliced_echelons(t)[0] == [1, 3, 4]
     assert mode_subspaces(t) == [plane] * 3 == fiber_scan_mode_subspaces(t)
-    assert widths == [3, 5**2] * 3
+    assert symmetric_conciseness(t) == plane
+    assert widths == []
+
+
+def test_a_letter_live_at_a_later_mode_only_is_kept():
+    # a (x) a (x) b with a_1 = 0 and b_1 != 0: letter 1's rows at modes 1 and
+    # 2 are zero, its row at mode 3 is not, so no letter is sliced away
+    a, b = [0, 2, 3, 4, 5], [1, 1, 1, 1, 1]
+    t = Tensor.elementary([a, a, b])
+    assert conciseness.sliced_echelons(t)[0] == [0, 1, 2, 3, 4]
+    assert mode_subspaces(t) == [reference_span([a], 5)] * 2 + [reference_span([b], 5)]
 
 
 def test_non_coordinate_hyperplane_modes_fall_back_to_the_unfolding(monkeypatch):
@@ -362,13 +401,24 @@ def test_a_collinear_level_eliminates_one_unfolding_and_reuses_it(monkeypatch):
 
 @pytest.mark.parametrize("increments", [INCREMENTS, [[0] + u for u in INCREMENTS]], ids=["generic", "confined"])
 def test_generic_and_confined_levels_build_no_swapped_level(monkeypatch, increments):
-    # the first d fibers or the n-column window settle each mode: no mode
-    # needs the full unfolding, so no swap is tried
+    # the first fibers of the level or of its live-letter slice settle each
+    # mode: no mode needs the full unfolding, so no swap is tried
     built = swaps_built(monkeypatch)
     s = pwl_signature(Path.from_increments(increments), 5)
     ranks = [[len(rows) for rows in conciseness.mode_echelons(s.level(k))] for k in range(1, 6)]
     assert built == []
     assert ranks == [[1]] + [[4] * k for k in range(2, 6)]  # both paths span a 4-dimensional space
+
+
+def test_a_symmetric_level_settled_by_its_first_fibers_builds_no_swapped_level(monkeypatch):
+    # sum_i v_i^(x)3 with v_i = (1, i, i^2): symmetric, so every swap keeps it
+    # and its entries whose other letters are 1 are symmetric too, but each
+    # mode's first 3 fibers span Q^3, so no swap is tried
+    built = swaps_built(monkeypatch)
+    vs = [[1, i, i * i] for i in (1, 2, 3)]
+    t = sum((Tensor.elementary([v] * 3) for v in vs), Tensor.zeros(3, 3))
+    assert [len(rows) for rows in conciseness.mode_echelons(t)] == [3, 3, 3]
+    assert built == []
 
 
 def test_a_level_in_a_non_coordinate_hyperplane_builds_no_swapped_level(monkeypatch):
@@ -390,17 +440,17 @@ def test_a_level_in_a_non_coordinate_hyperplane_builds_no_swapped_level(monkeypa
 def test_reuse_stops_at_a_swap_that_changes_the_tensor(monkeypatch):
     # a_1 (x) a_1 (x) b_1 + a_2 (x) a_2 (x) b_2: modes 1 and 2 span the a's,
     # mode 3 the b's; swapping letters 1 and 2 keeps the tensor, swapping 2
-    # and 3 does not. The a's vanish at coordinate 1, so mode 1's window of
-    # 4 nonzero rows holds 2 pivots and its full unfolding is eliminated,
-    # and every entry t[1, a, b] is 0, so only the whole level refuses the
-    # second swap. No entry of b_1 is 0, so mode 3's rows are all nonzero
+    # and 3 does not. The a's vanish at coordinate 1, but b_1 does not, so no
+    # letter is dead and mode 1 eliminates its full unfolding, and every
+    # entry t[1, a, b] is 0, so only the whole level refuses the second swap.
+    # No entry of b_1 is 0, so mode 3's rows are all nonzero
     a = [[0, 2, 3, 4, 5], [0, -1, 1, 3, -2]]
     b = [[1, 1, 1, 1, 1], [1, -1, 2, 0, 3]]
     t = Tensor.elementary([a[0], a[0], b[0]]) + Tensor.elementary([a[1], a[1], b[1]])
     widths, built = eliminated_widths(monkeypatch), swaps_built(monkeypatch)
     modes = list(conciseness.mode_echelons(t))
     assert built == [0, 1]
-    assert widths == [4, 25, 25]
+    assert widths == [25, 25]
     assert modes[1] is modes[0]
     assert [Subspace._of_echelon(rows, 5) for rows in modes] == [reference_span(a, 5)] * 2 + [reference_span(b, 5)]
 

@@ -97,6 +97,24 @@ def test_truncate_drops_and_pads_levels():
     assert exp_log_signature(long) == segment_signature([1, -2, 3], 5)
 
 
+def test_truncate_checks_no_level_again(monkeypatch):
+    # the levels it keeps passed the Dynkin check when l was built, and the
+    # levels it pads are zero
+    from sigtensor import lie
+
+    l = log_signature(segment_signature([1, -2, 3], 4))
+    calls = []
+    real = lie.is_lie_element
+    monkeypatch.setattr(lie, "is_lie_element", lambda t: calls.append(t.order) or real(t))
+    short, long = l.truncate(2), l.truncate(6)
+    assert calls == []
+    assert short == LogSignature.from_levels(l.levels[:2], 3)
+    assert long == LogSignature.from_levels([*l.levels, Tensor.zeros(5, 3), Tensor.zeros(6, 3)], 3)
+    assert calls == [1, 2, 1, 2, 3, 4, 5, 6]  # the two comparisons' own checks
+    with pytest.raises(ValueError, match="max_level must be >= 0"):
+        l.truncate(-1)
+
+
 def test_exp_of_pure_level_one_is_segment():
     l = LogSignature.from_levels(
         [Tensor.from_vector([2, 1, -1])] + [Tensor.zeros(k, 3) for k in (2, 3, 4)], 3
