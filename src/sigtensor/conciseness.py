@@ -6,28 +6,29 @@ mode subspaces. For signatures this detects whether the underlying path is
 confined to an affine subspace: the recovered direction space is certified
 up to the truncation level only.
 
-sliced_echelons is the one reader of a tensor's spans: its live letters J
+live_echelons is the one reader of a tensor's spans: its live letters J
 (those of its nonzero entries) and, lazily, each mode's integer _echelon
-rows on the J^k slice, one per dimension of its mode subspace; lift maps
-them back to Q^d. mode_echelons lifts each mode, and level_echelon sums the
-modes on the slice by the same elimination, so the sum stops at |J| rows.
-echelon_sum reads no echelon once its sum is full. The rest count or sum
-those rows (over modes, then levels), and only the spans they return become
-Fraction RREF Subspaces.
+rows in Q^d, one per dimension of its mode subspace. mode_echelons takes
+each mode as it comes, and level_echelon sums the modes by the same
+elimination, so the sum stops at |J| rows. echelon_sum reads no echelon
+once its sum is full. The rest count or sum those rows (over modes, then
+levels), and only the spans they return become Fraction RREF Subspaces.
 
-A mode subspace is settled in four tiers. The first d fibers settle it when
-they span Q^d; at mode 1 they also show that no letter is dead. Otherwise
-the dead letters are sliced away once per level (a path in a coordinate
-subspace), and the first |J| fibers of the slice settle each mode of a
-concise slice. Else the pivot columns of the unfolding settle it. After a
-mode that needed the full unfolding, the next mode takes the same rows when
+A mode subspace is settled in three tiers. The first d fibers settle it
+when they span Q^d; at mode 1 they also show that no letter is dead.
+Otherwise the dead letters are found once per level (a path in a
+coordinate subspace), and every mode's elimination is capped at |J| rows:
+its first |J| fibers, those whose other letters are all the first live
+letter but the last, which runs over J, settle it when they span the live
+letters. Else the pivot columns of the unfolding settle it. After a mode
+that needed the full unfolding, the next mode takes the same rows when
 swapping their two letters leaves the tensor unchanged, as at every mode of
 a symmetric tensor (a collinear path's levels).
 """
 
 from __future__ import annotations
 
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Sequence
 
 from . import graded
@@ -46,102 +47,82 @@ def mode_echelons(t: Tensor) -> Iterator[Echelon]:
     """For each mode, in mode order and read lazily, the _echelon rows of its
     mode fibers: integer rows, one per dimension of the mode subspace, that
     span it. Order 0 is refused at the call."""
-    live, modes = sliced_echelons(t)
-    return (lift(rows, live, t.dim) for rows in modes)
+    return live_echelons(t)[1]
 
 
 def level_echelon(t: Tensor) -> Echelon:
-    """The _echelon rows of the sum of t's mode subspaces, summed on the
-    live-letter slice: no mode is read once the sum spans the live letters."""
-    live, modes = sliced_echelons(t)
-    return lift(echelon_sum(modes, len(live)), live, t.dim)
+    """The _echelon rows of the sum of t's mode subspaces: no mode is read
+    once the sum spans the live letters."""
+    live, modes = live_echelons(t)
+    return echelon_sum(modes, len(live))
 
 
 def echelon_sum(echelons: Iterable[Echelon], d: int) -> Echelon:
     """The _echelon rows of the sum of the spans of the given echelons; no
-    echelon is read once the sum is Q^d."""
+    echelon is read once the sum has d rows."""
     return _echelon((row for rows in echelons for _, row in rows), d)
 
 
-def sliced_echelons(t: Tensor) -> tuple[Sequence[int], Iterator[Echelon]]:
+def live_echelons(t: Tensor) -> tuple[Sequence[int], Iterator[Echelon]]:
     """t's live letters J, 0-based, and for each mode, read lazily, the
-    _echelon rows of its mode subspace in Q^|J|, settled on the J^k slice.
+    _echelon rows of its mode subspace in Q^d, at most |J| of them.
 
     A letter is dead when its unfolding row is zero at every mode: no nonzero
-    entry holds it, so every mode subspace lies in span(e_j : j in J) and its
-    projection onto those coordinates, the slice's mode subspace, keeps its
-    dimension; lift maps the rows back. Mode 1's first d fibers are
-    eliminated first, and when they span Q^d no letter is dead: the modes
-    are then settled on t itself, mode 1 by those rows. Otherwise mode 1's
-    contiguous rows are read, and a letter's rows at the other modes only
+    entry holds it, so every mode subspace lies in span(e_j : j in J). Mode
+    1's first d fibers are eliminated first, and when they span Q^d no
+    letter is dead: the later modes are settled as they come. Otherwise mode
+    1's contiguous rows are read, and a letter's rows at the other modes only
     when its mode-1 row is zero. Order 0 is refused at the call."""
     if t.order < 1:
         raise ValueError("mode subspaces need order >= 1")
     nums, d, k = t.nums, t.dim, t.order
-    first = _echelon(islice(_fibers(nums, d, d ** (k - 1)), d), d)
+    first = _echelon(_first_fibers(nums, d, k, d ** (k - 1), range(d)), d)
     if len(first) == d:
-        return range(d), chain([first], _settled(nums, d, k, 2))
+        return range(d), chain([first], _settled(nums, d, k, 2, range(d)))
     live = [i for i in range(d) if any(any(map(any, _unfolding_runs(nums, d, d ** (k - mode), i))) for mode in range(1, k + 1))]
     if not live:
         return live, repeat([], k)
-    # a tuple, as the swap that _settled compares with the level is one
-    return live, _settled(nums if len(live) == d else tuple(_slice(t, live)), len(live), k, 1)
+    return live, _settled(nums, d, k, 1, live)
 
 
-def lift(rows: Echelon, live: Sequence[int], d: int) -> Echelon:
-    """_echelon rows in Q^|J| from sliced_echelons as rows in Q^d: column j
-    goes to the live letter J[j] and the dead coordinates are 0. As J rises,
-    the pivots keep their order and each row stays zero left of its pivot."""
-    if len(live) == d:
-        return rows
-    lifted = []
-    for pc, row in rows:
-        v = [0] * d
-        for j, x in zip(live, row):
-            v[j] = x
-        lifted.append((live[pc], v))
-    return lifted
-
-
-def _slice(t: Tensor, coords: Sequence[int]) -> list[int]:
-    """t's numerators at the indices in coords^k, in storage order."""
-    offsets = [0]
-    for _ in range(t.order):
-        offsets = [o * t.dim + j for o in offsets for j in coords]
-    return [t.nums[o] for o in offsets]
-
-
-def _settled(nums: tuple[int, ...], d: int, k: int, start: int) -> Iterator[Echelon]:
+def _settled(nums: tuple[int, ...], d: int, k: int, start: int, live: Sequence[int]) -> Iterator[Echelon]:
     """The _echelon rows of modes start..k of the order-k tensor with
-    integer numerators nums in Q^d.
+    integer numerators nums in Q^d, each elimination capped at its |J| live
+    letters.
 
     When swapping letters i and i + 1 leaves the tensor unchanged, modes i
     and i + 1 have the same fibers, so mode i's rows are mode i + 1's. The
     swap is built only after a mode whose rows took the full unfolding's
-    elimination (and after a mode that reused such rows): the first d
-    fibers settle a mode for less than the swap."""
+    elimination (and after a mode that reused such rows): the first fibers
+    settle a mode for less than the swap."""
     unfolded: list[bool] = []  # set by _spanning_fibers when it eliminates the full unfolding
     for mode in range(start, k + 1):
         stride = d ** (k - mode)
         if unfolded:
-            # the entries whose other letters are all 1 form a d x d matrix in
-            # the two swapped letters, which the swap transposes: when it is not
-            # symmetric, as at a path in a non-coordinate hyperplane, the whole
-            # level is not swapped
-            corner = nums[: d * d * stride : stride]
+            # the entries whose other letters are all live[0] form a d x d
+            # matrix in the two swapped letters, which the swap transposes:
+            # when it is not symmetric, as at a path in a non-coordinate
+            # hyperplane, the whole level is not swapped
+            base = live[0] * (sum(d**p for p in range(k)) - (d + 1) * stride)
+            corner = nums[base : base + d * d * stride : stride]
             if all(corner[a * d : (a + 1) * d] == corner[a::d] for a in range(d)) and graded.swap_positions(nums, d, k, mode - 2) == nums:
                 yield rows
                 continue
             unfolded.clear()
-        rows = _echelon(_spanning_fibers(nums, d, stride, unfolded), d)
+        rows = _echelon(_spanning_fibers(nums, d, k, stride, live, unfolded), len(live))
         yield rows
 
 
-def _fibers(nums: Sequence[int], d: int, stride: int) -> Iterator[Sequence[int]]:
-    """The mode fibers, in storage order, of the mode whose letter has the
-    given stride: strided slices of the numerators."""
-    block = stride * d
-    return (nums[base + off : base + block : stride] for base in range(0, len(nums), block) for off in range(stride))
+def _first_fibers(nums: Sequence[int], d: int, k: int, stride: int, live: Sequence[int]) -> Iterator[Sequence[int]]:
+    """The first |J| mode fibers of the J^k slice, in Q^d, of the mode whose
+    letter has the given stride: the strided slices of the numerators whose
+    other letters are all live[0] but the last, which runs over J. Every
+    fiber holding a dead letter is zero."""
+    if k == 1:
+        return iter([nums])
+    step = d if stride == 1 else 1  # the stride of the last other letter
+    base = live[0] * (sum(d**p for p in range(k)) - stride - step)
+    return (nums[o : o + d * stride : stride] for o in (base + j * step for j in live))
 
 
 def _unfolding_runs(nums: Sequence[int], d: int, stride: int, i: int) -> Iterator[Sequence[int]]:
@@ -154,17 +135,18 @@ def _unfolding_runs(nums: Sequence[int], d: int, stride: int, i: int) -> Iterato
     return (nums[i * stride + off :: block] for off in range(stride))
 
 
-def _spanning_fibers(nums: tuple[int, ...], d: int, stride: int, unfolded: list[bool]):
+def _spanning_fibers(nums: tuple[int, ...], d: int, k: int, stride: int, live: Sequence[int], unfolded: list[bool]):
     """Mode fibers that span the mode subspace, read lazily by the echelon.
 
     A fiber is a strided slice of the integer numerators: their one
-    denominator scales every fiber alike, which keeps each span. The first d
-    fibers come first, so a full mode stops there. Only if the echelon reads
-    on, and there are more fibers, are the d unfolding rows built; the
-    fibers at the pivot columns of their _echelon, the first linearly
-    independent ones, follow, and True is appended to unfolded."""
-    yield from islice(_fibers(nums, d, stride), d)
-    if len(nums) <= d * d:  # at order <= 2 those were all the fibers
+    denominator scales every fiber alike, which keeps each span. The first
+    |J| fibers of the live-letter slice come first, so a mode that they span
+    stops there. Only if the echelon reads on, and there are more fibers,
+    are the d unfolding rows built; the fibers at the pivot columns of their
+    _echelon, the first linearly independent ones, follow, and True is
+    appended to unfolded."""
+    yield from _first_fibers(nums, d, k, stride, live)
+    if k <= 2:  # every other fiber holds a dead letter, so is zero
         return
     rows = [list(chain.from_iterable(_unfolding_runs(nums, d, stride, i))) for i in range(d)]
     unfolded.append(True)

@@ -85,7 +85,7 @@ class LogSignature(_Graded):
             return self
         if level < 0:
             raise ValueError("max_level must be >= 0")
-        pad = tuple(Tensor._of_level(k, self.dim, ([0] * self.dim**k, 1)) for k in range(self.max_level + 1, level + 1))
+        pad = tuple(Tensor.zeros(k, self.dim) for k in range(self.max_level + 1, level + 1))
         l = LogSignature.__new__(LogSignature)
         l.__dict__.update(dim=self.dim, max_level=level, levels=self.levels[:level] + pad)
         return l

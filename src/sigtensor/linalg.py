@@ -7,8 +7,8 @@ One kernel, _echelon, does every exact elimination: incremental fraction-free
 (Bareiss) elimination that reads vectors one at a time, stops once the span
 is full, and keeps every entry a minor of the input, so integers stay
 small. integer_rank counts its rows; subspaces, inclusion tests and rref read its
-rows; conciseness.sliced_echelons feeds it a tensor's (or its live-letter
-slice's) first integer fibers and, when they do not span, the fibers at the
+rows; conciseness.live_echelons feeds it a tensor's first integer fibers,
+capped at its live letters, and, when they do not span, the fibers at the
 pivot columns of the unfolding, which come from _echelon too, and sums the
 modes' rows with it again. Fractions appear only when the echelon's at most
 d rows become the canonical RREF basis (Subspace._of_echelon);

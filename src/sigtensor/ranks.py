@@ -38,7 +38,7 @@ from math import ceil, comb, factorial, lcm
 from typing import Callable, Iterable, Sequence
 
 from . import graded
-from .conciseness import _slice, level_echelon, mode_echelons
+from .conciseness import level_echelon, mode_echelons
 from .linalg import Vector, _echelon, _rank_mod_p, _scaled_vectors, as_fraction, as_vector
 from .tensors import Tensor, _koszul_rows, mode_offsets
 
@@ -351,6 +351,14 @@ def _koszul_flattenings(t: Tensor):
     if t.order == 3 and d >= 2:
         for pivot in (1, 2, 3):
             yield min(d * d, d * comb(d, 2)), d - 1, partial(_koszul_rows, t.nums, d, pivot)
+
+
+def _slice(t: Tensor, coords: Sequence[int]) -> list[int]:
+    """t's numerators at the indices in coords^k, in storage order."""
+    offsets = [0]
+    for _ in range(t.order):
+        offsets = [o * t.dim + j for o in offsets for j in coords]
+    return [t.nums[o] for o in offsets]
 
 
 def _core(t: Tensor) -> tuple[Sequence[int], int]:

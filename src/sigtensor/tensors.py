@@ -72,7 +72,11 @@ class Tensor:
 
     @staticmethod
     def zeros(order: int, dim: int) -> "Tensor":
-        return Tensor(order, dim, (Fraction(0),) * dim**order)
+        if order < 0:
+            raise ValueError("order must be >= 0")
+        if dim < 1:
+            raise ValueError("dim must be >= 1")
+        return Tensor._of_level(order, dim, ([0] * dim**order, 1))
 
     @staticmethod
     def scalar(value, dim: int) -> "Tensor":

@@ -80,8 +80,8 @@ MUTANTS = [
     Mutant(
         "U is the first mode subspace, not the sum of all of them",
         "conciseness.py",
-        "return lift(echelon_sum(modes, len(live)), live, t.dim)",
-        "return lift(echelon_sum([next(modes)], len(live)), live, t.dim)",
+        "return echelon_sum(modes, len(live))",
+        "return echelon_sum([next(modes)], len(live))",
         (FLAT + "test_core_spans_every_mode_subspace_not_only_the_first", FLAT + "test_core_scan_matches_the_ambient_scan"),
     ),
     Mutant(
@@ -422,18 +422,32 @@ MUTANTS = [
         (ELIM + "test_a_letter_live_at_a_later_mode_only_is_kept", ELIM + "test_mode_subspaces_match_one_fiber_at_a_time_scan"),
     ),
     Mutant(
-        "the lift leaves pivot column j unmapped",
-        "conciseness.py",
-        "lifted.append((live[pc], v))",
-        "lifted.append((pc, v))",
-        (ELIM + "test_a_level_in_a_coordinate_hyperplane_eliminates_no_unfolding", ELIM + "test_the_level_sum_on_the_slice_is_the_sum_of_the_ambient_modes"),
-    ),
-    Mutant(
-        "the slice drops the last live letter",
-        "conciseness.py",
+        "the slice drops the last letter",
+        "ranks.py",
         "offsets = [o * t.dim + j for o in offsets for j in coords]",
         "offsets = [o * t.dim + j for o in offsets for j in coords[:-1]]",
-        (ELIM + "test_a_level_in_a_coordinate_plane_eliminates_no_unfolding", ELIM + "test_mode_subspaces_match_one_fiber_at_a_time_scan"),
+        (FLAT + "test_core_is_the_slice_at_the_pivot_coordinates", FLAT + "test_core_scan_matches_the_ambient_scan"),
+    ),
+    Mutant(
+        "each mode's echelon is capped at d, not |J|",
+        "conciseness.py",
+        "rows = _echelon(_spanning_fibers(nums, d, k, stride, live, unfolded), len(live))",
+        "rows = _echelon(_spanning_fibers(nums, d, k, stride, live, unfolded), d)",
+        (ELIM + "test_a_level_in_a_coordinate_hyperplane_eliminates_no_unfolding", ELIM + "test_a_level_in_a_coordinate_plane_eliminates_no_unfolding"),
+    ),
+    Mutant(
+        "the first fibers hold letter 0, not live[0], at the other positions",
+        "conciseness.py",
+        "base = live[0] * (sum(d**p for p in range(k)) - stride - step)",
+        "base = 0 * (sum(d**p for p in range(k)) - stride - step)",
+        (ELIM + "test_first_fibers_are_the_first_fibers_of_the_live_slice_lifted", ELIM + "test_a_level_in_a_coordinate_hyperplane_eliminates_no_unfolding"),
+    ),
+    Mutant(
+        "the swap corner is read at letter 0, not live[0]",
+        "conciseness.py",
+        "base = live[0] * (sum(d**p for p in range(k)) - (d + 1) * stride)",
+        "base = 0 * (sum(d**p for p in range(k)) - (d + 1) * stride)",
+        (ELIM + "test_a_level_in_a_coordinate_and_a_non_coordinate_hyperplane_builds_no_swapped_level",),
     ),
     Mutant(
         "mode_echelons reuses a mode's rows without comparing the swapped level",
@@ -450,7 +464,7 @@ MUTANTS = [
         (ELIM + "test_a_symmetric_level_settled_by_its_first_fibers_builds_no_swapped_level", ELIM + "test_generic_and_confined_levels_build_no_swapped_level"),
     ),
     Mutant(
-        "mode_echelons swaps the whole level without the check on the entries whose other letters are 1",
+        "mode_echelons swaps the whole level without the check on the entries whose other letters are live[0]",
         "conciseness.py",
         "if all(corner[a * d : (a + 1) * d] == corner[a::d] for a in range(d)) and graded",
         "if graded",
@@ -543,8 +557,8 @@ MUTANTS = [
     Mutant(
         "concise sums only the first mode's rows into a level's span",
         "cli.py",
-        "spans.append(lift(echelon_sum(modes, len(live)), live, d))",
-        "spans.append(lift(echelon_sum(modes[:1], len(live)), live, d))",
+        "spans.append(echelon_sum(modes, len(live)))",
+        "spans.append(echelon_sum(modes[:1], len(live)))",
         (CONC + "test_concise_level_span_sums_every_mode", CONC + "test_concise_agrees_with_the_fraction_path"),
     ),
     Mutant(

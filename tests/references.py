@@ -64,6 +64,12 @@ def reference_flattening(t: Tensor, part) -> list[list[Fraction]]:
     return [[entry(r, c) for c in product(letters, repeat=len(rest))] for r in product(letters, repeat=len(part))]
 
 
+def reference_slice(t: Tensor, letters) -> Tensor:
+    """The subtensor at letters^k, 1-based letters in the given order, read
+    entry by entry through Tensor indexing."""
+    return Tensor.from_entries(t.order, len(letters), [t[index] for index in product(letters, repeat=t.order)])
+
+
 def reference_violation(t: Tensor, positions, sign: int):
     """First pair (I, swap(I)) with t[swap(I)] != sign * t[I], scanning the
     positions in order and, at each, every multi-index with I[pos] <

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 from sigtensor import Path, Subspace, Tensor, conciseness, graded, mode_subspaces, pwl_signature, rref, symmetric_conciseness, symmetry_report
 from sigtensor.linalg import _echelon, integer_rank
 
-from references import reference_flattening, reference_rref, reference_violation
+from references import reference_flattening, reference_rref, reference_slice, reference_violation
 
 SETTINGS = settings(max_examples=80, deadline=None)
 
@@ -297,6 +297,24 @@ def test_the_level_sum_on_the_slice_is_the_sum_of_the_ambient_modes(t):
     assert Subspace._of_echelon(level, t.dim) == Subspace._of_echelon(ambient, t.dim)
 
 
+@SETTINGS
+@given(mode_tensors())
+def test_first_fibers_are_the_first_fibers_of_the_live_slice_lifted(t):
+    # the live letters, read entry by entry, are those of the nonzero entries;
+    # the first |J| fibers of each mode of the J^k slice, with slice letter j
+    # at coordinate J[j] and 0 at the dead ones, are the fibers read in Q^d
+    live = sorted({i - 1 for index in t.indices() if t[index] != 0 for i in index})
+    assert list(conciseness.live_echelons(t)[0]) == live
+    if not live:
+        return
+    sliced = reference_slice(t, [j + 1 for j in live])
+    for mode in range(1, t.order + 1):
+        fibers = conciseness._first_fibers(t.nums, t.dim, t.order, t.dim ** (t.order - mode), live)
+        columns = list(zip(*reference_flattening(sliced, (mode,))))[: len(live)]
+        lifted = [[dict(zip(live, column)).get(i, 0) for i in range(t.dim)] for column in columns]
+        assert [[Fraction(x, t.den) for x in fiber] for fiber in fibers] == lifted
+
+
 def test_full_modes_are_settled_by_their_first_fibers(monkeypatch):
     # the fiber stream and the sum of spans reach _echelon as iterators;
     # an unfolding as a list of rows
@@ -330,24 +348,24 @@ INCREMENTS = [[1, -2, 3, 0], [-3, 1, 0, 2], [2, 2, -1, -3], [0, -1, 3, 1], [-2, 
 
 
 def test_a_level_in_a_coordinate_hyperplane_eliminates_no_unfolding(monkeypatch):
-    # in {x_1 = 0} letter 1 is dead: each mode of the 4^5 slice is settled by
-    # its first 4 fibers, and the rows are lifted to span(e_2..e_5)
+    # in {x_1 = 0} letter 1 is dead: each mode is settled in Q^5 by its first
+    # 4 live fibers, and its rows span span(e_2..e_5)
     widths = eliminated_widths(monkeypatch)
     t = pwl_signature(Path.from_increments([[0] + u for u in INCREMENTS]), 5).level(5)
     hyperplane = Subspace.span([[int(i == j) for i in range(5)] for j in range(1, 5)], 5)
-    assert conciseness.sliced_echelons(t)[0] == [1, 2, 3, 4]
+    assert conciseness.live_echelons(t)[0] == [1, 2, 3, 4]
     assert mode_subspaces(t) == [hyperplane] * 5
     assert widths == []
     assert fiber_scan_mode_subspaces(t) == [hyperplane] * 5
 
 
 def test_a_level_in_a_coordinate_plane_eliminates_no_unfolding(monkeypatch):
-    # in {x_1 = x_3 = 0} letters 1 and 3 are dead: each mode of the 3^3
-    # slice is settled by its first 3 fibers
+    # in {x_1 = x_3 = 0} letters 1 and 3 are dead: each mode is settled in
+    # Q^5 by its first 3 live fibers
     widths = eliminated_widths(monkeypatch)
     t = pwl_signature(Path.from_increments([[0, u[0], 0] + u[1:3] for u in INCREMENTS]), 3).level(3)
     plane = Subspace.span([[0, 1, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]], 5)
-    assert conciseness.sliced_echelons(t)[0] == [1, 3, 4]
+    assert conciseness.live_echelons(t)[0] == [1, 3, 4]
     assert mode_subspaces(t) == [plane] * 3 == fiber_scan_mode_subspaces(t)
     assert symmetric_conciseness(t) == plane
     assert widths == []
@@ -355,10 +373,10 @@ def test_a_level_in_a_coordinate_plane_eliminates_no_unfolding(monkeypatch):
 
 def test_a_letter_live_at_a_later_mode_only_is_kept():
     # a (x) a (x) b with a_1 = 0 and b_1 != 0: letter 1's rows at modes 1 and
-    # 2 are zero, its row at mode 3 is not, so no letter is sliced away
+    # 2 are zero, its row at mode 3 is not, so every letter is live
     a, b = [0, 2, 3, 4, 5], [1, 1, 1, 1, 1]
     t = Tensor.elementary([a, a, b])
-    assert conciseness.sliced_echelons(t)[0] == [0, 1, 2, 3, 4]
+    assert conciseness.live_echelons(t)[0] == [0, 1, 2, 3, 4]
     assert mode_subspaces(t) == [reference_span([a], 5)] * 2 + [reference_span([b], 5)]
 
 
@@ -399,9 +417,36 @@ def test_a_collinear_level_eliminates_one_unfolding_and_reuses_it(monkeypatch):
     assert [Subspace._of_echelon(rows, 5) for rows in modes] == [Subspace.span([v], 5)] * 5
 
 
+def test_a_collinear_level_in_a_coordinate_hyperplane_eliminates_one_ambient_unfolding(monkeypatch):
+    # level 5 of one segment v with v_1 = 0: letter 1 is dead, and the first
+    # 4 fibers of each mode span only the line, so mode 1 eliminates its 5 x 5^4
+    # unfolding in Q^5 and every later mode reuses its rows
+    widths, built = eliminated_widths(monkeypatch), swaps_built(monkeypatch)
+    v = [0, 2, -1, 3, 1]
+    modes = list(conciseness.mode_echelons(pwl_signature(Path.from_increments([v]), 5).level(5)))
+    assert widths == [5**4]
+    assert built == [0, 1, 2, 3]
+    assert all(rows is modes[0] for rows in modes)
+    assert [Subspace._of_echelon(rows, 5) for rows in modes] == [Subspace.span([v], 5)] * 5
+
+
+def test_a_level_in_a_coordinate_and_a_non_coordinate_hyperplane_builds_no_swapped_level(monkeypatch):
+    # in {x_1 = 0, x_2 + x_3 = 0} letter 1 is dead and no mode's first fibers
+    # span the live letters, so every mode of levels 3-5 eliminates its
+    # ambient unfolding; the entries whose other letters are all 2, the first
+    # live letter, are not symmetric in the two swapped letters, so no swap is
+    # built
+    widths, built = eliminated_widths(monkeypatch), swaps_built(monkeypatch)
+    s = pwl_signature(Path.from_increments([[0, u[0], -u[0]] + u[1:] for u in INCREMENTS]), 5)
+    ranks = [[len(rows) for rows in conciseness.mode_echelons(s.level(k))] for k in range(1, 6)]
+    assert built == []
+    assert widths == [6**2] * 3 + [6**3] * 4 + [6**4] * 5
+    assert ranks == [[1]] + [[4] * k for k in range(2, 6)]
+
+
 @pytest.mark.parametrize("increments", [INCREMENTS, [[0] + u for u in INCREMENTS]], ids=["generic", "confined"])
 def test_generic_and_confined_levels_build_no_swapped_level(monkeypatch, increments):
-    # the first fibers of the level or of its live-letter slice settle each
+    # the first fibers of the level, or its first live fibers, settle each
     # mode: no mode needs the full unfolding, so no swap is tried
     built = swaps_built(monkeypatch)
     s = pwl_signature(Path.from_increments(increments), 5)

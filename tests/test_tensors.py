@@ -310,6 +310,22 @@ def test_arithmetic_matches_fraction_references(pair, c):
     assert (s + (-s)).nums == (0,) * d**k and (s + (-s)).den == 1
 
 
+@pytest.mark.parametrize("order, dim", [(0, 1), (0, 3), (1, 1), (2, 3), (4, 2), (3, 5)])
+def test_zeros_equal_the_fraction_construction_and_hold_no_fraction(order, dim):
+    z = Tensor.zeros(order, dim)
+    assert z == Tensor(order, dim, (Fraction(0),) * dim**order)
+    assert (z.nums, z.den) == ((0,) * dim**order, 1)
+    assert all(type(x) is int for x in z.nums) and type(z.den) is int
+
+
+def test_zeros_refuse_what_the_constructor_refuses():
+    for order, dim, message in ((-1, 2, "order must be >= 0"), (2, 0, "dim must be >= 1"), (2, -1, "dim must be >= 1")):
+        with pytest.raises(ValueError, match=message):
+            Tensor(order, dim, ())
+        with pytest.raises(ValueError, match=message):
+            Tensor.zeros(order, dim)
+
+
 def test_sums_that_cancel_to_integers_have_denominator_one():
     half = Tensor.from_entries(1, 2, ["1/2", "-3/2"])
     whole = half + half
