@@ -71,15 +71,22 @@ def live_echelons(t: Tensor) -> tuple[Sequence[int], Iterator[Echelon]]:
     entry holds it, so every mode subspace lies in span(e_j : j in J). Mode
     1's first d fibers are eliminated first, and when they span Q^d no
     letter is dead: the later modes are settled as they come. Otherwise mode
-    1's contiguous rows are read, and a letter's rows at the other modes only
-    when its mode-1 row is zero. Order 0 is refused at the call."""
+    1's contiguous rows are read, each tested first at its first and last d
+    entries (those whose middle letters are all the first letter, or all the
+    last: a live row usually shows there when either letter is live), and a
+    letter's rows at the other modes only when its mode-1 row is zero. Order
+    0 is refused at the call."""
     if t.order < 1:
         raise ValueError("mode subspaces need order >= 1")
     nums, d, k = t.nums, t.dim, t.order
     first = _echelon(_first_fibers(nums, d, k, d ** (k - 1), range(d)), d)
     if len(first) == d:
         return range(d), chain([first], _settled(nums, d, k, 2, range(d)))
-    live = [i for i in range(d) if any(any(map(any, _unfolding_runs(nums, d, d ** (k - mode), i))) for mode in range(1, k + 1))]
+    # letter i's mode-1 row is the run nums[i * row : (i + 1) * row]
+    row = d ** (k - 1)
+    short = min(d, row)
+    live = [i for i in range(d) if any(nums[i * row : i * row + short]) or any(nums[(i + 1) * row - short : (i + 1) * row])
+            or any(any(map(any, _unfolding_runs(nums, d, d ** (k - mode), i))) for mode in range(1, k + 1))]
     if not live:
         return live, repeat([], k)
     return live, _settled(nums, d, k, 1, live)

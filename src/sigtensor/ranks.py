@@ -26,6 +26,9 @@ A rank mod P is at most the rank r over Q, and equal unless P divides every
 r x r minor, so `lower` is a bound proved by a matrix whose rank mod P reaches it.
 A certificate reads the core within its witness's span (_witness_core), or for
 m independent v_i the axis path's S_{k,a}(e_1..e_m): each keeps t's flattening ranks.
+Its scan ranks a candidate only if its shape cap, then the witness's
+distinct-factor cap (_flattenings), then its count of nonzero rows can beat
+the best bound so far.
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import chain
+from itertools import chain, combinations
 from math import ceil, comb, factorial, lcm
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from . import graded
@@ -323,23 +327,41 @@ def _scan(candidates: Iterable[tuple[int, int, Callable[[], list[list[int]]]]], 
     return best
 
 
-def _flattenings(nums: Sequence[int], k: int, d: int):
+def _flattenings(nums: Sequence[int], k: int, d: int, witness: Decomposition | None = None):
     """Flattening candidates (divisor 1) over index bipartitions (S, S^c) up
-    to complement, by decreasing shape cap min(d^|S|, d^|S^c|): all of them
-    through order 7; beyond that the odd/even split and the contiguous
-    prefixes, which keeps the scan linear in the order. Each is read from
-    nums, the order-k tensor's integer numerators over its one denominator
-    (rank does not change under scaling), with the shorter side as rows."""
+    to complement: all of them through order 7; beyond that the odd/even split
+    and the contiguous prefixes, which keeps the scan linear in the order.
+    Each is read from nums, the order-k tensor's integer numerators over its
+    one denominator (rank does not change under scaling), with the shorter
+    side as rows. Its cap is the shape cap min(d^|S|, d^|S^c|), and, given a
+    witness that realizes a tensor with these flattening ranks, also the
+    distinct-factor caps u_S and u_{S^c}: the witness's nonzero terms that
+    share their factors at the positions of S sum to one rank-one matrix, so
+    the rank is at most the count u_S of their distinct factor tuples there.
+    Candidates come by decreasing cap, ties by decreasing shape cap, then S,
+    so _scan skips each one whose cap, or whose count of nonzero rows, cannot
+    beat the best bound so far."""
     if k <= 7:
-        tail = range(2, k + 1)
-        parts = [(1,) + tuple(p for i, p in enumerate(tail) if mask >> i & 1) for mask in range(2 ** (k - 1) - 1)]
+        parts = [(1, *c) for r in range(k - 1) for c in combinations(range(2, k + 1), r)]
     else:
         parts = list({tuple(range(1, k + 1, 2)), *(tuple(range(1, j + 1)) for j in range(1, k))})
     parts.sort(key=lambda s: (-min(len(s), k - len(s)), s))
-    for part in parts:
-        rest = [p for p in range(1, k + 1) if p not in part]
+    sides = [(part, tuple(p for p in range(1, k + 1) if p not in part)) for part in parts]
+    caps = [d ** min(len(part), len(rest)) for part, rest in sides]
+    if witness is not None:
+        ids: dict[graded.Key, int] = {}
+        # each term's factor numbers after a pad at 0, so that position p is at index p
+        terms = [(0, *[ids.setdefault(key, len(ids)) for key in keys]) for c, keys in witness.keyed if c]
+        # a side's count is at least each of its positions' counts: a side
+        # with a position that reaches the cap is not counted
+        counts = [len(set(column)) for column in zip(*terms)] or [0] * (k + 1)
+        for i, pair in enumerate(sides):
+            for side in pair:
+                if max(map(counts.__getitem__, side)) < caps[i]:
+                    caps[i] = min(caps[i], len(set(map(itemgetter(*side), terms))))
+    for cap, (part, rest) in sorted(zip(caps, sides), key=lambda candidate: -candidate[0]):  # stable: ties keep the order above
         small, large = (part, rest) if len(part) <= len(rest) else (rest, part)
-        yield d ** len(small), 1, lambda small=small, large=large: [
+        yield cap, 1, lambda small=small, large=large: [
             [nums[r + c] for c in cols] for cols in [mode_offsets(large, k, d)] for r in mode_offsets(small, k, d)]
 
 
@@ -405,7 +427,10 @@ def koszul_lower_bound(t: Tensor) -> int:
 def certify_rank(t: Tensor, upper_witness: Decomposition) -> RankCertificate:
     """Combine one scan's (_scan) lower bound with the witness length; status
     "exact" means the two meet. The scan reads the flattenings of _witness_core,
-    then at order 3 the Koszul flattenings of t (divisor d - 1).
+    by decreasing cap, then at order 3 the Koszul flattenings of t (divisor
+    d - 1). It ranks a candidate only if its shape cap, then the witness's
+    distinct-factor cap, then its count of nonzero rows can beat the best
+    bound so far: skipping the others leaves the maximum as it is.
 
     Every bound is at most the rank, hence at most the witness length, so the
     scan stops once the lower bound reaches that length: the result is the
@@ -435,7 +460,7 @@ def _certify(t: Tensor, upper_witness: Decomposition, flattened: Callable[[], tu
     upper = upper_witness.length
     if t.order >= 2:
         nums, d = flattened()
-        lower = _scan(chain(_flattenings(nums, t.order, d), _koszul_flattenings(t)), upper)
+        lower = _scan(chain(_flattenings(nums, t.order, d, upper_witness), _koszul_flattenings(t)), upper)
     else:
         lower = 0 if t.is_zero else 1
     status = "exact" if lower == upper else "bounded"

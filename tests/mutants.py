@@ -113,6 +113,27 @@ MUTANTS = [
         (FLAT + "test_independent_increments_scan_the_axis_path_at_their_alpha",),
     ),
     Mutant(
+        "the witness cap counts only the factors at the side's first position",
+        "ranks.py",
+        "len(set(map(itemgetter(*side), terms)))",
+        "len(set(map(itemgetter(side[0]), terms)))",
+        (FLAT + "test_certify_ranks_6_of_the_10_balanced_flattenings_of_a_rank_cert_input", FLAT + "test_certify_matches_the_ambient_scan_whatever_the_witness_spans"),
+    ),
+    Mutant(
+        "the witness cap drops the witness's last term",
+        "ranks.py",
+        "for c, keys in witness.keyed if c]",
+        "for c, keys in witness.keyed[:-1] if c]",
+        (FLAT + "test_certify_ranks_6_of_the_10_balanced_flattenings_of_a_rank_cert_input", FLAT + "test_certify_matches_the_ambient_scan_whatever_the_witness_spans"),
+    ),
+    Mutant(
+        "flattening candidates come by ascending cap",
+        "ranks.py",
+        "key=lambda candidate: -candidate[0]",
+        "key=lambda candidate: candidate[0]",
+        (FLAT + "test_certify_ranks_6_of_the_10_balanced_flattenings_of_a_rank_cert_input",),
+    ),
+    Mutant(
         "_scan skips a candidate whose cap is one above the best",
         "ranks.py",
         "if -(-cap // divisor) <= best:",

@@ -483,14 +483,26 @@ def test_the_scan_ranks_a_candidate_only_if_its_nonzero_rows_can_beat_the_best(m
     assert ranked == [([[1, 0, 0], [0, 1, 0]], 3), ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3)]
 
 
-def test_the_axis_path_of_three_increments_at_level_5_ranks_3_of_its_10_flattenings(monkeypatch):
+def test_the_axis_path_of_three_increments_at_level_5_ranks_1_of_its_10_flattenings(monkeypatch):
     # the 10 flattenings of cap 9 have 6 nonzero rows (the nondecreasing index
-    # pairs); the first two have rank 4, the third 6, and no later one can beat it
+    # pairs); the witness caps three at 8, three at 7 and four at 6 or less:
+    # the first, of cap 8, has rank 6, and no later one can beat it
     ranked = recorded_ranks(monkeypatch)
     vs = [[1, 2, 0], [0, -1, 3], [2, 1, 1]]
     cert = ranks._certify_s_k_alpha(vs, 5, 0, decompose_s_k_alpha(vs, 5, 0))
     assert (cert.lower, cert.upper, cert.status) == (6, 9, "bounded")
-    assert [(len(rows), n) for rows, n in ranked] == [(6, 27)] * 3
+    assert [(len(rows), n) for rows, n in ranked] == [(6, 27)]
+
+
+def test_certify_ranks_6_of_the_10_balanced_flattenings_of_a_rank_cert_input(monkeypatch):
+    # three independent increments in Q^4 at level 5: the witness span's 3^5
+    # slice has 10 flattenings of cap 9, and the 9-term witness caps four of
+    # them at 6 or less, the rank the first one shows
+    ranked = recorded_ranks(monkeypatch)
+    vs = [[1, 2, 0, 1], [0, -1, 3, 2], [2, 1, 1, -1]]
+    cert = certify_rank(s_k_alpha(vs, 5, 0), decompose_s_k_alpha(vs, 5, 0))
+    assert (cert.lower, cert.upper, cert.status) == (6, 9, "bounded")
+    assert [(len(rows), n) for rows, n in ranked] == [(9, 27)] * 6
 
 
 def test_certify_ranks_no_koszul_flattening_once_the_flattenings_reach_the_witness_length(monkeypatch):
@@ -516,11 +528,65 @@ def ambient_certificate(t: Tensor, upper: int) -> int:
     return lower
 
 
+@st.composite
+def redundant(draw, witness: Decomposition):
+    """The witness rewritten without changing the tensor it realizes, so
+    that factor lists repeat, with parallel, negated and zero factors and
+    zero coefficients: each term is kept, split into two halves with the same
+    factors, or has one factor scaled by a nonzero s (s = -1 negates it) and
+    its coefficient divided by s, and a zero-coefficient term is inserted.
+    Then a term is added that shares its factors at some positions with a
+    rewritten one (a rank that distinct factor tuples bound and single
+    positions do not), and the same with one shared factor zeroed. Returns
+    the tensor the result realizes and the result."""
+    d, k = witness.dim, witness.order
+    vector = st.lists(rationals, min_size=d, max_size=d).map(tuple)
+    terms = []
+    for c, factors in witness.terms:
+        how = draw(st.sampled_from(["kept", "halves", "scaled"]))
+        if how == "halves":
+            terms += [(c / 2, factors)] * 2
+        elif how == "scaled":
+            i, s = draw(st.integers(0, k - 1)), draw(st.sampled_from([Fraction(-1), Fraction(2), Fraction(-1, 3)]))
+            terms.append((c / s, factors[:i] + (tuple(s * x for x in factors[i]),) + factors[i + 1:]))
+        else:
+            terms.append((c, factors))
+    terms.insert(draw(st.integers(0, len(terms))), (Fraction(0), tuple(draw(st.lists(vector, min_size=k, max_size=k)))))
+    assert Decomposition(d, k, terms).realize() == witness.realize()
+    shared = list(draw(st.sampled_from(terms))[1])
+    fresh = draw(st.lists(vector, min_size=k, max_size=k))
+    kept = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    terms.append((draw(rationals.filter(bool)), tuple(f if keep else g for f, g, keep in zip(shared, fresh, kept))))
+    shared[draw(st.integers(0, k - 1))] = (Fraction(0),) * d
+    terms.append((draw(rationals), tuple(shared)))
+    witness = Decomposition(d, k, terms)
+    return witness.realize(), witness
+
+
+def assert_witness_caps_bound_every_flattening(t: Tensor, witness: Decomposition):
+    """Each candidate of the ambient scan given the witness is a flattening
+    of t (its shorter side as rows, over t's denominator) whose cap is at
+    least its Fraction rank."""
+    k = t.order
+    ranked = {}
+    for part in bipartitions(k):
+        if len(part) <= k - len(part):
+            flattening = reference_flattening(t, part)
+            ranked[tuple(tuple(int(x * t.den) for x in row) for row in flattening)] = reference_rank(flattening)
+    candidates = list(ranks._flattenings(t.nums, k, t.dim, witness))
+    assert len(candidates) == 2 ** (k - 1) - 1
+    for cap, divisor, rows in candidates:
+        assert divisor == 1 and cap >= ranked[tuple(map(tuple, rows()))]
+
+
 @SETTINGS
-@given(in_mode_subspaces(dims=(1, 4), orders=(2, 5)), st.sampled_from(["as drawn", "wider", "zero"]), st.data())
+@given(in_mode_subspaces(dims=(1, 4), orders=(2, 5)), st.sampled_from(["as drawn", "wider", "zero", "redundant"]), st.data())
 def test_certify_matches_the_ambient_scan_whatever_the_witness_spans(case, span, data):
     # the witness's factors span U ("as drawn"), more than U (+x (x) y and
-    # -x (x) y appended, x drawn from all of Q^d), or {0} (zero factors)
+    # -x (x) y appended, x drawn from all of Q^d), or {0} (zero factors); a
+    # "redundant" witness shares factors between terms, repeats factor lists
+    # and holds parallel, negated and zero factors and zero coefficients,
+    # which its caps must survive
     t, witness = case
     d, k = t.dim, t.order
     vector = st.lists(rationals, min_size=d, max_size=d)
@@ -531,6 +597,9 @@ def test_certify_matches_the_ambient_scan_whatever_the_witness_spans(case, span,
         zero = (Fraction(0),) * d
         witness = Decomposition(d, k, ((Fraction(1), (zero,) * k),) * data.draw(st.integers(0, 2)))
         t = Tensor.zeros(k, d)
+    elif span == "redundant":
+        t, witness = data.draw(redundant(witness))
+    assert_witness_caps_bound_every_flattening(t, witness)
     upper = witness.length
     lower = ambient_certificate(t, upper)
     cert = certify_rank(t, witness)
@@ -582,9 +651,9 @@ def test_independent_increments_scan_the_axis_path_at_their_alpha(alpha, monkeyp
     # two increments in Q^3 at level 4: the flattenings read S_{4,alpha}(e_1, e_2) in Q^2
     scanned, flattenings = [], ranks._flattenings
 
-    def recorded(nums, k, d):
+    def recorded(nums, k, d, witness=None):
         scanned.append((list(nums), k, d))
-        return flattenings(nums, k, d)
+        return flattenings(nums, k, d, witness)
 
     monkeypatch.setattr(ranks, "_flattenings", recorded)
     vs = [[1, 2, 0], [0, -1, 3]]
