@@ -261,11 +261,18 @@ def cmd_classify222(args):
 
 @_command("symmetry", "symmetry report for a tensor", _arg("--tensor", required=True))
 def cmd_symmetry(args):
-    from .symmetry import symmetry_report
+    from .symmetry import plain_symmetry_report, symmetry_report
 
-    tensor = _read(serialize.tensor_from_json, args.tensor)
-    _check_order(tensor.order, args.allow_large)
-    return {"tensor": args.tensor}, serialize.symmetry_report_to_json(symmetry_report(tensor))
+    # a level of plain strings is read as strings, and any other through
+    # tensor_from_json, which names a bad entry; both check the shape first
+    obj = serialize.load_json(args.tensor)
+    order, dim, entries = serialize.tensor_fields(obj, args.tensor)
+    plain = serialize.plain_entries(entries)
+    tensor = None if plain is not None else serialize.tensor_from_json(obj, args.tensor)
+    del obj, entries  # a repetitive level's tuple shares its strings: the others are freed before the scan
+    _check_order(order, args.allow_large)
+    report = symmetry_report(tensor) if plain is None else plain_symmetry_report(plain, order, dim)
+    return {"tensor": args.tensor}, serialize.symmetry_report_to_json(report)
 
 
 @_command("sig222", "2x2x2 signature tensor from parameters x,y,a,b,c", _arg("--params", required=True))

@@ -90,15 +90,21 @@ class Decomposition:
 
     @property
     def length(self) -> int:
-        return sum(1 for c, _ in self.keyed if c != 0)
+        """The terms that are not identically zero, those that _cleaned keeps."""
+        return sum(1 for c, keys in self.keyed if _nonzero(c, keys))
 
     def realize(self) -> Tensor:
         return Tensor._of_level(self.order, self.dim, graded.accumulate(self.keyed, self.dim, self.order))
 
 
+def _nonzero(c: Fraction, keys: Sequence[graded.Key]) -> bool:
+    """Whether the term c * (x) keys is not identically zero: c and every factor are nonzero."""
+    return c != 0 and all(map(any, map(itemgetter(0), keys)))
+
+
 def _cleaned(dim: int, order: int, terms: TermList) -> Decomposition:
     """The decomposition of keyed terms without those that are identically zero."""
-    return Decomposition._unchecked(dim, order, ((c, tuple(keys)) for c, keys in terms if c and all(any(nums) for nums, _ in keys)))
+    return Decomposition._unchecked(dim, order, ((c, tuple(keys)) for c, keys in terms if _nonzero(c, keys)))
 
 
 @dataclass(frozen=True)

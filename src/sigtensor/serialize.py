@@ -21,6 +21,13 @@ Fraction, which keeps every accepted syntax and every error message of
 parse_rational, and names a bad entry by its index in the full level.
 parse_rational takes every syntax Fraction takes, except an exponent above
 4300 in magnitude ("1e9999999"), which it refuses before building the value.
+
+`symmetry` compares entries only for equality, so it reads a level of plain
+strings without converting it: plain_entries checks, in a few C-level passes
+over the level joined as bytes, that every entry is a string _parse_plain
+would parse, and when the strings other than "0" repeat (a collinear path's
+levels) it checks the distinct ones and makes equal entries one object.
+negated and same_value are the negation and the value test of such strings.
 """
 
 from __future__ import annotations
@@ -28,13 +35,14 @@ from __future__ import annotations
 import csv
 import json
 import re
+import sys
 from fractions import Fraction
 from io import StringIO
 from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, inf, lcm
 from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Collection, Sequence
 
 from . import graded
 from .linalg import Subspace, Vector
@@ -180,6 +188,83 @@ def _parse_level(items: list, where: Callable[[int], str]) -> graded.Level:
     return graded.from_fractions(_parse_rationals(items, where))
 
 
+# the characters of a plain level, deleted from it to show that it holds no
+# other; and the map that writes every digit as 0, which keeps the shape of
+# its entries
+_PLAIN_BYTES = b"-0123456789,/"
+_DIGITS_AS_ZERO = bytes.maketrans(b"123456789", b"000000000")
+
+
+def _is_plain(items: Collection) -> bool:
+    """Whether _parse_plain accepts the strings of items (a nonempty
+    collection), without converting one: each is -?[0-9]+ or
+    -?[0-9]+/[0-9]+ with q > 0, no digit run past int's digit limit.
+
+    The level is joined as ASCII bytes B between commas, and each test is
+    one C-level pass: B holds only _PLAIN_BYTES, and n + 1 commas for n
+    entries, so no entry holds one. With every digit written as 0, each
+    "-" is in ",-0", each comma but the last is followed by "0" or "-0",
+    and each but the first is preceded by "0": so every entry starts with
+    -?[0-9], ends with a digit and holds "-" only at its start. With digits
+    and "-" deleted, no "//" is left, so no entry holds two "/"s, and by
+    the rules above a "/" has a digit on each side. A q of zeros starts
+    "/0", which a canonical level never holds, so only then is B searched
+    for one. A non-string entry fails the join, and a non-ASCII one the
+    encoding.
+    """
+    try:
+        joined = f",{','.join(items)},".encode("ascii")
+    except (TypeError, UnicodeEncodeError):
+        return False
+    n = len(items)
+    if joined.translate(None, _PLAIN_BYTES) or joined.count(b",") != n + 1:
+        return False
+    shape = joined.translate(_DIGITS_AS_ZERO)
+    signed = shape.count(b",-0")
+    if shape.count(b"-") != signed or shape.count(b",0") + signed != n or shape.count(b"0,") != n:
+        return False
+    if b"//" in joined.translate(None, b"-0123456789") or (b"/0" in joined and re.search(rb"/0+,", joined)):
+        return False
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, no limit, on Pythons without one
+    return not (limit and len(joined) > limit and b"0" * (limit + 1) in shape)
+
+
+def plain_entries(items: list) -> tuple[str, ...] | None:
+    """The entries of a level as a tuple if they are all plain "p" or "p/q"
+    strings (_is_plain), else None; no entry is converted.
+
+    When at most half of the sampled entries other than "0" are distinct,
+    as on a collinear path's levels, the level is checked on its distinct
+    strings and its equal entries become one object, so that comparing runs
+    of entries mostly finds them identical. "0" is left out of the count:
+    CPython's JSON decoder already gives every "0" one object, so a level
+    whose other entries are mostly distinct, as a confined path's are, gains
+    nothing from that and is checked whole, as any other level is.
+    """
+    try:
+        sample = items[::_SAMPLE_STEP]
+        distinct = set(sample)
+        distinct.discard("0")
+        if 2 * len(distinct) <= len(sample) - sample.count("0"):
+            first = {text: text for text in dict.fromkeys(items)}
+            return tuple(map(first.__getitem__, items)) if _is_plain(first) else None
+    except TypeError:  # an unhashable entry
+        return None
+    return tuple(items) if _is_plain(items) else None
+
+
+def negated(text: str) -> str:
+    """-x for a plain string x, still plain; "0" is its own negation."""
+    if text[0] == "-":
+        return text[1:]
+    return text if text == "0" else "-" + text
+
+
+def same_value(a: str, b: str) -> bool:
+    """Whether two plain strings name one rational ("2/4" and "1/2" do)."""
+    return parse_rational(a) == parse_rational(b)
+
+
 def _fields(obj: Any, where: str, *keys: str) -> list:
     """The values of keys in a JSON object, or the first missing key reported."""
     if not isinstance(obj, dict):
@@ -277,7 +362,9 @@ def tensor_to_json(t: Tensor) -> dict:
     return {"order": t.order, "dim": t.dim, "entries": _entries(t.nums, t.den)}
 
 
-def tensor_from_json(obj: Any, where: str = "tensor") -> Tensor:
+def tensor_fields(obj: Any, where: str = "tensor") -> tuple[int, int, list]:
+    """The order, dim and entry list of a tensor's JSON object, its shape
+    checked; the entries are not read."""
     order, dim, entries = _fields(obj, where, "order", "dim", "entries")
     if not _is_int(order) or not _is_int(dim):
         raise ParseError("order and dim must be integers", where)
@@ -287,6 +374,11 @@ def tensor_from_json(obj: Any, where: str = "tensor") -> Tensor:
     # checking that first keeps a huge order from building a huge integer
     if dim < 1 or order < 0 or (dim >= 2 and order > len(entries).bit_length()) or len(entries) != dim**order:
         raise ParseError(f"expected {dim}^{order} entries, got {len(entries)}", where)
+    return order, dim, entries
+
+
+def tensor_from_json(obj: Any, where: str = "tensor") -> Tensor:
+    order, dim, entries = tensor_fields(obj, where)
     return Tensor._of_level(order, dim, _parse_level(entries, lambda i: f"{where}.entries[{i}]"))
 
 

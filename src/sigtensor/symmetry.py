@@ -4,16 +4,22 @@ partial symmetry has for signatures.
 Partial symmetry here always means invariance under permuting the first k-1
 or the last k-1 indices; other index blocks behave differently for
 signatures and are rejected rather than silently accepted.
+
+One scan serves a Tensor's integer numerators and the plain "p"/"p/q"
+strings of a JSON level (plain_symmetry_report, which the `symmetry` command
+uses): equal strings name equal rationals, so strings are compared as they
+are, and two are parsed only where they differ.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from operator import neg
+from typing import Any, Callable, Sequence
 
-from . import graded
+from . import graded, serialize
 from .lie import LogSignature, exp_log_signature, lie_bracket
 from .linalg import as_fraction
 from .tensors import Tensor
@@ -30,9 +36,18 @@ def _multi_index(offset: int, order: int, dim: int) -> MultiIndex:
     return tuple(reversed(letters))
 
 
-def _transposition_violation(t: Tensor, positions: range, sign: int) -> tuple[int, tuple[MultiIndex, MultiIndex]] | None:
-    """The first position and index pair violating t[swap(I)] == sign * t[I]
-    over adjacent transpositions at the given 0-based positions.
+def _transposition_violation(
+    e: Sequence, k: int, d: int, positions: range, sign: int, neg: Callable = operator.neg, zero: Any = 0, same: Callable = operator.eq
+) -> tuple[int, tuple[MultiIndex, MultiIndex]] | None:
+    """The first position and index pair violating e[swap(I)] == sign * e[I]
+    over adjacent transpositions at the given 0-based positions, for the
+    entries e (a tuple in Tensor storage order) of an order-k tensor in
+    dimension d.
+
+    The entries are a Tensor's numerators over one denominator, or the plain
+    strings of a JSON level (serialize.plain_entries). neg negates an entry,
+    zero is the entry of a zero run, and same(x, y) decides whether entries
+    that differ as objects name one value; equal entries always do.
 
     Positions are scanned in order, each through one stream of run pairs.
     With letters a, b at pos, pos+1 and a prefix at flat offset o, the
@@ -41,16 +56,18 @@ def _transposition_violation(t: Tensor, positions: range, sign: int) -> tuple[in
     the (b, a) run for a < b in (prefix, a, b) order, then, for sign -1,
     each diagonal run o + a*(hi + lo) with itself: compared with its own
     negation, it differs exactly where it is nonzero. A pair is compared as
-    a whole, and searched entry by entry for the witness only if it differs.
+    a whole, and searched entry by entry for the witness only if it differs;
+    a pair whose entries differ only in spelling ("2/4" against "1/2") agrees.
 
-    The first agreeing pair that holds a nonzero entry is evidence that the
+    The first agreeing pair that is not a zero run is evidence that the
     position holds: there the whole level with the two letters swapped is
     compared once with the level (negated for sign -1), and if they are
     equal the rest of the stream is skipped. Before that evidence, the
     pairs read are all zero or hold a violation, so a level that fails at
     its first nonzero pair, as a generic one does, builds no swapped level.
+    Counting a run of zeros spelled otherwise ("-0") as nonzero, or two
+    levels that differ only in spelling as unequal, costs time, not a verdict.
     """
-    e, k, d = t.nums, t.order, t.dim  # one denominator, so numerators compare as entries
     for pos in positions:
         lo = d ** (k - 2 - pos)
         hi = lo * d
@@ -61,12 +78,13 @@ def _transposition_violation(t: Tensor, positions: range, sign: int) -> tuple[in
         untried = True
         for i, j in pairs:
             x, y = e[i : i + lo], e[j : j + lo]
-            if sign == -1 and any(y):  # a zero run is its own negation
+            if sign == -1 and y.count(zero) != lo:  # a zero run is its own negation
                 y = tuple(map(neg, y))
             if x != y:
-                r = next(r for r in range(lo) if x[r] != y[r])
-                return pos, (_multi_index(i + r, k, d), _multi_index(j + r, k, d))
-            if untried and any(x):
+                r = next((r for r in range(lo) if x[r] != y[r] and not same(x[r], y[r])), None)
+                if r is not None:
+                    return pos, (_multi_index(i + r, k, d), _multi_index(j + r, k, d))
+            if untried and x.count(zero) != lo:
                 untried = False
                 if graded.swap_positions(e, d, k, pos) == (e if sign == 1 else tuple(map(neg, e))):
                     break
@@ -91,15 +109,26 @@ def symmetry_report(t: Tensor) -> SymmetryReport:
     (positions 0..k-3) fails there unless p = k-2 and the last (1..k-2)
     unless p = 0, the one case where it is scanned.
     """
-    if t.order < 2:
+    return _report(t.nums, t.order, t.dim)
+
+
+def plain_symmetry_report(entries: tuple[str, ...], order: int, dim: int) -> SymmetryReport:
+    """symmetry_report of the tensor whose entries are the plain strings of
+    serialize.plain_entries, read as strings: two entries are parsed only
+    where they differ as strings."""
+    return _report(entries, order, dim, serialize.negated, "0", serialize.same_value)
+
+
+def _report(e: Sequence, k: int, d: int, *values) -> SymmetryReport:
+    """symmetry_report of the entries e; values are the neg, zero and same of _transposition_violation."""
+    if k < 2:
         raise ValueError("symmetry needs order >= 2")
-    k = t.order
-    sym = _transposition_violation(t, range(k - 1), +1)
-    skew = _transposition_violation(t, range(k - 1), -1)
+    sym = _transposition_violation(e, k, d, range(k - 1), +1, *values)
+    skew = _transposition_violation(e, k, d, range(k - 1), -1, *values)
     partial = set()
     if sym is None or sym[0] == k - 2:
         partial.add("first_k_minus_1")
-    if sym is None or (sym[0] == 0 and _transposition_violation(t, range(1, k - 1), +1) is None):
+    if sym is None or (sym[0] == 0 and _transposition_violation(e, k, d, range(1, k - 1), +1, *values) is None):
         partial.add("last_k_minus_1")
     first_failure = sym or skew  # a block fails only where sym does
     return SymmetryReport(
@@ -111,11 +140,11 @@ def symmetry_report(t: Tensor) -> SymmetryReport:
 
 
 def is_symmetric(t: Tensor) -> bool:
-    return _transposition_violation(t, range(t.order - 1), +1) is None
+    return _transposition_violation(t.nums, t.order, t.dim, range(t.order - 1), +1) is None
 
 
 def is_skew(t: Tensor) -> bool:
-    return _transposition_violation(t, range(t.order - 1), -1) is None
+    return _transposition_violation(t.nums, t.order, t.dim, range(t.order - 1), -1) is None
 
 
 def brute_force_symmetric(t: Tensor) -> bool:

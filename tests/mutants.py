@@ -35,6 +35,7 @@ MODP = "tests/test_rank_mod_p.py::"
 SER = "tests/test_serialize.py::"
 CONC = "tests/test_conciseness.py::"
 SYM = "tests/test_symmetry.py::"
+SYMREF = "tests/test_symmetry_reference.py::"
 RANKS = "tests/test_ranks.py::"
 DREF = "tests/test_decompose_reference.py::"
 KEYED = "tests/test_keyed_witness.py::"
@@ -171,8 +172,8 @@ MUTANTS = [
     Mutant(
         "symmetry runs past the order guard",
         "cli.py",
-        "    _check_order(tensor.order, args.allow_large)\n    return {\"tensor\": args.tensor}, serialize.symmetry_report_to_json",
-        "    return {\"tensor\": args.tensor}, serialize.symmetry_report_to_json",
+        "    _check_order(order, args.allow_large)\n    report = ",
+        "    report = ",
         ("tests/test_cli.py::test_symmetry_over_order_guard_exits_4_at_once",),
     ),
     Mutant(
@@ -389,7 +390,7 @@ MUTANTS = [
     Mutant(
         "symmetry_report does not rescan the last block when the first violation is at p = 0",
         "symmetry.py",
-        "(sym[0] == 0 and _transposition_violation(t, range(1, k - 1), +1) is None)",
+        "(sym[0] == 0 and _transposition_violation(e, k, d, range(1, k - 1), +1, *values) is None)",
         "sym[0] == 0",
         ("tests/test_symmetry_reference.py::test_first_violation_at_each_position[3-0]", "tests/test_symmetry_reference.py::test_report_matches_the_four_scan_reference"),
     ),
@@ -403,7 +404,7 @@ MUTANTS = [
     Mutant(
         "symmetry tries the whole level at the first agreeing run pair, zero or not",
         "symmetry.py",
-        "if untried and any(x):",
+        "if untried and x.count(zero) != lo:",
         "if untried:",
         (SYM + "test_generic_and_confined_tensors_build_no_swapped_level",),
     ),
@@ -574,6 +575,34 @@ MUTANTS = [
         "return list(map(value.__getitem__, items)), den",
         "return list(map(value.__getitem__, items)), _parse_plain(sample)[1]",
         (SER + "test_distinct_route_takes_den_from_every_entry_not_the_sample", SER + "test_tensor_from_json_agrees_with_fraction_tensor"),
+    ),
+    Mutant(
+        "the string route trusts a string inequality without parsing the two entries",
+        "symmetry.py",
+        "if x[r] != y[r] and not same(x[r], y[r])",
+        "if x[r] != y[r]",
+        (SYM + "test_plain_entries_spelled_apart_at_mirrored_positions_are_no_violation", SYMREF + "test_the_string_route_reports_as_the_tensor_route"),
+    ),
+    Mutant(
+        "the plain check misses the two-slash case",
+        "serialize.py",
+        'if b"//" in joined.translate(None, b"-0123456789") or (',
+        "if (",
+        (SER + "test_the_plain_check_refuses_two_slashes_and_a_zero_q", SER + "test_the_plain_check_accepts_a_level_exactly_when_parse_plain_does"),
+    ),
+    Mutant(
+        "the plain check misses the zero-denominator case",
+        "serialize.py",
+        ' or (b"/0" in joined and re.search(rb"/0+,", joined)):',
+        ":",
+        (SER + "test_the_plain_check_refuses_two_slashes_and_a_zero_q", SER + "test_the_plain_check_accepts_a_level_exactly_when_parse_plain_does"),
+    ),
+    Mutant(
+        "entry sharing maps every entry to the first distinct string",
+        "serialize.py",
+        "return tuple(map(first.__getitem__, items)) if _is_plain(first) else None",
+        "return (next(iter(first)),) * len(items) if _is_plain(first) else None",
+        (SER + "test_a_repetitive_plain_level_shares_one_object_per_distinct_string", SYMREF + "test_the_string_route_reports_as_the_tensor_route"),
     ),
     Mutant(
         "concise sums only the first mode's rows into a level's span",

@@ -837,3 +837,49 @@ def test_decompose_of_dependent_increments_reads_no_axis_path(capsys, tmp_path, 
     assert code == 0, err
     rank = json.loads(out)["certificates"]["rank"]
     assert (rank["lower"], rank["upper"], rank["status"]) == expected
+
+
+# levels with an entry outside the plain "p"/"p/q" form are read through
+# tensor_from_json; the reports are pinned as they were before the plain route
+@pytest.mark.parametrize("entries, result", [
+    # a JSON int: e1 (x) e1 + 2 (e1 (x) e2 + e2 (x) e1) + 5 e2 (x) e2 is symmetric, and skew fails at (1, 2)
+    ([1, "2", 2, "5"], {"is_skew": False, "is_symmetric": True, "partial": ["first_k_minus_1", "last_k_minus_1"], "witness": [[1, 2], [2, 1]]}),
+    # "1e3" is 1000 at (1, 1, 1); (1, 1, 2) = 1 against (1, 2, 1) = 2 breaks position 1, so only the first block holds
+    (["1e3", "1", "2", "0", "2", "0", "0", "0"], {"is_skew": False, "is_symmetric": False, "partial": ["first_k_minus_1"], "witness": [[1, 1, 2], [1, 2, 1]]}),
+    # " 3" is 3: the area form 3 (e1 (x) e2 - e2 (x) e1) is skew; at order 2 both blocks are empty, so both hold
+    (["0", " 3", "-3", "0"], {"is_skew": True, "is_symmetric": False, "partial": ["first_k_minus_1", "last_k_minus_1"], "witness": [[1, 2], [2, 1]]}),
+], ids=["json-int", "exponent", "space"])
+def test_symmetry_on_a_level_outside_the_plain_form_prints_the_same_bytes(capsys, tmp_path, entries, result):
+    tensor_file = tmp_path / "t.json"
+    k = {4: 2, 8: 3}[len(entries)]
+    tensor_file.write_text(json.dumps({"order": k, "dim": 2, "entries": entries}))
+    code, out, err = run(capsys, "symmetry", "--tensor", str(tensor_file))
+    assert (code, err) == (0, "")
+    assert out == json.dumps({"command": "symmetry", "inputs": {"tensor": str(tensor_file)}, "result": result}, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("entries, bad", [
+    (["1", "2", "1/0", "3"], "entries[2]: bad rational '1/0'"),
+    (["1/2", "1/2", "1/2", "1//2"], "entries[3]: bad rational '1//2'"),
+    (["1", "2", "3", "1/2/3"], "entries[3]: bad rational '1/2/3'"),
+    (["0", "x", "0", "0"], "entries[1]: bad rational 'x'"),
+])
+def test_symmetry_on_a_bad_entry_exits_3_naming_it(capsys, tmp_path, entries, bad):
+    tensor_file = tmp_path / "t.json"
+    tensor_file.write_text(json.dumps({"order": 2, "dim": 2, "entries": entries}))
+    code, out, err = run(capsys, "symmetry", "--tensor", str(tensor_file))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"input error: {tensor_file}.{bad}: ")
+
+
+def test_certify_counts_no_witness_term_with_a_zero_factor(capsys, tmp_path):
+    # e1 (x) e1 + 5 (0 (x) (1, 1)) realizes e1 (x) e1, a rank-one tensor: one term counts
+    tensor_file, witness_file = tmp_path / "t.json", tmp_path / "w.json"
+    tensor_file.write_text(json.dumps({"order": 2, "dim": 2, "entries": ["1", "0", "0", "0"]}))
+    witness_file.write_text(json.dumps({"dim": 2, "order": 2, "terms": [
+        {"coeff": "1", "factors": [["1", "0"], ["1", "0"]]},
+        {"coeff": "5", "factors": [["0", "0"], ["1", "1"]]},
+    ]}))
+    code, out, err = run(capsys, "certify", "--tensor", str(tensor_file), "--witness", str(witness_file))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"] == {"lower": 1, "upper": 1, "status": "exact"}

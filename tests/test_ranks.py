@@ -631,3 +631,16 @@ def test_certificate_invariant_rejects_inconsistency():
         RankCertificate(lower=3, upper=2, witness=None, status="bounded")
     with pytest.raises(ValueError):
         RankCertificate(lower=2, upper=2, witness=None, status="exact")
+
+
+def test_length_counts_no_term_with_a_zero_coefficient_or_a_zero_factor():
+    # a parsed witness keeps such terms as written; they add nothing to the tensor
+    from sigtensor.serialize import decomposition_from_json
+
+    dec = decomposition_from_json({"dim": 2, "order": 2, "terms": [
+        {"coeff": "1", "factors": [["1", "0"], ["1", "0"]]},
+        {"coeff": "5", "factors": [["0", "0"], ["1", "1"]]},
+        {"coeff": "0", "factors": [["1", "1"], ["1", "1"]]},
+    ]})
+    assert len(dec.keyed) == 3 and dec.length == 1
+    assert dec.realize() == Decomposition.of(2, 2, [(1, [[1, 0], [1, 0]])]).realize()

@@ -580,3 +580,53 @@ def test_parse_plain_puts_every_entry_over_the_lcm_of_its_denominators(texts):
     nums, den = serialize._parse_plain(texts)
     assert den == lcm(*(int(x.partition("/")[2] or 1) for x in texts))
     assert [Fraction(n, den) for n in nums] == [Fraction(x) for x in texts]
+
+
+# a level passes the plain check exactly when _parse_plain parses it: the
+# edge strings above, more near misses, non-canonical spellings, and
+# digit runs at and past int's limit of 4300 digits
+PLAIN_CHECK_STRINGS = EDGE_STRINGS + [
+    "1-2", "--1", "-0", "007", "2/4", "0/3", "6/3", "-0/3", "1/00", "1/010", "12/34/56",
+    "1" * 4300, "1" * 4301, "-" + "1" * 4300, "1/" + "0" * 4299 + "1", "1/" + "0" * 4300 + "1",
+]
+
+
+@pytest.mark.parametrize("text", PLAIN_CHECK_STRINGS, ids=lambda text: text if len(text) < 20 else f"{text[:4]}...{len(text)}-chars")
+def test_the_plain_check_accepts_a_level_exactly_when_parse_plain_does(text):
+    # the last level is repetitive, so its distinct strings are checked
+    for level in ([text], ["1/2", text, "-3"], ["1/2"] * 15 + [text]):
+        try:
+            serialize._parse_plain(level)
+            parsed = True
+        except ValueError:
+            parsed = False
+        assert (serialize.plain_entries(level) is not None) == parsed
+        assert serialize.plain_entries(level) in (None, tuple(level))
+
+
+def test_the_plain_check_refuses_two_slashes_and_a_zero_q():
+    for text in ("1/2/3", "1/2/", "1/0", "-5/000"):
+        assert serialize.plain_entries(["1/2", text, "0", "-3"]) is None
+        assert serialize.plain_entries(["1/2", "-3"] * 8 + [text]) is None
+
+
+@pytest.mark.parametrize("entries", [[3, "1"], ["1", None], ["1", [2]], ["1", 1.5], ["1", True]])
+def test_a_level_with_a_non_string_entry_is_not_plain(entries):
+    assert serialize.plain_entries(entries) is None
+    assert serialize.plain_entries(entries * 16) is None
+
+
+def test_a_repetitive_plain_level_shares_one_object_per_distinct_string():
+    entries = json.loads(json.dumps(["1/2", "-3", "0", "7/6"] * 8))  # one object per entry, but "0"
+    assert len({id(x) for x in entries}) == 25
+    shared = serialize.plain_entries(entries)
+    assert shared == tuple(entries)
+    assert len({id(x) for x in shared}) == 4
+
+
+@pytest.mark.parametrize("text", ["0", "-0", "5", "-5", "007", "-2/4", "0/3", "12/7"])
+def test_negated_plain_strings_stay_plain_and_name_the_negative(text):
+    minus = serialize.negated(text)
+    assert serialize.plain_entries([minus]) == (minus,)
+    assert parse_rational(minus) == -parse_rational(text)
+    assert serialize.negated(minus) == text or text == "-0"

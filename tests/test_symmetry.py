@@ -22,7 +22,8 @@ from sigtensor import (
 from sigtensor import graded
 from sigtensor.harness import random_log_signature
 from sigtensor.lie import lie_basis
-from sigtensor.symmetry import is_skew, is_symmetric
+from sigtensor.serialize import tensor_from_json
+from sigtensor.symmetry import is_skew, is_symmetric, plain_symmetry_report
 
 
 def test_sig222_params_constructor_and_of_give_equal_exact_tensors():
@@ -313,3 +314,18 @@ def test_generic_and_confined_tensors_build_no_swapped_level(monkeypatch, increm
     rep = symmetry_report(pwl_signature(Path.from_increments(increments), 5).level(5))
     assert seen == []
     assert not rep.is_symmetric and not rep.is_skew and rep.witness is not None
+
+
+def test_plain_entries_spelled_apart_at_mirrored_positions_are_no_violation():
+    # "1/2" and "2/4" differ as strings at (1, 2) and (2, 1), and name one value
+    entries = ("0", "1/2", "2/4", "0")
+    rep = plain_symmetry_report(entries, 2, 2)
+    assert rep == symmetry_report(tensor_from_json({"order": 2, "dim": 2, "entries": list(entries)}))
+    assert rep.is_symmetric and not rep.is_skew and rep.witness == ((1, 2), (2, 1))
+
+
+def test_plain_zeros_spelled_otherwise_are_zero():
+    # every entry is 0: no flag fails, though only "0" counts a run as zero
+    rep = plain_symmetry_report(("-0", "0/3", "0", "000", "0", "-0/7", "00", "0"), 3, 2)
+    assert rep == symmetry_report(Tensor.zeros(3, 2))
+    assert rep.is_symmetric and rep.is_skew and rep.witness is None

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sigtensor import SymmetryReport, Tensor, symmetry_report
+from sigtensor.serialize import plain_entries, tensor_from_json, tensor_to_json
+from sigtensor.symmetry import plain_symmetry_report
 
 from references import reference_violation
 
@@ -142,3 +144,65 @@ def confined_tensors(draw):
 @given(confined_tensors())
 def test_report_of_zero_heavy_tensors_matches_the_four_scan_reference(t):
     assert symmetry_report(t) == reference_report(t)
+
+
+# -- the string route: plain JSON strings compared as strings ------------------
+
+def spelled(x: Fraction, style: str) -> str:
+    """x in a plain spelling that is not str(x): "2/4", "007", "6/3", or "-0" for zero."""
+    n, q = x.numerator, x.denominator
+    if style == "doubled":
+        return f"{2 * n}/{2 * q}"
+    if style == "padded":
+        return ("-" if n < 0 else "") + "00" + str(abs(n)) + ("" if q == 1 else f"/{q}")
+    if style == "thirds":
+        return f"{3 * n}/{3 * q}"
+    return "-0" if n == 0 else str(x)  # "signed"
+
+
+@st.composite
+def plain_levels(draw):
+    """The JSON object of a tensor of order 2..5, d <= 4: symmetric, skew,
+    first- or last-block symmetric, collinear, confined, zero or generic;
+    then a few entries and their mirrors under an adjacent transposition
+    respelled, so that strings differ where values agree."""
+    k = draw(st.integers(2, 5))
+    d = draw(st.integers(1, {2: 4, 3: 4, 4: 3, 5: 2}[k]))
+    family = draw(st.sampled_from(["symmetric", "skew", "first", "last", "collinear", "confined", "zero", "generic"]))
+    values = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    if family == "collinear":
+        t = Tensor.elementary([draw(st.lists(values, min_size=d, max_size=d))] * k)
+    elif family == "zero":
+        t = Tensor.zeros(k, d)
+    else:
+        t = Tensor(k, d, tuple(draw(st.lists(values, min_size=d**k, max_size=d**k))))
+        if family == "symmetric":
+            t = symmetrized(t, range(k))
+        elif family == "first":
+            t = symmetrized(t, range(k - 1))
+        elif family == "last":
+            t = symmetrized(t, range(1, k))
+        elif family == "skew":
+            t = skewed(t)
+        elif family == "confined":
+            dead = draw(st.sets(st.integers(1, d), min_size=1, max_size=max(1, d - 1)))
+            t = Tensor(k, d, tuple(0 if dead.intersection(index) else x for index, x in zip(t.indices(), t.entries)))
+    blob = tensor_to_json(t)
+    styles = st.sampled_from(["doubled", "padded", "thirds", "signed", None])
+    for _ in range(draw(st.integers(0, 4))):
+        index = list(draw(st.sampled_from(list(t.indices()))))
+        pos = draw(st.integers(0, k - 2))
+        mirror = index[:pos] + [index[pos + 1], index[pos]] + index[pos + 2 :]
+        for at in (index, mirror):
+            style = draw(styles)
+            if style is not None:
+                blob["entries"][t.offset(tuple(at))] = spelled(t[tuple(at)], style)
+    return blob
+
+
+@settings(max_examples=300, deadline=None)
+@given(plain_levels())
+def test_the_string_route_reports_as_the_tensor_route(blob):
+    entries = plain_entries(blob["entries"])
+    assert entries == tuple(blob["entries"])
+    assert plain_symmetry_report(entries, blob["order"], blob["dim"]) == symmetry_report(tensor_from_json(blob))
