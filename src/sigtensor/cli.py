@@ -301,10 +301,11 @@ def cmd_sig222(args):
 @_command("concise", "mode subspaces and hyperplane recovery",
           _arg("--sig", required=True), _arg("--level", type=int, default=None))
 def cmd_concise(args):
-    from .conciseness import echelon_sum, live_echelons
+    from .conciseness import echelon_sum, live_echelons, signature_levels
     from .linalg import Subspace
 
-    sig = _read(serialize.signature_from_json, args.sig)
+    # a level of plain strings is checked whole and parsed only where its fibers are read
+    sig = _read(signature_levels, args.sig)
     level = args.level if args.level is not None else sig.max_level
     if not 2 <= level <= sig.max_level:
         raise ValueError(f"precondition '2 <= level <= {sig.max_level}' violated (level={level})")

@@ -28,6 +28,9 @@ over the level joined as bytes, that every entry is a string _parse_plain
 would parse, and when the strings other than "0" repeat (a collinear path's
 levels) it checks the distinct ones and makes equal entries one object.
 negated and same_value are the negation and the value test of such strings.
+`concise` checks every entry of a plain level that does not repeat by the
+same passes (_is_plain) and parses only the fibers it eliminates
+(conciseness.signature_levels).
 """
 
 from __future__ import annotations
@@ -242,15 +245,21 @@ def plain_entries(items: list) -> tuple[str, ...] | None:
     nothing from that and is checked whole, as any other level is.
     """
     try:
-        sample = items[::_SAMPLE_STEP]
-        distinct = set(sample)
-        distinct.discard("0")
-        if 2 * len(distinct) <= len(sample) - sample.count("0"):
+        if _repetitive(items):
             first = {text: text for text in dict.fromkeys(items)}
             return tuple(map(first.__getitem__, items)) if _is_plain(first) else None
     except TypeError:  # an unhashable entry
         return None
     return tuple(items) if _is_plain(items) else None
+
+
+def _repetitive(items: list) -> bool:
+    """Whether at most half of the sampled entries other than "0" are
+    distinct; TypeError for an unhashable entry."""
+    sample = items[::_SAMPLE_STEP]
+    distinct = set(sample)
+    distinct.discard("0")
+    return 2 * len(distinct) <= len(sample) - sample.count("0")
 
 
 def negated(text: str) -> str:
@@ -419,14 +428,15 @@ def signature_to_json(s: TruncatedSignature | LogSignature) -> dict:
     return {"dim": s.dim, "max_level": s.max_level, "levels": [tensor_to_json(t) for t in s.levels]}
 
 
-def _levels_from_json(obj: Any, where: str, cls):
-    """A signature lists levels 0..max_level, a log-signature 1..max_level (cls.first)."""
+def _levels_from_json(obj: Any, where: str, cls, read: Callable[[Any, str], Any] = tensor_from_json):
+    """A signature lists levels 0..max_level, a log-signature 1..max_level
+    (cls.first); read(obj, where) reads each level."""
     dim, max_level, levels = _fields(obj, where, "dim", "max_level", "levels")
     if not _is_int(dim) or not _is_int(max_level):
         raise ParseError("dim and max_level must be integers", where)
     if not isinstance(levels, list) or len(levels) != max_level + 1 - cls.first:
         raise ParseError(f"levels must list tensors for {cls.first}..max_level", where)
-    tensors = [tensor_from_json(t, f"{where}.levels[{k}]") for k, t in enumerate(levels, cls.first)]
+    tensors = [read(t, f"{where}.levels[{k}]") for k, t in enumerate(levels, cls.first)]
     try:
         return cls(dim, max_level, tuple(tensors))
     except ValueError as exc:

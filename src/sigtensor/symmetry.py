@@ -58,6 +58,8 @@ def _transposition_violation(
     negation, it differs exactly where it is nonzero. A pair is compared as
     a whole, and searched entry by entry for the witness only if it differs;
     a pair whose entries differ only in spelling ("2/4" against "1/2") agrees.
+    For sign -1 the second run is negated as it is compared, so a scan that
+    meets its violation at a run's first entry negates one entry, not the run.
 
     The first agreeing pair that is not a zero run is evidence that the
     position holds: there the whole level with the two letters swapped is
@@ -78,12 +80,12 @@ def _transposition_violation(
         untried = True
         for i, j in pairs:
             x, y = e[i : i + lo], e[j : j + lo]
-            if sign == -1 and y.count(zero) != lo:  # a zero run is its own negation
-                y = tuple(map(neg, y))
-            if x != y:
-                r = next((r for r in range(lo) if x[r] != y[r] and not same(x[r], y[r])), None)
-                if r is not None:
-                    return pos, (_multi_index(i + r, k, d), _multi_index(j + r, k, d))
+            negate = sign == -1 and y.count(zero) != lo  # a zero run is its own negation
+            if negate or x != y:
+                # y is negated lazily, only up to each entry that differs
+                for r in itertools.compress(range(lo), map(operator.ne, x, map(neg, y) if negate else y)):
+                    if not same(x[r], neg(y[r]) if negate else y[r]):
+                        return pos, (_multi_index(i + r, k, d), _multi_index(j + r, k, d))
             if untried and x.count(zero) != lo:
                 untried = False
                 if graded.swap_positions(e, d, k, pos) == (e if sign == 1 else tuple(map(neg, e))):

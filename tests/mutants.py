@@ -439,8 +439,8 @@ MUTANTS = [
     Mutant(
         "the dead-letter check reads mode 1 only, so a letter live only at a later mode is sliced away",
         "conciseness.py",
-        "any(any(map(any, _unfolding_runs(nums, d, d ** (k - mode), i))) for mode in range(1, k + 1))",
-        "any(any(map(any, _unfolding_runs(nums, d, d ** (k - mode), i))) for mode in range(1, 2))",
+        "any(any(map(nonzero, _unfolding_runs(e, d, d ** (k - mode), i))) for mode in range(1, k + 1))",
+        "any(any(map(nonzero, _unfolding_runs(e, d, d ** (k - mode), i))) for mode in range(1, 2))",
         (ELIM + "test_a_letter_live_at_a_later_mode_only_is_kept", ELIM + "test_mode_subspaces_match_one_fiber_at_a_time_scan"),
     ),
     Mutant(
@@ -453,8 +453,8 @@ MUTANTS = [
     Mutant(
         "each mode's echelon is capped at d, not |J|",
         "conciseness.py",
-        "rows = _echelon(_spanning_fibers(nums, d, k, stride, live, unfolded), len(live))",
-        "rows = _echelon(_spanning_fibers(nums, d, k, stride, live, unfolded), d)",
+        "rows = _echelon(_spanning_fibers(firsts[mode - start], whole, d, k, stride, unfolded), len(live))",
+        "rows = _echelon(_spanning_fibers(firsts[mode - start], whole, d, k, stride, unfolded), d)",
         (ELIM + "test_a_level_in_a_coordinate_hyperplane_eliminates_no_unfolding", ELIM + "test_a_level_in_a_coordinate_plane_eliminates_no_unfolding"),
     ),
     Mutant(
@@ -579,9 +579,23 @@ MUTANTS = [
     Mutant(
         "the string route trusts a string inequality without parsing the two entries",
         "symmetry.py",
-        "if x[r] != y[r] and not same(x[r], y[r])",
-        "if x[r] != y[r]",
+        "if not same(x[r], neg(y[r]) if negate else y[r]):",
+        "if True:",
         (SYM + "test_plain_entries_spelled_apart_at_mirrored_positions_are_no_violation", SYMREF + "test_the_string_route_reports_as_the_tensor_route"),
+    ),
+    Mutant(
+        "the skew scan negates the whole second run before comparing it",
+        "symmetry.py",
+        "map(operator.ne, x, map(neg, y) if negate else y)",
+        "map(operator.ne, x, tuple(map(neg, y)) if negate else y)",
+        (SYM + "test_the_skew_scan_negates_a_plain_run_only_up_to_its_first_difference",),
+    ),
+    Mutant(
+        "the skew scan compares the second run without negating it",
+        "symmetry.py",
+        "map(operator.ne, x, map(neg, y) if negate else y)",
+        "map(operator.ne, x, y)",
+        (SYM + "test_skew_witness_on_a_segment_is_an_off_diagonal_pair_before_any_diagonal_entry", "tests/test_symmetry_reference.py::test_report_matches_the_four_scan_reference"),
     ),
     Mutant(
         "the plain check misses the two-slash case",
@@ -617,6 +631,29 @@ MUTANTS = [
         '"mode_dims": [len(rows) for rows in modes],',
         '"mode_dims": [len(spans[-1])] * len(modes),',
         (CONC + "test_concise_mode_dims_count_each_mode_not_the_level_sum", CONC + "test_concise_agrees_with_the_fraction_path"),
+    ),
+    Mutant(
+        "concise reads a plain level as strings without the plain check",
+        "conciseness.py",
+        "if order >= 3 and not serialize._repetitive(entries) and _is_plain(entries):",
+        "if order >= 3 and not serialize._repetitive(entries):",
+        ("tests/test_cli.py::test_concise_names_a_malformed_entry_that_no_fiber_reads", CONC + "test_concise_prints_the_bytes_of_the_tensor_route"),
+    ),
+    Mutant(
+        # fibers of one mode scaled apart keep its span; the unfolding of
+        # another mode mixes them, which only one denominator keeps
+        "the full unfolding of a plain level parses its last-mode fibers each over its own denominator",
+        "conciseness.py",
+        "parsed.append(next(batch([iter([e])])[0]))",
+        "parsed.append(tuple(chain.from_iterable(next(batch([iter([e[i : i + d]])])[0]) for i in range(0, len(e), d))))",
+        (CONC + "test_plain_unfolding_of_a_level_in_a_non_coordinate_hyperplane_is_over_one_denominator", CONC + "test_concise_prints_the_bytes_of_the_tensor_route"),
+    ),
+    Mutant(
+        "a plain run is zero when its first entry is \"0\"",
+        "conciseness.py",
+        'return run.count("0") != len(run)',
+        'return run[0] != "0"',
+        (CONC + "test_plain_live_letters_of_a_level_in_a_coordinate_hyperplane", CONC + "test_concise_prints_the_bytes_of_the_tensor_route"),
     ),
 ]
 

@@ -872,6 +872,67 @@ def test_symmetry_on_a_bad_entry_exits_3_naming_it(capsys, tmp_path, entries, ba
     assert err.startswith(f"input error: {tensor_file}.{bad}: ")
 
 
+def generic_signature_json(max_level):
+    """The signature of a generic path in Q^3: its levels 3 and up are plain
+    strings, mostly distinct, which concise reads as strings."""
+    from sigtensor import Path, pwl_signature
+
+    return signature_to_json(pwl_signature(Path.from_increments([[1, -2, 3], [-3, 1, 0], [2, 2, -1]]), max_level))
+
+
+@pytest.mark.parametrize("offset, entry", [
+    (19, -6),  # a JSON int, an exponent or a space is not plain: the level is parsed whole
+    (19, "-60e-1"),
+    (19, " -6"),
+    (0, "-0"),  # plain spellings of the same values keep the string route
+    (0, "0/7"),
+    (5, "-34/24"),
+], ids=["json-int", "exponent", "space", "minus-zero", "zero-over-7", "doubled"])
+def test_concise_on_a_level_outside_the_plain_form_prints_the_same_bytes(capsys, tmp_path, offset, entry):
+    # level 4 of the generic path holds 0 at (1, 1, 1, 1), -17/12 at (1, 1, 2, 3) and -6 at (1, 1, 3, 2)
+    sig, sig_file = generic_signature_json(4), tmp_path / "sig.json"
+    assert sig["levels"][4]["entries"][offset] == str(Fraction(entry))
+    sig_file.write_text(json.dumps(sig))
+    code, canonical, err = run(capsys, "concise", "--sig", str(sig_file))
+    assert (code, err) == (0, "")
+    sig["levels"][4]["entries"][offset] = entry
+    sig_file.write_text(json.dumps(sig))
+    assert run(capsys, "concise", "--sig", str(sig_file)) == (0, canonical, "")
+
+
+def test_concise_names_a_malformed_entry_that_no_fiber_reads(capsys, tmp_path):
+    # (3, 3, 3, 3) is in no mode's first fibers, whose other letters are all 1
+    # but the last, and the generic level needs no unfolding: the plain check
+    # of the whole level still finds it
+    sig, sig_file = generic_signature_json(4), tmp_path / "sig.json"
+    sig["levels"][4]["entries"][80] = "1//2"
+    sig_file.write_text(json.dumps(sig))
+    code, out, err = run(capsys, "concise", "--sig", str(sig_file))
+    assert (code, out) == (3, "")
+    assert err == f"input error: {sig_file}.levels[4].entries[80]: bad rational '1//2': Invalid literal for Fraction: '1//2'\n"
+
+
+def test_concise_reports_input_errors_in_the_order_of_the_parsed_route(capsys, tmp_path):
+    # entries are checked level by level, every level up to max_level, and the
+    # shape of each level against its place only after all are read
+    sig, sig_file = generic_signature_json(5), tmp_path / "sig.json"
+    sig["levels"][2] = {"order": 2, "dim": 2, "entries": ["1", "2", "3", "4"]}
+    sig_file.write_text(json.dumps(sig))
+    code, out, err = run(capsys, "concise", "--sig", str(sig_file))
+    assert (code, out, err) == (3, "", f"input error: {sig_file}: level 2 has wrong shape\n")
+    sig["levels"][4]["entries"][80] = "1//2"
+    sig["levels"][5]["entries"][7] = "x"
+    sig_file.write_text(json.dumps(sig))
+    bad_entry = f"input error: {sig_file}.levels[4].entries[80]: bad rational '1//2': Invalid literal for Fraction: '1//2'\n"
+    assert run(capsys, "concise", "--sig", str(sig_file)) == (3, "", bad_entry)
+    assert run(capsys, "concise", "--sig", str(sig_file), "--level", "2") == (3, "", bad_entry)
+    sig["levels"][4]["entries"][80] = "1/2"
+    sig["levels"][2] = generic_signature_json(2)["levels"][2]
+    sig_file.write_text(json.dumps(sig))
+    code, out, err = run(capsys, "concise", "--sig", str(sig_file), "--level", "3")
+    assert (code, out, err) == (3, "", f"input error: {sig_file}.levels[5].entries[7]: bad rational 'x': Invalid literal for Fraction: 'x'\n")
+
+
 def test_certify_counts_no_witness_term_with_a_zero_factor(capsys, tmp_path):
     # e1 (x) e1 + 5 (0 (x) (1, 1)) realizes e1 (x) e1, a rank-one tensor: one term counts
     tensor_file, witness_file = tmp_path / "t.json", tmp_path / "w.json"

@@ -1,8 +1,10 @@
+import contextlib
 import json
 import os
 import random
 import tempfile
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -364,3 +366,125 @@ def test_symmetric_conciseness_after_a_full_mode_eliminates_no_unfolding(monkeyp
     assert [w.dim for w in mode_subspaces(t)] == [3, 1, 3]
     monkeypatch.setattr(conciseness, "_echelon", no_unfolding)
     assert symmetric_conciseness(t).is_full
+
+
+# -- the string route: `concise` reads a plain level's strings and parses only
+# the fibers it eliminates; every report keeps the bytes of the parsed route
+
+def concise_bytes(obj) -> tuple[str, str]:
+    """What `concise` prints for the signature JSON object obj, and what it
+    prints when every level is parsed whole by tensor_from_json."""
+    reports = []
+    with tempfile.TemporaryDirectory() as tmp:
+        sig_file, out = os.path.join(tmp, "sig.json"), os.path.join(tmp, "report.json")
+        with open(sig_file, "w") as fh:
+            json.dump(obj, fh)
+        for route in (contextlib.nullcontext(), mock.patch.object(conciseness, "_is_plain", lambda items: False)):
+            with route:
+                assert cli.main(["concise", "--sig", sig_file, "--out", out]) == 0
+            with open(out) as fh:
+                reports.append(fh.read())
+    return reports[0], reports[1]
+
+
+def respelled(text: str, style: str):
+    """The entry text in another spelling of its value: "2/4"-style,
+    "-0" or "0/7" for zero, a JSON int or "30e-1"-style for an integer; the
+    text itself where the style does not apply."""
+    x = Fraction(text)
+    if style == "doubled":
+        return f"{2 * x.numerator}/{2 * x.denominator}"
+    if x == 0 and style in ("-0", "0/7"):
+        return style
+    if x.denominator == 1 and style == "int":
+        return x.numerator
+    if x.denominator == 1 and style == "exponent":
+        return f"{10 * x.numerator}e-1"
+    return text
+
+
+@st.composite
+def concise_signatures(draw):
+    """The JSON object of a signature of order up to 5 in Q^d, d <= 4: of a
+    path that is generic, in {x_1 = 0} (a dead letter), in a hyperplane
+    x_1 = c . (x_2, ..., x_d) (no dead letter and no symmetry once c is not
+    zero) or on a line, or levels drawn from the families of level_tensor
+    (zero levels among them); then up to eight entries respelled, some at
+    positions no first fiber reads."""
+    d = draw(st.integers(1, 4))
+    max_level = draw(st.integers(2, 5 if d <= 3 else 4))
+    kind = draw(st.sampled_from(["generic", "coordinate", "hyperplane", "collinear", "levels"]))
+    if kind == "levels":
+        rng = draw(st.randoms(use_true_random=False))
+        levels = [Tensor.scalar(1, d)] + [level_tensor(draw(st.sampled_from(FAMILIES)), k, d, rng) for k in range(1, max_level + 1)]
+        sig = TruncatedSignature(d, max_level, tuple(levels))
+    else:
+        increments = draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d), min_size=1, max_size=4))
+        normal = draw(st.lists(st.integers(-2, 2), min_size=d - 1, max_size=d - 1))
+        for u in increments:
+            if kind == "coordinate":
+                u[0] = 0
+            elif kind == "hyperplane":
+                u[0] = sum(c * x for c, x in zip(normal, u[1:]))
+        sig = pwl_signature(Path.from_increments(increments[:1] if kind == "collinear" else increments, dim=d), max_level)
+    obj = signature_to_json(sig)
+    for _ in range(draw(st.integers(0, 8))):
+        entries = obj["levels"][draw(st.integers(1, max_level))]["entries"]
+        i = draw(st.integers(0, len(entries) - 1))
+        if isinstance(entries[i], str):
+            entries[i] = respelled(entries[i], draw(st.sampled_from(["doubled", "-0", "0/7", "int", "exponent"])))
+    return obj
+
+
+@settings(max_examples=150, deadline=None)
+@given(concise_signatures())
+def test_concise_prints_the_bytes_of_the_tensor_route(obj):
+    strings, tensors = concise_bytes(obj)
+    assert strings == tensors
+
+
+def test_concise_reads_a_plain_level_of_order_3_or_more_as_strings():
+    # a generic path's levels 3..5 are plain and mostly distinct; a level of
+    # order <= 2, a collinear path's level and a level holding a JSON int are
+    # parsed whole
+    obj = signature_to_json(pwl_signature(Path.from_increments([[1, -2, 3], [-3, 1, 0], [2, 2, -1]]), 5))
+    line = signature_to_json(segment_signature([2, -1, 3, 1, -3], 5))
+    obj["levels"][4]["entries"][0] = respelled(obj["levels"][4]["entries"][0], "doubled")
+    obj["levels"][5]["entries"][-1] = 0
+    sig, collinear = conciseness.signature_levels(obj), conciseness.signature_levels(line)
+    assert [type(t).__name__ for t in sig.levels] == ["Tensor"] * 3 + ["PlainLevel"] * 2 + ["Tensor"]
+    assert all(isinstance(t, Tensor) for t in collinear.levels)
+    assert sig.level(4).entries is obj["levels"][4]["entries"]
+
+
+def test_plain_live_letters_of_a_level_in_a_coordinate_hyperplane():
+    # in {x_1 = 0} letter 1 is dead, and every run the live-letter test reads
+    # of letters 2 and 3 starts with an entry holding letter 1, so "0": a run
+    # is zero only when all of its entries are "0"
+    path = Path.from_increments([[0, 1, -2], [0, 3, 1], [0, -1, 2]])
+    obj = signature_to_json(pwl_signature(path, 4))
+    level = conciseness.signature_levels(obj).level(4)
+    assert isinstance(level, conciseness.PlainLevel)
+    live, modes = conciseness.live_echelons(level)
+    assert live == [1, 2]
+    assert [len(rows) for rows in modes] == [2] * 4
+    strings, tensors = concise_bytes(obj)
+    assert json.loads(strings)["result"]["recovered_subspace"] == {"ambient_dim": 3, "dim": 2, "basis": [["0", "1", "0"], ["0", "0", "1"]]}
+    assert strings == tensors
+
+
+def test_plain_unfolding_of_a_level_in_a_non_coordinate_hyperplane_is_over_one_denominator():
+    # in {x_1 + x_2 + x_3 = 0} no letter is dead and no swap keeps the level,
+    # so every mode of levels 3 and 4 eliminates its unfolding, read from the
+    # whole level over one denominator: the runs of 3 entries along the last
+    # letter have lcms of their own, and a mode-1 fiber takes one entry from
+    # each of three such runs
+    path = Path.from_increments([[1, 3, -4], [3, -3, 0], [-2, 1, 1]])
+    obj = signature_to_json(pwl_signature(path, 4))
+    assert isinstance(conciseness.signature_levels(obj).level(4), conciseness.PlainLevel)
+    strings, tensors = concise_bytes(obj)
+    report = json.loads(strings)["result"]
+    plane = {"ambient_dim": 3, "dim": 2, "basis": [["1", "0", "-1"], ["0", "1", "-1"]]}
+    assert [level["symmetric_conciseness"] for level in report["levels"][2:]] == [plane, plane]
+    assert report["recovered_subspace"] == plane
+    assert strings == tensors

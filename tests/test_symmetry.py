@@ -329,3 +329,19 @@ def test_plain_zeros_spelled_otherwise_are_zero():
     rep = plain_symmetry_report(("-0", "0/3", "0", "000", "0", "-0/7", "00", "0"), 3, 2)
     assert rep == symmetry_report(Tensor.zeros(3, 2))
     assert rep.is_symmetric and rep.is_skew and rep.witness is None
+
+
+def test_the_skew_scan_negates_a_plain_run_only_up_to_its_first_difference(monkeypatch):
+    # level 5 of a generic path in Q^4 is symmetric nowhere: the skew scan's
+    # first run pair, of 4^3 entries, differs at its first entry, so one entry
+    # is negated to compare it and once more to test its value
+    from sigtensor import serialize
+
+    t = pwl_signature(Path.from_increments([[1, -2, 3, 0], [-3, 1, 0, 2], [2, 2, -1, -3]]), 5).level(5)
+    entries = tuple(serialize.tensor_to_json(t)["entries"])
+    negated = []
+    real = serialize.negated
+    monkeypatch.setattr(serialize, "negated", lambda text: negated.append(text) or real(text))
+    rep = plain_symmetry_report(entries, 5, 4)
+    assert rep == symmetry_report(t)
+    assert not rep.is_skew and len(negated) == 2
